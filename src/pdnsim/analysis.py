@@ -12,7 +12,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .builder import assemble_netlist
 from .config import (ChipOnVrm3D, OnPackageVrm, PowerMap, ScenarioConfig,
@@ -59,6 +58,37 @@ class PsnMetrics:
     settling_mv: float           # deficit at t_end (worst tile)
 
 
+def first_prominent_min(s, prominence):
+    """Index of the first local minimum of ``s`` with at least
+    ``prominence`` of prominence, or None.
+
+    Same rules as ``scipy.signal.find_peaks(-s, prominence=prominence)``: a
+    flat minimum counts once, at the midpoint of its run (rounded down);
+    the ends of the series are never minima; the prominence is the height
+    of the lower of the two maxima the series reaches, on either side,
+    before it first rises above the minimum's level.
+    """
+    x = np.asarray(s, dtype=float)
+    n = len(x)
+    if n < 3:
+        return None
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:] - 1, n - 1]
+    v = x[starts]
+    runs = np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])) + 1
+    for r in runs:
+        p = int(starts[r] + ends[r]) // 2
+        # ~(>=) also stops a side at NaN, as scipy's scan does
+        left = np.flatnonzero(~(x[:p] >= x[p]))
+        right = np.flatnonzero(~(x[p:] >= x[p]))
+        lo = left[-1] + 1 if len(left) else 0
+        hi = p + right[0] if len(right) else n
+        height = min(x[lo:p + 1].max(), x[p:hi].max())
+        if height - x[p] >= prominence:
+            return p
+    return None
+
+
 def extract_psn(waveform, config: ScenarioConfig, probe=None,
                 prominence_v=1e-3) -> PsnMetrics:
     """PSN metrics from a step-response waveform.
@@ -87,9 +117,8 @@ def extract_psn(waveform, config: ScenarioConfig, probe=None,
     mask = t >= ramp_end
     seg = s[mask]
     seg_t = t[mask]
-    idx, _ = find_peaks(-seg, prominence=prominence_v)
-    if len(idx):
-        k = int(idx[0])
+    k = first_prominent_min(seg, prominence_v)
+    if k is not None:
         first = (v_final - float(seg[k])) * 1e3
         first_t = float(seg_t[k])
     else:

@@ -24,9 +24,8 @@ from .config import (BacksideVrm, ChipOnVrm3D, OnPackageVrm, ScenarioConfig,
                      total_load_current)
 from .errors import NetlistError
 from .netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR, RESISTOR,
-                      VOLTAGE_SOURCE, Netlist, make_label,
-                      merged_sheet_resistance, via_inductance, via_resistance,
-                      wire_resistance)
+                      VOLTAGE_SOURCE, Netlist, merged_sheet_resistance,
+                      via_inductance, via_resistance, wire_resistance)
 
 # floors used when a config legitimately sets a parasitic to zero; elements
 # must stay strictly positive for the stampers
@@ -41,6 +40,12 @@ def _r(x):
 
 def _l(x):
     return max(float(x), _L_FLOOR)
+
+
+def _stack(*columns):
+    """Broadcast the columns together and stack them along a new last axis:
+    one row of interleaved elements per grid position."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
 def build_chip_grid(chip, power_map=None, onchip_esr_ohm_mm2=1.2, net=None):
@@ -61,39 +66,34 @@ def build_chip_grid(chip, power_map=None, onchip_esr_ohm_mm2=1.2, net=None):
     tile_area_mm2 = tx_mm * ty_mm
     wire = chip.onchip_wire
 
-    tile_nodes = np.empty((ny, nx), dtype=int)
-    for j in range(ny):
-        for i in range(nx):
-            tile_nodes[j, i] = net.add_node("chip", (i, j))
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
+    tile_nodes = net.add_nodes("chip", ii, jj)
 
     # boundary resistors: n parallel wires cross each tile boundary
     n_x = max(1, int(ty_mm * 1000.0 // wire.pitch_um))   # wires along x
     n_y = max(1, int(tx_mm * 1000.0 // wire.pitch_um))   # wires along y
     r_h = wire_resistance(wire, tx_mm * 1000.0) / n_x
     r_v = wire_resistance(wire, ty_mm * 1000.0) / n_y
-    for j in range(ny):
-        for i in range(nx - 1):
-            net.add(RESISTOR, tile_nodes[j, i], tile_nodes[j, i + 1], r_h,
-                    make_label("chip_h", i, j))
-    for j in range(ny - 1):
-        for i in range(nx):
-            net.add(RESISTOR, tile_nodes[j, i], tile_nodes[j + 1, i], r_v,
-                    make_label("chip_v", i, j))
+    net.add_elements(RESISTOR, tile_nodes[:, :-1], tile_nodes[:, 1:], r_h, "chip_h",
+                     ii[:, :-1], jj[:, :-1])
+    net.add_elements(RESISTOR, tile_nodes[:-1], tile_nodes[1:], r_v, "chip_v",
+                     ii[:-1], jj[:-1])
 
     # per-tile load and decap
-    dens = None if power_map is None else power_map.densities
+    amps = 0.0 if power_map is None else power_map.densities * tile_area_mm2
     cap_f = chip.onchip_decap_density_nf_per_mm2 * 1e-9 * tile_area_mm2
     esr = onchip_esr_ohm_mm2 / tile_area_mm2
-    for j in range(ny):
-        for i in range(nx):
-            node = tile_nodes[j, i]
-            amps = 0.0 if dens is None else float(dens[j, i]) * tile_area_mm2
-            net.add(CURRENT_SOURCE, node, GROUND, amps, make_label("load", i, j))
-            if cap_f > 0.0:
-                mid = net.add_node("internal", (i, j))
-                net.add(RESISTOR, node, mid, _r(esr), make_label("chip_decap_esr", i, j))
-                net.add(CAPACITOR, mid, GROUND, cap_f, make_label("chip_decap_c", i, j))
-            net.probes[f"tile[{i},{j}]"] = node
+    if cap_f > 0.0:
+        mid = net.add_nodes("internal", ii, jj)
+        net.add_elements([CURRENT_SOURCE, RESISTOR, CAPACITOR],
+                         _stack(tile_nodes, tile_nodes, mid), _stack(GROUND, mid, GROUND),
+                         _stack(amps, _r(esr), cap_f),
+                         ["load", "chip_decap_esr", "chip_decap_c"],
+                         ii[..., None], jj[..., None])
+    else:
+        net.add_elements(CURRENT_SOURCE, tile_nodes, GROUND, amps, "load", ii, jj)
+    net.probes.update((f"tile[{i},{j}]", n) for i, j, n in
+                      zip(ii.ravel().tolist(), jj.ravel().tolist(), tile_nodes.ravel().tolist()))
     return net, tile_nodes
 
 
@@ -114,54 +114,47 @@ def build_package_network(pkg, net=None):
     r_sq = merged_sheet_resistance(pkg)
     l_sq = pkg.segment_inductance_ph_per_square * 1e-12
 
-    nodes = np.empty((ny, nx), dtype=int)
-    for j in range(ny):
-        for i in range(nx):
-            nodes[j, i] = net.add_node("package_top", (i, j))
-    for j in range(ny):
-        for i in range(nx - 1):
-            mid = net.add_node("internal", (i, j))
-            net.add(RESISTOR, nodes[j, i], mid, _r(r_sq), make_label("pkg_h", i, j))
-            net.add(INDUCTOR, mid, nodes[j, i + 1], _l(l_sq), make_label("pkg_lh", i, j))
-    for j in range(ny - 1):
-        for i in range(nx):
-            mid = net.add_node("internal", (i, j))
-            net.add(RESISTOR, nodes[j, i], mid, _r(r_sq), make_label("pkg_v", i, j))
-            net.add(INDUCTOR, mid, nodes[j + 1, i], _l(l_sq), make_label("pkg_lv", i, j))
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
+    nodes = net.add_nodes("package_top", ii, jj)
+    _rl_branches(net, nodes[:, :-1], nodes[:, 1:], r_sq, l_sq, ("pkg_h", "pkg_lh"),
+                 ii[:, :-1], jj[:, :-1])
+    _rl_branches(net, nodes[:-1], nodes[1:], r_sq, l_sq, ("pkg_v", "pkg_lv"),
+                 ii[:-1], jj[:-1])
     return net, nodes, xs, ys
 
 
-def _nearest(coords, value):
-    return int(np.argmin(np.abs(coords - value)))
+def _nearest(coords, values):
+    """Index of the coordinate nearest to each value (first on ties)."""
+    return np.argmin(np.abs(coords - np.asarray(values)[..., None]), axis=-1)
 
 
 def _bumps_per_tile(tx_mm, ty_mm, pitch_um):
     return max(1, int(tx_mm * 1000.0 // pitch_um) * int(ty_mm * 1000.0 // pitch_um))
 
 
+def _rl_branches(net, src, dst, r, l, stems, *index, prefix=()):
+    """A series R-L branch from each ``src`` to its ``dst`` node through a
+    new internal node at ``prefix + index``; elements go R, L per branch."""
+    mid = net.add_nodes("internal", *index, prefix=prefix)
+    net.add_elements([RESISTOR, INDUCTOR], _stack(src, mid), _stack(mid, dst),
+                     [_r(r), _l(l)], stems, *(ix[..., None] for ix in index))
+
+
 def _decap_branch(net, node, cap, stem_prefix, idx):
     mid1 = net.add_node("internal")
     mid2 = net.add_node("internal")
-    net.add(RESISTOR, node, mid1, _r(cap.esr_mohm * 1e-3),
-            make_label(f"{stem_prefix}_esr", idx))
-    net.add(INDUCTOR, mid1, mid2, _l(cap.esl_nh * 1e-9),
-            make_label(f"{stem_prefix}_esl", idx))
-    net.add(CAPACITOR, mid2, GROUND, cap.capacitance_uf * 1e-6,
-            make_label(f"{stem_prefix}_c", idx))
+    net.add_elements([RESISTOR, INDUCTOR, CAPACITOR], [node, mid1, mid2], [mid1, mid2, GROUND],
+                     [_r(cap.esr_mohm * 1e-3), _l(cap.esl_nh * 1e-9), cap.capacitance_uf * 1e-6],
+                     [f"{stem_prefix}_esr", f"{stem_prefix}_esl", f"{stem_prefix}_c"], idx)
 
 
-def _vrm_chain(net, k, vrm, attach_label="vrm"):
+def _vrm_chain(net, k, vrm):
     """Ideal source + series R/L; returns the output node of the chain."""
-    n_src = net.add_node("vrm_die", ("src", k))
-    src_idx = net.add(VOLTAGE_SOURCE, n_src, GROUND, vrm.output_voltage_v,
-                      make_label("vrm_src", k))
-    net.sources.append(src_idx)
-    n1 = net.add_node("vrm_die", ("r", k))
-    net.add(RESISTOR, n_src, n1, _r(vrm.series_resistance_mohm * 1e-3),
-            make_label("vrm_r", k))
-    n2 = net.add_node("vrm_die", ("l", k))
-    net.add(INDUCTOR, n1, n2, _l(vrm.series_inductance_nh * 1e-9),
-            make_label("vrm_l", k))
+    n_src, n1, n2 = (net.add_node("vrm_die", (p, k)) for p in ("src", "r", "l"))
+    net.sources.append(net.add_elements(
+        [VOLTAGE_SOURCE, RESISTOR, INDUCTOR], [n_src, n_src, n1], [GROUND, n1, n2],
+        [vrm.output_voltage_v, _r(vrm.series_resistance_mohm * 1e-3),
+         _l(vrm.series_inductance_nh * 1e-9)], ["vrm_src", "vrm_r", "vrm_l"], k))
     return n2
 
 
@@ -185,14 +178,13 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     ty_mm = chip.height_mm / ny
     tile_cx = -chip.width_mm / 2.0 + tx_mm * (np.arange(nx) + 0.5)
     tile_cy = -chip.height_mm / 2.0 + ty_mm * (np.arange(ny) + 0.5)
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
 
     plc = config.placement
-    is_3d = isinstance(plc, ChipOnVrm3D)
 
     # chip-to-carrier attach: C4 per tile (2.5-D) or TSV+microbump per tile (3-D)
-    if is_3d:
-        vrm_out = _vrm_chain(net, 0, config.vrm)
-        die = vrm_out  # VRM die distribution node
+    if isinstance(plc, ChipOnVrm3D):
+        die = _vrm_chain(net, 0, config.vrm)  # VRM die distribution node
         if plc.die_decap is not None:
             _decap_branch(net, die, plc.die_decap, "die_decap", 0)
         n_ub = _bumps_per_tile(tx_mm, ty_mm, plc.microbump.pitch_um)
@@ -200,27 +192,18 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
                   + plc.microbump.resistance_per_bump_mohm * 1e-3) / n_ub
         l_site = (via_inductance(plc.vrm_tsv)
                   + plc.microbump.inductance_per_bump_ph * 1e-12) / n_ub
-        for j in range(ny):
-            for i in range(nx):
-                mid = net.add_node("internal", (i, j))
-                net.add(RESISTOR, die, mid, _r(r_site), make_label("tsv_r", i, j))
-                net.add(INDUCTOR, mid, tiles[j, i], _l(l_site), make_label("ubump_l", i, j))
+        _rl_branches(net, die, tiles, r_site, l_site, ("tsv_r", "ubump_l"), ii, jj)
     else:
         c4 = pkg.c4_bump
         n_c4 = _bumps_per_tile(tx_mm, ty_mm, c4.pitch_um)
         r_tile = c4.resistance_per_bump_mohm * 1e-3 / n_c4
         l_tile = c4.inductance_per_bump_ph * 1e-12 / n_c4
-        for j in range(ny):
-            for i in range(nx):
-                pi = _nearest(pxs, tile_cx[i])
-                pj = _nearest(pys, tile_cy[j])
-                mid = net.add_node("internal", (i, j))
-                net.add(RESISTOR, tiles[j, i], mid, _r(r_tile), make_label("c4_r", i, j))
-                net.add(INDUCTOR, mid, pnodes[pj, pi], _l(l_tile), make_label("c4_l", i, j))
+        landing = pnodes[np.ix_(_nearest(pys, tile_cy), _nearest(pxs, tile_cx))]
+        _rl_branches(net, tiles, landing, r_tile, l_tile, ("c4_r", "c4_l"), ii, jj)
 
     # under-chip package node set (used by 3-D die attach and backside vias)
-    under_i = [i for i, x in enumerate(pxs) if abs(x) <= chip.width_mm / 2.0 + 1e-9]
-    under_j = [j for j, y in enumerate(pys) if abs(y) <= chip.height_mm / 2.0 + 1e-9]
+    under_i = np.flatnonzero(np.abs(pxs) <= chip.width_mm / 2.0 + 1e-9)
+    under_j = np.flatnonzero(np.abs(pys) <= chip.height_mm / 2.0 + 1e-9)
 
     if isinstance(plc, OnPackageVrm):
         sides = {1: ["west"], 2: ["west", "east"],
@@ -232,46 +215,33 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         for k, side in enumerate(sides):
             out = _vrm_chain(net, k, config.vrm)
             n3 = net.add_node("vrm_die", ("strap_r", k))
-            net.add(RESISTOR, out, n3, _r(r_sq * squares), make_label("strap_r", k))
             n_pad = net.add_node("vrm_die", ("pad", k))
-            net.add(INDUCTOR, n3, n_pad, _l(l_sq * squares), make_label("strap_l", k))
+            net.add_elements([RESISTOR, INDUCTOR], [out, n3], [n3, n_pad],
+                             [_r(r_sq * squares), _l(l_sq * squares)],
+                             ["strap_r", "strap_l"], k)
             pad_nodes = _pad_line(pnodes, pxs, pys, chip, side, padw)
-            for m, pn in enumerate(pad_nodes):
-                net.add(RESISTOR, n_pad, pn, _PAD_CONTACT_OHM * len(pad_nodes),
-                        make_label("pad", k, m))
+            net.add_elements(RESISTOR, n_pad, pad_nodes, _PAD_CONTACT_OHM * len(pad_nodes),
+                             "pad", k, np.arange(len(pad_nodes)))
     elif isinstance(plc, BacksideVrm):
         tpv = pkg.through_package_via
         out = _vrm_chain(net, 0, config.vrm)
         n_side = pkg.tpv_sites_per_side
-        site_x = [-chip.width_mm / 2.0 + (s + 0.5) * chip.width_mm / n_side
-                  for s in range(n_side)]
-        site_y = [-chip.height_mm / 2.0 + (s + 0.5) * chip.height_mm / n_side
-                  for s in range(n_side)]
-        m = 0
-        for yy in site_y:
-            for xx in site_x:
-                pn = pnodes[_nearest(pys, yy), _nearest(pxs, xx)]
-                mid = net.add_node("internal", ("tpv", m))
-                net.add(RESISTOR, out, mid, _r(via_resistance(tpv)), make_label("tpv_r", m))
-                net.add(INDUCTOR, mid, pn, _l(via_inductance(tpv)), make_label("tpv_l", m))
-                m += 1
+        site_x = -chip.width_mm / 2.0 + (np.arange(n_side) + 0.5) * chip.width_mm / n_side
+        site_y = -chip.height_mm / 2.0 + (np.arange(n_side) + 0.5) * chip.height_mm / n_side
+        sites = pnodes[np.ix_(_nearest(pys, site_y), _nearest(pxs, site_x))]
+        _rl_branches(net, out, sites, via_resistance(tpv), via_inductance(tpv),
+                     ("tpv_r", "tpv_l"), np.arange(sites.size).reshape(sites.shape),
+                     prefix=("tpv",))
     else:
         # 3-D: VRM die still sits on the package through the C4 array so the
         # package/board decap paths stay connected
         c4 = pkg.c4_bump
         total_c4 = _bumps_per_tile(chip.width_mm, chip.height_mm, c4.pitch_um)
-        n_sites = len(under_i) * len(under_j)
-        share = max(1.0, total_c4 / n_sites)
-        m = 0
-        for j in under_j:
-            for i in under_i:
-                mid = net.add_node("internal", ("die_c4", m))
-                net.add(RESISTOR, die, mid, _r(c4.resistance_per_bump_mohm * 1e-3 / share),
-                        make_label("die_c4_r", m))
-                net.add(INDUCTOR, mid, pnodes[j, i],
-                        _l(c4.inductance_per_bump_ph * 1e-12 / share),
-                        make_label("die_c4_l", m))
-                m += 1
+        sites = pnodes[np.ix_(under_j, under_i)]
+        share = max(1.0, total_c4 / sites.size)
+        _rl_branches(net, die, sites, c4.resistance_per_bump_mohm * 1e-3 / share,
+                     c4.inductance_per_bump_ph * 1e-12 / share, ("die_c4_r", "die_c4_l"),
+                     np.arange(sites.size).reshape(sites.shape), prefix=("die_c4",))
 
     # package discrete decaps
     for m, cap in enumerate(config.decaps.package_decaps):
@@ -284,18 +254,14 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     r_sb = sb.resistance_per_bump_mohm * 1e-3 / pkg.solder_bump_count
     l_sb = sb.inductance_per_bump_ph * 1e-12 / pkg.solder_bump_count
     board_a = net.add_node("board", "solder")
-    corners = [(0, 0), (0, len(pxs) - 1), (len(pys) - 1, 0), (len(pys) - 1, len(pxs) - 1)]
-    for c, (j, i) in enumerate(corners):
-        mid = net.add_node("internal", ("solder", c))
-        net.add(RESISTOR, pnodes[j, i], mid, _r(r_sb * len(corners)),
-                make_label("solder_r", c))
-        net.add(INDUCTOR, mid, board_a, _l(l_sb * len(corners)), make_label("solder_l", c))
+    corners = pnodes[[0, 0, -1, -1], [0, -1, 0, -1]]
+    _rl_branches(net, corners, board_a, r_sb * len(corners), l_sb * len(corners),
+                 ("solder_r", "solder_l"), np.arange(len(corners)), prefix=("solder",))
     board_mid = net.add_node("board", "lump")
     board_b = net.add_node("board", "far")
-    net.add(RESISTOR, board_a, board_mid, _r(config.board.lumped_resistance_mohm * 1e-3),
-            make_label("board_r"))
-    net.add(INDUCTOR, board_mid, board_b, _l(config.board.lumped_inductance_nh * 1e-9),
-            make_label("board_l"))
+    net.add_elements([RESISTOR, INDUCTOR], [board_a, board_mid], [board_mid, board_b],
+                     [_r(config.board.lumped_resistance_mohm * 1e-3),
+                      _l(config.board.lumped_inductance_nh * 1e-9)], ["board_r", "board_l"])
     for m, cap in enumerate(config.decaps.board_decaps):
         _decap_branch(net, board_b, cap, "board_decap", m)
 
@@ -317,19 +283,12 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
 def _pad_line(pnodes, pxs, pys, chip, side, pad_width_mm):
     """Package nodes forming the VRM attach pad just outside one chip edge."""
     half_w, half_h = chip.width_mm / 2.0, chip.height_mm / 2.0
-    out = []
     if side in ("west", "east"):
-        x = -half_w if side == "west" else half_w
-        i = _nearest(pxs, x)
-        for j, y in enumerate(pys):
-            if abs(y) <= pad_width_mm / 2.0 + 1e-9:
-                out.append(int(pnodes[j, i]))
+        column = pnodes[:, _nearest(pxs, -half_w if side == "west" else half_w)]
+        out = column[np.abs(pys) <= pad_width_mm / 2.0 + 1e-9]
     else:
-        y = -half_h if side == "south" else half_h
-        j = _nearest(pys, y)
-        for i, x in enumerate(pxs):
-            if abs(x) <= pad_width_mm / 2.0 + 1e-9:
-                out.append(int(pnodes[j, i]))
-    if not out:
+        row = pnodes[_nearest(pys, -half_h if side == "south" else half_h)]
+        out = row[np.abs(pxs) <= pad_width_mm / 2.0 + 1e-9]
+    if not len(out):
         raise NetlistError(f"no package nodes available for VRM pad on side {side}")
     return out

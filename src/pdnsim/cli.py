@@ -54,8 +54,6 @@ def _build_parser():
         sp.add_argument("--out-dir", default=".", help="output directory")
         sp.add_argument("--power-map", choices=["uniform", "hotspot"],
                         help="override the power map with a builtin kind")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="reserved; the solver is deterministic")
 
     def tran_flags(sp):
         sp.add_argument("--dt", type=float, default=DEFAULT_DT_S, help="time step [s]")
@@ -98,7 +96,6 @@ def _build_parser():
                     help="scenario JSON file (repeat; first is the reference)")
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--power-map", choices=["uniform", "hotspot"])
-    sp.add_argument("--seed", type=int, default=0)
     tran_flags(sp)
     sp.add_argument("--no-transient", action="store_true")
 

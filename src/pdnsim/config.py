@@ -260,6 +260,11 @@ class PowerMap:
             and self.normalized == other.normalized
         )
 
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which __eq__ counts as equal
+        return hash((self.densities.shape, (self.densities + 0.0).tobytes(),
+                     self.total_power_w, self.normalized))
+
     def __repr__(self):
         return (
             f"PowerMap(shape={self.densities.shape}, total_power_w={self.total_power_w}, "

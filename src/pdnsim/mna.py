@@ -98,90 +98,43 @@ class MnaSystem:
         self.dt = dt
         self.method = method
 
-        n_nodes = netlist.node_count - 1  # ground eliminated
-        self.n_nodes = n_nodes
+        self.n_nodes = n_nodes = netlist.node_count - 1  # ground eliminated
 
-        rows, cols, vals = [], [], []
+        kind, a, b, value = netlist.columns()
+        a, b = a - 1, b - 1  # matrix rows; ground (0) -> -1, dropped below
+        is_l, is_v = kind == INDUCTOR, kind == VOLTAGE_SOURCE
+        is_c = kind == CAPACITOR if mode == "transient" else np.zeros(len(kind), bool)
+        is_g = (kind == RESISTOR) | is_c
+        # one branch row per inductor and voltage source, in element order
+        self.branch_elems = np.flatnonzero(is_l | is_v)
+        br = np.full(len(kind), -1)
+        br[self.branch_elems] = n_nodes + np.arange(len(self.branch_elems))
+        self.dim = n_nodes + len(self.branch_elems)
 
-        def stamp(r, c, v):
-            if r >= 0 and c >= 0:
-                rows.append(r)
-                cols.append(c)
-                vals.append(v)
-
-        def nrow(node):
-            return node - 1  # ground (0) -> -1, skipped by stamp()
-
-        branch = n_nodes
-        self.ind_rows, self.ind_a, self.ind_b, self.ind_z = [], [], [], []
-        self.vsrc_rows, self.vsrc_vals, self.vsrc_elems = [], [], []
-        self.cap_a, self.cap_b, self.cap_g = [], [], []
-        self.isrc_a, self.isrc_b, self.isrc_vals = [], [], []
-        self.branch_of_elem = {}
-
-        for idx, e in enumerate(netlist.elements):
-            a, b = nrow(e.a), nrow(e.b)
-            if e.kind == RESISTOR:
-                g = 1.0 / e.value
-                stamp(a, a, g)
-                stamp(b, b, g)
-                stamp(a, b, -g)
-                stamp(b, a, -g)
-            elif e.kind == CAPACITOR:
-                if mode == "dc":
-                    continue  # open circuit
-                g = (2.0 if method == "trap" else 1.0) * e.value / dt
-                stamp(a, a, g)
-                stamp(b, b, g)
-                stamp(a, b, -g)
-                stamp(b, a, -g)
-                self.cap_a.append(a)
-                self.cap_b.append(b)
-                self.cap_g.append(g)
-            elif e.kind == INDUCTOR:
-                br = branch
-                branch += 1
-                if mode == "dc":
-                    z = 0.0
-                else:
-                    z = (2.0 if method == "trap" else 1.0) * e.value / dt
-                stamp(a, br, 1.0)
-                stamp(b, br, -1.0)
-                stamp(br, a, 1.0)
-                stamp(br, b, -1.0)
-                stamp(br, br, -z)
-                self.ind_rows.append(br)
-                self.ind_a.append(a)
-                self.ind_b.append(b)
-                self.ind_z.append(z)
-                self.branch_of_elem[idx] = br
-            elif e.kind == VOLTAGE_SOURCE:
-                br = branch
-                branch += 1
-                stamp(a, br, 1.0)
-                stamp(b, br, -1.0)
-                stamp(br, a, 1.0)
-                stamp(br, b, -1.0)
-                self.vsrc_rows.append(br)
-                self.vsrc_vals.append(e.value)
-                self.vsrc_elems.append(idx)
-                self.branch_of_elem[idx] = br
-            elif e.kind == CURRENT_SOURCE:
-                self.isrc_a.append(a)
-                self.isrc_b.append(b)
-                self.isrc_vals.append(e.value)
-
-        self.dim = branch
+        factor = 2.0 if method == "trap" else 1.0
+        g = np.divide(1.0, value, out=np.zeros(len(kind)), where=kind == RESISTOR)
+        g[is_c] = factor * value[is_c] / dt
+        z = np.zeros(len(kind)) if mode == "dc" else factor * value / dt
+        # per-element stamp blocks, -1 marking ground or an unused slot:
+        # conductance (a,a) (b,b) (a,b) (b,a); branch (a,br) (b,br) (br,a)
+        # (br,b) and, for inductors, (br,br).  Flattened in element order,
+        # so duplicate entries are always summed in the same order.
+        none, one, br_l = np.full(len(kind), -1), np.ones(len(kind)), np.where(is_l, br, -1)
+        is_g = is_g[:, None]
+        rows = np.where(is_g, np.stack([a, b, a, b, none], 1), np.stack([a, b, br, br, br_l], 1))
+        cols = np.where(is_g, np.stack([a, b, b, a, none], 1), np.stack([br, br, a, b, br_l], 1))
+        vals = np.where(is_g, np.stack([g, g, -g, -g, g], 1),
+                        np.stack([one, -one, one, -one, -z], 1))
+        keep = (rows >= 0) & (cols >= 0)
         self.matrix = sp.coo_matrix(
-            (vals, (rows, cols)), shape=(self.dim, self.dim)
+            (vals[keep], (rows[keep], cols[keep])), shape=(self.dim, self.dim)
         ).tocsc()
 
-        for name in ("ind_rows", "ind_a", "ind_b", "ind_z", "vsrc_rows",
-                     "vsrc_vals", "cap_a", "cap_b", "cap_g", "isrc_a",
-                     "isrc_b", "isrc_vals"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float)
-                    if name.endswith(("_z", "_vals", "_g")) else
-                    np.asarray(getattr(self, name), dtype=int))
+        self.ind_rows, self.ind_a, self.ind_b, self.ind_z = br[is_l], a[is_l], b[is_l], z[is_l]
+        self.vsrc_rows, self.vsrc_vals = br[is_v], value[is_v]
+        self.cap_a, self.cap_b, self.cap_g = a[is_c], b[is_c], g[is_c]
+        is_i = kind == CURRENT_SOURCE
+        self.isrc_a, self.isrc_b, self.isrc_vals = a[is_i], b[is_i], value[is_i]
 
         self._lu = None
 
@@ -197,10 +150,8 @@ class MnaSystem:
         diag = np.abs(self.matrix.diagonal())
         node_diag = diag[: self.n_nodes]
         worst = np.argsort(node_diag)[:8]
-        names = []
-        for r in worst:
-            node = self.netlist.nodes[int(r) + 1]
-            names.append(f"{node.tier}{node.position}")
+        names = [f"{n.tier}{n.position}" for n in
+                 (self.netlist.nodes[int(r) + 1] for r in worst)]
         return (f"singular MNA matrix ({detail}); smallest-diagonal node "
                 f"cluster: {', '.join(names)}")
 
@@ -264,7 +215,7 @@ def dc_solve(netlist: Netlist) -> DcSolution:
     kcl = float(np.max(np.abs(resid[: sys_.n_nodes]))) if sys_.n_nodes else 0.0
 
     voltages = np.concatenate(([0.0], x[: sys_.n_nodes]))
-    branch_currents = {idx: float(x[br]) for idx, br in sys_.branch_of_elem.items()}
+    branch_currents = dict(zip(sys_.branch_elems.tolist(), x[sys_.n_nodes:].tolist()))
     return DcSolution(voltages=voltages, branch_currents=branch_currents,
                       kcl_residual=kcl)
 
@@ -320,66 +271,61 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
         if name not in netlist.probes:
             raise KeyError(f"unknown probe {name!r}")
         probe_rows[name] = netlist.probes[name] - 1
+    probe_rows_arr = np.array(list(probe_rows.values()), dtype=np.int64)
 
     tiles = netlist.meta.get("chip_tile_nodes") if netlist.meta else None
     tile_rows = None if tiles is None else (np.asarray(tiles).ravel() - 1)
 
-    x = np.zeros(sys_.dim)
-    static = sys_.static_rhs()
+    # x and rhs carry one trailing entry that stands for ground: row -1
+    # reads 0.0 from x and soaks up ground injections in rhs, so the step
+    # loop needs no ground masks
+    x = np.zeros(sys_.dim + 1)
+    static = np.append(sys_.static_rhs(), 0.0)
 
     cap_a, cap_b, cap_g = sys_.cap_a, sys_.cap_b, sys_.cap_g
     cap_ieq = np.zeros(len(cap_g))
     ind_rows, ind_a, ind_b, ind_z = sys_.ind_rows, sys_.ind_a, sys_.ind_b, sys_.ind_z
     ind_e = np.zeros(len(ind_rows))
+    # fancy-index += keeps one update per repeated row; np.add.at keeps all
+    cap_rows_unique = all(len(np.unique(r[r >= 0])) == np.count_nonzero(r >= 0)
+                          for r in (cap_a, cap_b))
 
     if warm:
         # zero-load operating point: every non-ground node at v_end, all
         # branch currents zero; capacitor companions carry their standing
         # voltage so no spurious transient is injected at t=0
-        v0 = stimulus.v_end
-        x[: sys_.n_nodes] = v0
-        if len(cap_g):
-            vab0 = np.where(cap_a >= 0, v0, 0.0) - np.where(cap_b >= 0, v0, 0.0)
-            cap_ieq = cap_g * vab0
+        x[: sys_.n_nodes] = stimulus.v_end
+        cap_ieq = cap_g * (x[cap_a] - x[cap_b])
 
-    vsrc_rows = sys_.vsrc_rows
-    dc_vals = sys_.vsrc_vals
-
-    def vnode(rows, xv):
-        out = np.where(rows >= 0, xv[np.clip(rows, 0, None)], 0.0)
-        return out
+    vsrc_rows, dc_vals = sys_.vsrc_rows, sys_.vsrc_vals
 
     guard = 10.0 * max(abs(stimulus.v_end), abs(stimulus.v_start),
                        float(np.max(np.abs(dc_vals))) if len(dc_vals) else 1.0, 1e-12)
 
-    series = {name: np.empty(n_steps + 1) for name in probe_rows}
-    for name, row in probe_rows.items():
-        series[name][0] = x[row] if row >= 0 else 0.0
+    recorded = np.empty((n_steps + 1, len(probe_rows)))
+    recorded[0] = x[probe_rows_arr]
 
     ramp_end = 0.0 if warm else stimulus.ramp_end_s
-    tile_min = None
-    if tile_rows is not None:
-        tile_min = np.full(tile_rows.shape, np.inf)
+    tile_min = None if tile_rows is None else np.full(tile_rows.shape, np.inf)
 
     for step in range(1, n_steps + 1):
         t = times[step]
         rhs = static * stimulus.load_factor(t)
-        if len(cap_g):
-            pos = cap_a >= 0
-            np.add.at(rhs, cap_a[pos], cap_ieq[pos])
-            neg = cap_b >= 0
-            np.subtract.at(rhs, cap_b[neg], cap_ieq[neg])
-        if len(ind_rows):
-            rhs[ind_rows] += ind_e
-        if len(vsrc_rows):
-            if warm:
-                rhs[vsrc_rows] = stimulus.v_end
-            elif stimulus.kind == "step":
-                rhs[vsrc_rows] = stimulus.voltage(t, 0.0)
-            else:
-                rhs[vsrc_rows] = dc_vals
+        if cap_rows_unique:
+            rhs[cap_a] += cap_ieq
+            rhs[cap_b] -= cap_ieq
+        else:
+            np.add.at(rhs, cap_a, cap_ieq)
+            np.subtract.at(rhs, cap_b, cap_ieq)
+        rhs[ind_rows] += ind_e
+        if warm:
+            rhs[vsrc_rows] = stimulus.v_end
+        elif stimulus.kind == "step":
+            rhs[vsrc_rows] = stimulus.voltage(t, 0.0)
+        else:
+            rhs[vsrc_rows] = dc_vals
 
-        x = lu.solve(rhs)
+        x[:-1] = lu.solve(rhs[:-1])
 
         vmax = float(np.max(np.abs(x[: sys_.n_nodes])))
         if not np.isfinite(vmax) or vmax > guard:
@@ -388,25 +334,18 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
                 f"method={method}, dt={dt:.3e} — reduce dt or switch method")
 
         # history updates
-        if len(cap_g):
-            vab = vnode(cap_a, x) - vnode(cap_b, x)
-            if trap:
-                cap_ieq = 2.0 * cap_g * vab - cap_ieq
-            else:
-                cap_ieq = cap_g * vab
-        if len(ind_rows):
-            j = x[ind_rows]
-            if trap:
-                vab = vnode(ind_a, x) - vnode(ind_b, x)
-                ind_e = -vab - ind_z * j
-            else:
-                ind_e = -ind_z * j
+        if trap:
+            cap_ieq = 2.0 * cap_g * (x[cap_a] - x[cap_b]) - cap_ieq
+            ind_e = -(x[ind_a] - x[ind_b]) - ind_z * x[ind_rows]
+        else:
+            cap_ieq = cap_g * (x[cap_a] - x[cap_b])
+            ind_e = -ind_z * x[ind_rows]
 
-        for name, row in probe_rows.items():
-            series[name][step] = x[row]
+        recorded[step] = x[probe_rows_arr]
         if tile_min is not None and t >= ramp_end:
             np.minimum(tile_min, x[tile_rows], out=tile_min)
 
+    series = {name: recorded[:, k].copy() for k, name in enumerate(probe_rows)}
     final = np.concatenate(([0.0], x[: sys_.n_nodes]))
     mask = times >= ramp_end
     if not np.any(mask):

@@ -4,13 +4,23 @@ Nodes are dense integer ids with ground reserved at 0.  Elements are
 two-terminal; every element carries a provenance label that encodes its tier
 and grid position (``chip_h[12,7]``) and parses back via
 ``parse_label``.  The line-oriented text export is bit-exact and diffable.
+
+Both are stored as appended blocks of arrays: a builder adds a whole grid
+in one call, and labels and ``Node``/``Element`` records are made only when
+text or records are asked for.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NetlistError
 
@@ -23,6 +33,7 @@ CURRENT_SOURCE = "I"
 VOLTAGE_SOURCE = "V"
 
 _KINDS = (RESISTOR, INDUCTOR, CAPACITOR, CURRENT_SOURCE, VOLTAGE_SOURCE)
+_PASSIVE = (RESISTOR, INDUCTOR, CAPACITOR)
 
 
 @dataclass(frozen=True)
@@ -40,60 +51,150 @@ class Element:
     value: float         # ohms / henries / farads / amperes / volts
     label: str
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise NetlistError(f"unknown element kind {self.kind!r} ({self.label})")
-        if self.a == self.b:
-            raise NetlistError(f"element terminals must differ ({self.label})")
-        if self.kind in (RESISTOR, INDUCTOR, CAPACITOR) and not self.value > 0:
-            raise NetlistError(f"passive element value must be > 0 ({self.label}: {self.value})")
+
+class _Blocks(Sequence):
+    """Read-only sequence over rows kept as blocks ``(first row, rows,
+    *data)``; ``records(block)`` makes the records of one block."""
+
+    def __init__(self, records):
+        self.blocks = []
+        self._records = records
+        self._len = 0
+
+    def append(self, rows, *data) -> int:
+        first = self._len
+        self.blocks.append((first, rows, *data))
+        self._len += rows
+        return first
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        i = range(self._len)[i]  # bounds, negative and slice indices
+        if isinstance(i, range):
+            return [self[k] for k in i]
+        block = self.blocks[bisect_right(self.blocks, i, key=lambda blk: blk[0]) - 1]
+        return self._records(block)[i - block[0]]
+
+    def __iter__(self):
+        for block in self.blocks:
+            yield from self._records(block)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
 
 
-@dataclass
+def _node_records(block):
+    first, _, tier, position, index = block
+    if index is None:
+        return [Node(first, tier, position)]
+    return [Node(first + r, tier, position + tuple(ix))
+            for r, ix in enumerate(index.tolist())]
+
+
+def _element_records(block):
+    _, _, kind, a, b, value, stem, index = block
+    stems = stem.tolist()
+    labels = stems if index is None else [
+        make_label(s, *ix) for s, ix in zip(stems, index.tolist())]
+    return [Element(*row) for row in
+            zip(kind.tolist(), a.tolist(), b.tolist(), value.tolist(), labels)]
+
+
 class Netlist:
-    nodes: list[Node] = field(default_factory=lambda: [Node(GROUND, "ground")])
-    elements: list[Element] = field(default_factory=list)
-    probes: dict[str, int] = field(default_factory=dict)   # name -> node index
-    sources: list[int] = field(default_factory=list)       # element indices of VRM V-sources
-    meta: dict = field(default_factory=dict)
+    """Nodes, two-terminal elements, named probes (name -> node index), the
+    element indices of the VRM voltage sources, and builder ``meta``."""
 
-    def add_node(self, tier, position="lumped") -> int:
-        idx = len(self.nodes)
-        self.nodes.append(Node(idx, tier, position))
-        return idx
+    def __init__(self):
+        self.probes: dict[str, int] = {}
+        self.sources: list[int] = []
+        self.meta: dict = {}
+        self.nodes = [Node(GROUND, "ground")]
+        self._elements = _Blocks(_element_records)
+        self._columns = None
 
-    def add(self, kind, a, b, value, label) -> int:
-        self.elements.append(Element(kind, a, b, value, label))
-        return len(self.elements) - 1
+    @property
+    def nodes(self) -> Sequence[Node]:
+        return self._nodes
+
+    @nodes.setter
+    def nodes(self, nodes):
+        self._nodes = _Blocks(_node_records)
+        for n in nodes:
+            self.add_node(n.tier, n.position)
+
+    @property
+    def elements(self) -> Sequence[Element]:
+        return self._elements
 
     @property
     def node_count(self):
-        return len(self.nodes)
+        return len(self._nodes)
+
+    def add_node(self, tier, position="lumped") -> int:
+        return self._nodes.append(1, tier, position, None)
+
+    def add_nodes(self, tier, *index, prefix=()):
+        """One node per entry of the broadcast ``index`` arrays, at position
+        ``prefix + (index[0][k], index[1][k], ...)``; returns the node ids in
+        the broadcast shape."""
+        index = np.broadcast_arrays(*index)
+        rows = np.stack([ix.ravel() for ix in index], axis=1).astype(np.int64)
+        first = self._nodes.append(len(rows), tier, prefix, rows)
+        return first + np.arange(len(rows)).reshape(index[0].shape)
+
+    def add(self, kind, a, b, value, label) -> int:
+        return self.add_elements(kind, a, b, value, label)
+
+    def add_elements(self, kind, a, b, value, stem, *index) -> int:
+        """Append the elements of broadcast column arrays in row-major order;
+        each is labelled ``make_label(stem, *index)`` of its row.  Returns
+        the index of the first one."""
+        kind, a, b, value, stem, *index = (
+            np.ravel(c) for c in np.broadcast_arrays(kind, a, b, value, stem, *index))
+        a, b, value = a.astype(np.int64), b.astype(np.int64), value.astype(float)
+        index = np.stack(index, axis=1).astype(np.int64) if index else None
+        bad_kind = ~np.isin(kind, _KINDS)
+        bad = bad_kind | (a == b) | (np.isin(kind, _PASSIVE) & ~(value > 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            label = str(stem[k]) if index is None else make_label(stem[k], *index[k].tolist())
+            if bad_kind[k]:
+                raise NetlistError(f"unknown element kind {str(kind[k])!r} ({label})")
+            if a[k] == b[k]:
+                raise NetlistError(f"element terminals must differ ({label})")
+            raise NetlistError(
+                f"passive element value must be > 0 ({label}: {float(value[k])})")
+        self._columns = None
+        return self._elements.append(len(kind), kind, a, b, value, stem, index)
+
+    def columns(self):
+        """``(kind, a, b, value)`` arrays of every element, in element order."""
+        if self._columns is None:
+            blocks = self._elements.blocks
+            self._columns = tuple(
+                np.concatenate([blk[c] for blk in blocks]) if blocks
+                else np.empty(0, dtype) for c, dtype in
+                ((2, "<U1"), (3, np.int64), (4, np.int64), (5, float)))
+        return self._columns
 
     def counts(self):
-        out = {k: 0 for k in _KINDS}
-        for e in self.elements:
-            out[e.kind] += 1
-        return out
+        kind = self.columns()[0]
+        return {k: int(np.count_nonzero(kind == k)) for k in _KINDS}
 
     def check_connected(self):
         """Every node must reach ground through element terminals."""
-        adj = [[] for _ in range(self.node_count)]
-        for e in self.elements:
-            adj[e.a].append(e.b)
-            adj[e.b].append(e.a)
-        seen = [False] * self.node_count
-        stack = [GROUND]
-        seen[GROUND] = True
-        while stack:
-            n = stack.pop()
-            for m in adj[n]:
-                if not seen[m]:
-                    seen[m] = True
-                    stack.append(m)
-        floating = [self.nodes[i] for i, s in enumerate(seen) if not s]
-        if floating:
-            labels = ", ".join(f"{n.tier}{n.position}" for n in floating[:8])
+        _, a, b, _ = self.columns()
+        n = self.node_count
+        graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+        _, component = connected_components(graph, directed=False)
+        floating = np.flatnonzero(component != component[GROUND])
+        if len(floating):
+            labels = ", ".join(f"{self.nodes[k].tier}{self.nodes[k].position}"
+                               for k in floating[:8])
             raise NetlistError(
                 f"{len(floating)} node(s) not connected to ground (first: {labels})"
             )
@@ -149,7 +250,7 @@ LABEL_TIERS = {
     "board_decap_esr": "board", "board_decap_esl": "board", "board_decap_c": "board",
     "vrm_src": "vrm_die", "vrm_r": "vrm_die", "vrm_l": "vrm_die",
     "strap_r": "vrm_die", "strap_l": "vrm_die",
-    "tsv_r": "vrm_die", "ubump_r": "vrm_die", "ubump_l": "vrm_die",
+    "tsv_r": "vrm_die", "ubump_l": "vrm_die",
     "die_c4_r": "vrm_die", "die_c4_l": "vrm_die",
     "die_decap_esr": "vrm_die", "die_decap_esl": "vrm_die",
     "die_decap_c": "vrm_die",
@@ -193,7 +294,7 @@ def netlist_from_text(text: str) -> Netlist:
     """Parse the text export back into a netlist (node metadata is not
     preserved; nodes are recreated as bare indices)."""
     net = Netlist()
-    max_node = 0
+    rows = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -203,11 +304,12 @@ def netlist_from_text(text: str) -> Netlist:
             if len(parts) == 4 and parts[1] == "probe":
                 net.probes[parts[2]] = int(parts[3])
             continue
-        kind, a, b, value, label = line.split(None, 4)
-        a, b = int(a), int(b)
-        max_node = max(max_node, a, b)
-        net.elements.append(Element(kind, a, b, float(value), label))
-    while net.node_count <= max_node:
-        net.add_node("unknown")
-    net.sources = [i for i, e in enumerate(net.elements) if e.kind == VOLTAGE_SOURCE]
+        rows.append(line.split(None, 4))
+    if rows:
+        kind, a, b, value, label = zip(*rows)
+        a, b = [int(x) for x in a], [int(x) for x in b]
+        net.add_elements(kind, a, b, [float(v) for v in value], label)
+        while net.node_count <= max(max(a), max(b)):
+            net.add_node("unknown")
+    net.sources = np.flatnonzero(net.columns()[0] == VOLTAGE_SOURCE).tolist()
     return net

@@ -4,11 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 import pdnsim
 from pdnsim import ScenarioConfig, ValidationError, validate_config
 from pdnsim.analysis import (IrDropMap, config_label, extract_psn,
-                             ir_map_to_csv, run_sweep)
+                             first_prominent_min, ir_map_to_csv, run_sweep)
 from pdnsim.mna import TransientWaveform
 
 
@@ -83,6 +86,33 @@ def test_extract_psn_monotone_settle_uses_worst_point():
     psn = extract_psn(wf, validate_config(ScenarioConfig()), probe="p")
     assert psn.first_droop_time_s == pytest.approx(t[-1])
     assert psn.first_droop_mv == pytest.approx((1.0 - v[-1]) * 1e3)
+
+
+def _series(kind, values, seed):
+    """Test series of a given shape built from hypothesis-drawn values."""
+    x = np.asarray(values, dtype=float)
+    rng = np.random.default_rng(seed)
+    if kind == "noisy":
+        t = np.linspace(0.0, 6.0 * np.pi, len(x))
+        return np.exp(-t / 8.0) * np.cos(t) + 1e-3 * rng.standard_normal(len(x))
+    if kind == "plateaued":
+        return np.round(x)            # small integers: long flat runs
+    if kind == "monotone":
+        return np.sort(x)[:: 1 if seed % 2 else -1]
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["random", "noisy", "plateaued", "monotone"]),
+       values=st.lists(st.one_of(st.floats(-5.0, 5.0), st.just(np.nan)), max_size=60),
+       seed=st.integers(0, 2**16),
+       prominence=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 3.0]))
+def test_first_prominent_min_matches_scipy_find_peaks(kind, values, seed,
+                                                      prominence):
+    s = _series(kind, values, seed)
+    idx, _ = find_peaks(-s, prominence=prominence)
+    expected = int(idx[0]) if len(idx) else None
+    assert first_prominent_min(s, prominence) == expected
 
 
 def test_extract_psn_rejects_too_short_waveform():

@@ -180,3 +180,15 @@ def test_config_hash_tracks_content():
     assert config_hash(a) == config_hash(b)
     c = dataclasses.replace(a, chip=dataclasses.replace(a.chip, total_power_w=50.0))
     assert config_hash(c) != config_hash(a)
+
+
+def test_configs_are_hashable_consistently_with_eq():
+    a = benchmark_config("on_package_1")
+    b = benchmark_config("on_package_1")
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    c = dataclasses.replace(a, chip=dataclasses.replace(a.chip, total_power_w=50.0))
+    assert c != a
+    zero = PowerMap(np.zeros((2, 2)), 0.0)
+    neg_zero = PowerMap(-np.zeros((2, 2)), 0.0)
+    assert zero == neg_zero and hash(zero) == hash(neg_zero)

@@ -153,6 +153,23 @@ def test_transient_rc_matches_closed_form():
     assert np.max(np.abs(wf.series["n0"][1:] - ref[1:])) < 5e-3
 
 
+@pytest.mark.parametrize("method", ["trap", "be"])
+def test_parallel_capacitors_act_as_their_sum(method):
+    """Capacitors that share a node, on either terminal, give repeated rows
+    in the companion-current update; none of them may be dropped."""
+    r, c = 100.0, 1e-9
+    whole = _series_rlc((RESISTOR, r), (CAPACITOR, c))
+    split = _series_rlc((RESISTOR, r), (CAPACITOR, c / 4))
+    n0 = split.probes["n0"]
+    split.add(CAPACITOR, n0, GROUND, c / 4, "chip_decap_c[1,0]")
+    split.add(CAPACITOR, GROUND, n0, c / 4, "chip_decap_c[2,0]")
+    split.add(CAPACITOR, GROUND, n0, c / 4, "chip_decap_c[3,0]")
+    got, ref = (transient_solve(net, Stimulus(kind="dc"), r * c / 1000, 5 * r * c,
+                                method=method, probes=["n0"]).series["n0"]
+                for net in (split, whole))
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+
+
 def test_transient_rl_matches_closed_form():
     r, l = 10.0, 1e-6
     tau = l / r

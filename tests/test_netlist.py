@@ -44,6 +44,25 @@ def test_ground_is_node_zero():
     assert net.add_node("chip", (0, 0)) == 1
 
 
+def test_element_and_node_views_behave_as_sequences():
+    net = Netlist()
+    a = net.add_node("chip", (0, 0))
+    tiles = net.add_nodes("chip", [[1, 2]], [[0, 0]])
+    assert tiles.tolist() == [[2, 3]]
+    assert [n.position for n in net.nodes] == ["lumped", (0, 0), (1, 0), (2, 0)]
+    assert net.add(RESISTOR, a, GROUND, 2.0, "chip_h[0,0]") == 0
+    assert net.add_elements(RESISTOR, tiles, a, [1.0, 3.0], "chip_v", [1, 2], 0) == 1
+    assert len(net.elements) == 3
+    assert net.elements[-1].label == "chip_v[2,0]"
+    assert [e.value for e in net.elements[1:]] == [1.0, 3.0]
+    assert net.elements == list(net.elements)
+    with pytest.raises(IndexError):
+        net.elements[3]
+    with pytest.raises(NetlistError, match="terminals must differ"):
+        net.add_elements(RESISTOR, [a, a], [GROUND, a], 1.0, "chip_h", [0, 1], 0)
+    assert len(net.elements) == 3      # a rejected block adds nothing
+
+
 def test_check_connected_reports_floating_nodes():
     net = Netlist()
     a = net.add_node("chip", (0, 0))
