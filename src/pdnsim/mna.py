@@ -286,9 +286,6 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     cap_ieq = np.zeros(len(cap_g))
     ind_rows, ind_a, ind_b, ind_z = sys_.ind_rows, sys_.ind_a, sys_.ind_b, sys_.ind_z
     ind_e = np.zeros(len(ind_rows))
-    # fancy-index += keeps one update per repeated row; np.add.at keeps all
-    cap_rows_unique = all(len(np.unique(r[r >= 0])) == np.count_nonzero(r >= 0)
-                          for r in (cap_a, cap_b))
 
     if warm:
         # zero-load operating point: every non-ground node at v_end, all
@@ -311,12 +308,8 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     for step in range(1, n_steps + 1):
         t = times[step]
         rhs = static * stimulus.load_factor(t)
-        if cap_rows_unique:
-            rhs[cap_a] += cap_ieq
-            rhs[cap_b] -= cap_ieq
-        else:
-            np.add.at(rhs, cap_a, cap_ieq)
-            np.subtract.at(rhs, cap_b, cap_ieq)
+        np.add.at(rhs, cap_a, cap_ieq)
+        np.subtract.at(rhs, cap_b, cap_ieq)
         rhs[ind_rows] += ind_e
         if warm:
             rhs[vsrc_rows] = stimulus.v_end

@@ -54,7 +54,8 @@ class Element:
 
 class _Blocks(Sequence):
     """Read-only sequence over rows kept as blocks ``(first row, rows,
-    *data)``; ``records(block)`` makes the records of one block."""
+    *data)``; ``records(block, rows)`` makes the records of a slice of one
+    block."""
 
     def __init__(self, records):
         self.blocks = []
@@ -75,7 +76,7 @@ class _Blocks(Sequence):
         if isinstance(i, range):
             return [self[k] for k in i]
         block = self.blocks[bisect_right(self.blocks, i, key=lambda blk: blk[0]) - 1]
-        return self._records(block)[i - block[0]]
+        return self._records(block, slice(i - block[0], i - block[0] + 1))[0]
 
     def __iter__(self):
         for block in self.blocks:
@@ -87,21 +88,21 @@ class _Blocks(Sequence):
         return len(self) == len(other) and all(x == y for x, y in zip(self, other))
 
 
-def _node_records(block):
+def _node_records(block, rows=slice(None)):
     first, _, tier, position, index = block
     if index is None:
         return [Node(first, tier, position)]
-    return [Node(first + r, tier, position + tuple(ix))
-            for r, ix in enumerate(index.tolist())]
+    return [Node(r, tier, position + tuple(ix)) for r, ix in
+            enumerate(index[rows].tolist(), start=first + (rows.start or 0))]
 
 
-def _element_records(block):
+def _element_records(block, rows=slice(None)):
     _, _, kind, a, b, value, stem, index = block
-    stems = stem.tolist()
+    stems = stem[rows].tolist()
     labels = stems if index is None else [
-        make_label(s, *ix) for s, ix in zip(stems, index.tolist())]
-    return [Element(*row) for row in
-            zip(kind.tolist(), a.tolist(), b.tolist(), value.tolist(), labels)]
+        make_label(s, *ix) for s, ix in zip(stems, index[rows].tolist())]
+    return [Element(*row) for row in zip(kind[rows].tolist(), a[rows].tolist(),
+                                         b[rows].tolist(), value[rows].tolist(), labels)]
 
 
 class Netlist:
@@ -114,7 +115,6 @@ class Netlist:
         self.meta: dict = {}
         self.nodes = [Node(GROUND, "ground")]
         self._elements = _Blocks(_element_records)
-        self._columns = None
 
     @property
     def nodes(self) -> Sequence[Node]:
@@ -168,18 +168,14 @@ class Netlist:
                 raise NetlistError(f"element terminals must differ ({label})")
             raise NetlistError(
                 f"passive element value must be > 0 ({label}: {float(value[k])})")
-        self._columns = None
         return self._elements.append(len(kind), kind, a, b, value, stem, index)
 
     def columns(self):
         """``(kind, a, b, value)`` arrays of every element, in element order."""
-        if self._columns is None:
-            blocks = self._elements.blocks
-            self._columns = tuple(
-                np.concatenate([blk[c] for blk in blocks]) if blocks
-                else np.empty(0, dtype) for c, dtype in
-                ((2, "<U1"), (3, np.int64), (4, np.int64), (5, float)))
-        return self._columns
+        blocks = self._elements.blocks
+        return tuple(np.concatenate([blk[c] for blk in blocks]) if blocks
+                     else np.empty(0, dtype) for c, dtype in
+                     ((2, "<U1"), (3, np.int64), (4, np.int64), (5, float)))
 
     def counts(self):
         kind = self.columns()[0]

@@ -56,6 +56,10 @@ def test_element_and_node_views_behave_as_sequences():
     assert net.elements[-1].label == "chip_v[2,0]"
     assert [e.value for e in net.elements[1:]] == [1.0, 3.0]
     assert net.elements == list(net.elements)
+    # indexing makes only the asked-for row, which must match iteration
+    assert [net.elements[k] for k in range(3)] == list(net.elements)
+    assert [net.nodes[k] for k in range(4)] == list(net.nodes)
+    assert net.nodes[3].index == 3
     with pytest.raises(IndexError):
         net.elements[3]
     with pytest.raises(NetlistError, match="terminals must differ"):
