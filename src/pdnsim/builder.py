@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import (BacksideVrm, ChipOnVrm3D, OnPackageVrm, ScenarioConfig,
-                     total_load_current)
+from .config import (BacksideVrm, ChipOnVrm3D, DecapPolicy, OnPackageVrm,
+                     ScenarioConfig)
 from .errors import NetlistError
 from .netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR, RESISTOR,
                       VOLTAGE_SOURCE, Netlist, merged_sheet_resistance,
@@ -48,9 +48,10 @@ def _stack(*columns):
     return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
-def build_chip_grid(chip, power_map=None, onchip_esr_ohm_mm2=1.2, net=None):
+def build_chip_grid(chip, power_map=None, decaps=DecapPolicy(), net=None):
     """Discretized on-chip PDN: tile node grid, aggregated boundary
-    resistors, per-tile load current sources and decap branches.
+    resistors, per-tile load current sources and decap branches (density
+    and ESR from the ``decaps`` policy).
 
     Returns ``(net, tile_nodes)`` with ``tile_nodes[j, i]`` the node index
     of tile (i, j).
@@ -81,8 +82,8 @@ def build_chip_grid(chip, power_map=None, onchip_esr_ohm_mm2=1.2, net=None):
 
     # per-tile load and decap
     amps = 0.0 if power_map is None else power_map.densities * tile_area_mm2
-    cap_f = chip.onchip_decap_density_nf_per_mm2 * 1e-9 * tile_area_mm2
-    esr = onchip_esr_ohm_mm2 / tile_area_mm2
+    cap_f = decaps.onchip_density_nf_per_mm2 * 1e-9 * tile_area_mm2
+    esr = decaps.onchip_esr_ohm_mm2 / tile_area_mm2
     if cap_f > 0.0:
         mid = net.add_nodes("internal", ii, jj)
         net.add_elements([CURRENT_SOURCE, RESISTOR, CAPACITOR],
@@ -161,16 +162,14 @@ def _vrm_chain(net, k, vrm):
 def assemble_netlist(config: ScenarioConfig) -> Netlist:
     """Full benchmark netlist for one scenario (topology per VRM placement).
 
-    The returned netlist carries ``meta`` entries used downstream:
-    ``chip_tile_nodes`` (2-D array of node ids), ``supply_voltage_v`` and
-    ``total_load_current_a``.
+    The returned netlist carries ``meta["chip_tile_nodes"]``, the 2-D array
+    of tile node ids used downstream.
     """
     chip, pkg = config.chip, config.package
     net = Netlist()
 
-    net, tiles = build_chip_grid(
-        chip, power_map=config.power_map,
-        onchip_esr_ohm_mm2=config.decaps.onchip_esr_ohm_mm2, net=net)
+    net, tiles = build_chip_grid(chip, power_map=config.power_map,
+                                 decaps=config.decaps, net=net)
     net, pnodes, pxs, pys = build_package_network(pkg, net=net)
 
     nx, ny = chip.tile_count_x, chip.tile_count_y
@@ -269,11 +268,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     net.probes["chip_center"] = int(tiles[ny // 2, nx // 2])
     net.probes["chip_corner"] = int(tiles[0, 0])
 
-    net.meta = {
-        "chip_tile_nodes": tiles,
-        "supply_voltage_v": config.vrm.output_voltage_v,
-        "total_load_current_a": total_load_current(config),
-    }
+    net.meta = {"chip_tile_nodes": tiles}
     net.check_connected()
     if not net.sources:
         raise NetlistError("netlist has no VRM voltage source")

@@ -63,7 +63,6 @@ class ChipSpec:
     supply_voltage_v: float = 1.0
     total_power_w: float = 100.0
     onchip_wire: WireSpec = field(default_factory=WireSpec)
-    onchip_decap_density_nf_per_mm2: float = 5.3
     tile_count_x: int = 50
     tile_count_y: int = 50
 
@@ -170,9 +169,7 @@ class ChipOnVrm3D:
     # Output capacitance of the regulator die itself; its ESR damps the
     # power-on surge at the die distribution node.
     die_decap: DiscreteDecap | None = field(
-        default_factory=lambda: DiscreteDecap(
-            capacitance_uf=2.0, esr_mohm=0.2, esl_nh=0.00001, tier="package"
-        )
+        default_factory=lambda: DiscreteDecap(capacitance_uf=2.0, esr_mohm=0.2, esl_nh=0.00001)
     )
 
     variant = "chip_on_vrm_3d"
@@ -186,7 +183,6 @@ class DiscreteDecap:
     capacitance_uf: float
     esr_mohm: float
     esl_nh: float
-    tier: str = "package"  # "package" or "board"
     x: float = 0.5
     y: float = 0.5
 
@@ -203,7 +199,6 @@ def _default_package_decaps():
                     capacitance_uf=0.005,
                     esr_mohm=10.0,
                     esl_nh=0.0001,
-                    tier="package",
                     x=lo + (hi - lo) * i / 3.0,
                     y=lo + (hi - lo) * j / 3.0,
                 )
@@ -213,7 +208,7 @@ def _default_package_decaps():
 
 def _default_board_decaps():
     return tuple(
-        DiscreteDecap(capacitance_uf=100.0, esr_mohm=1.0, esl_nh=1.0, tier="board", x=0.5, y=0.5)
+        DiscreteDecap(capacitance_uf=100.0, esr_mohm=1.0, esl_nh=1.0, x=0.5, y=0.5)
         for _ in range(10)
     )
 
@@ -378,8 +373,9 @@ def _check_bump(v, path, b: BumpSpec):
 def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant and return a normalized, validated config.
 
-    Collects all violations before raising.  A missing power map defaults to
-    the hotspot map; the map is renormalized to the chip's total power.
+    Collects all violations before raising.  Only the power map is
+    rewritten: a missing map defaults to the hotspot map, and the map is
+    renormalized to the chip's total power.
     Idempotent: re-validating the result returns an equal config.
     """
     v = []
@@ -392,7 +388,6 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     _positive(v, "chip.height_mm", chip.height_mm)
     _positive(v, "chip.supply_voltage_v", chip.supply_voltage_v)
     _positive(v, "chip.total_power_w", chip.total_power_w)
-    _nonneg(v, "chip.onchip_decap_density_nf_per_mm2", chip.onchip_decap_density_nf_per_mm2)
     if chip.tile_count_x < 2 or chip.tile_count_y < 2:
         v.append("chip.tile_count_x/tile_count_y must be >= 2")
     _check_wire(v, "chip.onchip_wire", chip.onchip_wire)
@@ -419,6 +414,11 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     _nonneg(v, "vrm.series_resistance_mohm", vrm.series_resistance_mohm)
     _nonneg(v, "vrm.series_inductance_nh", vrm.series_inductance_nh)
     _positive(v, "vrm.output_voltage_v", vrm.output_voltage_v)
+    # the chip supply sets the load current, the VRM output the drop
+    # reference and the stimulus; both describe one rail
+    if chip.supply_voltage_v != vrm.output_voltage_v:
+        v.append(f"chip.supply_voltage_v ({chip.supply_voltage_v}) must equal "
+                 f"vrm.output_voltage_v ({vrm.output_voltage_v})")
 
     if isinstance(plc, OnPackageVrm):
         if plc.count not in (1, 2, 4):
@@ -442,8 +442,6 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
         _nonneg(v, f"{path}.esl_nh", d.esl_nh)
         if not (0.0 <= d.x <= 1.0 and 0.0 <= d.y <= 1.0):
             v.append(f"{path}: placement (x, y) must lie in [0, 1]")
-        if d.tier not in ("package", "board"):
-            v.append(f"{path}.tier must be 'package' or 'board'")
 
     # C4 pitch must tile the chip footprint within one bump.
     c4 = pkg.c4_bump
@@ -465,17 +463,11 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     if v:
         raise ValidationError(v)
 
-    # Normalize: decap policy owns the on-chip density; keep the chip mirror
-    # field in sync so either entry point reads the same value.
-    if chip.onchip_decap_density_nf_per_mm2 != dec.onchip_density_nf_per_mm2:
-        chip = dataclasses.replace(
-            chip, onchip_decap_density_nf_per_mm2=dec.onchip_density_nf_per_mm2
-        )
     if pm is None:
         pm = builtin_power_map("hotspot", chip)
     elif not pm.normalized or pm.total_power_w != chip.total_power_w:
         pm = normalize_power_map(PowerMap(pm.densities, chip.total_power_w), chip)
-    return dataclasses.replace(config, chip=chip, power_map=pm)
+    return dataclasses.replace(config, power_map=pm)
 
 
 def total_load_current(config: ScenarioConfig) -> float:
@@ -511,13 +503,6 @@ def benchmark_config(name, power_map_kind="hotspot", **overrides) -> ScenarioCon
 
 # ---------------------------------------------------------------------------
 # serialization
-
-_LEAF_TYPES = {
-    "wire": WireSpec,
-    "via": ViaSpec,
-    "bump": BumpSpec,
-}
-
 
 def _spec_to_dict(obj):
     if obj is None:

@@ -62,20 +62,18 @@ class Stimulus:
             raise ValueError("step stimulus requires load_rise_s > 0")
 
     def load_factor(self, t):
-        """Fraction of the nominal load current drawn at time ``t``."""
+        """Fraction of the nominal load current drawn at time(s) ``t``."""
         if self.kind == "dc":
             return 1.0
-        u = (t - self.load_delay_s) / self.load_rise_s
-        return min(1.0, max(0.0, u))
+        return np.clip((t - self.load_delay_s) / self.load_rise_s, 0.0, 1.0)
 
     def voltage(self, t, dc_value):
+        """Source voltage at time(s) ``t``; ``dc_value`` for the dc kind."""
         if self.kind == "dc":
             return dc_value
-        if t >= self.rise_time_s:
-            return self.v_end
-        if t <= 0.0:
-            return self.v_start
-        return self.v_start + (self.v_end - self.v_start) * (t / self.rise_time_s)
+        ramp = self.v_start + (self.v_end - self.v_start) * (t / self.rise_time_s)
+        return np.where(t >= self.rise_time_s, self.v_end,
+                        np.where(t <= 0.0, self.v_start, ramp))
 
     @property
     def ramp_end_s(self):
@@ -295,6 +293,10 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
         cap_ieq = cap_g * (x[cap_a] - x[cap_b])
 
     vsrc_rows, dc_vals = sys_.vsrc_rows, sys_.vsrc_vals
+    # the drive at every step, looked up by row in the loop
+    load = np.broadcast_to(stimulus.load_factor(times), times.shape)
+    drive = stimulus.v_end if warm else stimulus.voltage(times[:, None], dc_vals)
+    drive = np.broadcast_to(drive, (len(times), len(vsrc_rows)))
 
     guard = 10.0 * max(abs(stimulus.v_end), abs(stimulus.v_start),
                        float(np.max(np.abs(dc_vals))) if len(dc_vals) else 1.0, 1e-12)
@@ -307,16 +309,11 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
 
     for step in range(1, n_steps + 1):
         t = times[step]
-        rhs = static * stimulus.load_factor(t)
+        rhs = static * load[step]
         np.add.at(rhs, cap_a, cap_ieq)
         np.subtract.at(rhs, cap_b, cap_ieq)
         rhs[ind_rows] += ind_e
-        if warm:
-            rhs[vsrc_rows] = stimulus.v_end
-        elif stimulus.kind == "step":
-            rhs[vsrc_rows] = stimulus.voltage(t, 0.0)
-        else:
-            rhs[vsrc_rows] = dc_vals
+        rhs[vsrc_rows] = drive[step]
 
         x[:-1] = lu.solve(rhs[:-1])
 

@@ -103,6 +103,16 @@ def test_validate_bad_values_lists_all_violations(tmp_path, small_config, capsys
     assert "total_power_w" in err and "output_voltage_v" in err
 
 
+def test_validate_mismatched_supply_is_validation_error(tmp_path, small_config, capsys):
+    d = json.loads(config_to_json(small_config()))
+    d["chip"]["supply_voltage_v"] = 0.8
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert main(["validate", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "chip.supply_voltage_v (0.8) must equal vrm.output_voltage_v (1.0)" in err
+
+
 # ---------------------------------------------------------------------------
 # netlist / dc / tran
 

@@ -5,13 +5,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdnsim
 from pdnsim import (BacksideVrm, ChipOnVrm3D, ChipSpec, OnPackageVrm, PowerMap,
                     ScenarioConfig, ValidationError, benchmark_config,
                     builtin_power_map, config_from_json, config_hash,
                     config_to_json, total_load_current, validate_config)
-from pdnsim.config import normalize_power_map
+from pdnsim.builder import assemble_netlist
+from pdnsim.config import DecapPolicy, DiscreteDecap, normalize_power_map
+from pdnsim.netlist import CAPACITOR
 
 
 def test_default_config_validates():
@@ -36,6 +40,17 @@ def test_validation_collects_all_violations():
     assert any("chip.width_mm" in m for m in msgs)
     assert any("chip.total_power_w" in m for m in msgs)
     assert any("vrm.output_voltage_v" in m for m in msgs)
+
+
+@pytest.mark.parametrize("chip_v,vrm_v", [(0.8, 1.0), (1.0, 1.2)])
+def test_supply_voltage_must_match_vrm_output(chip_v, vrm_v):
+    chip = dataclasses.replace(ChipSpec(), supply_voltage_v=chip_v)
+    vrm = dataclasses.replace(pdnsim.VrmSpec(), output_voltage_v=vrm_v)
+    with pytest.raises(ValidationError) as exc:
+        validate_config(ScenarioConfig(chip=chip, vrm=vrm))
+    (msg,) = exc.value.violations
+    assert "chip.supply_voltage_v" in msg and "vrm.output_voltage_v" in msg
+    assert str(chip_v) in msg and str(vrm_v) in msg
 
 
 def test_chip_larger_than_package_rejected():
@@ -136,10 +151,14 @@ def test_negative_power_map_rejected():
         validate_config(ScenarioConfig(chip=chip, power_map=PowerMap(dens, 100.0)))
 
 
-def test_decap_density_mirror_field_syncs():
-    dec = dataclasses.replace(pdnsim.DecapPolicy(), onchip_density_nf_per_mm2=9.0)
-    cfg = validate_config(ScenarioConfig(decaps=dec))
-    assert cfg.chip.onchip_decap_density_nf_per_mm2 == 9.0
+def test_decap_policy_density_sets_chip_capacitors(small_config):
+    base = small_config("on_package_1", tiles=4)
+    dec = dataclasses.replace(base.decaps, onchip_density_nf_per_mm2=9.0)
+    cfg = validate_config(dataclasses.replace(base, decaps=dec))
+    tile_area = (cfg.chip.width_mm / 4) * (cfg.chip.height_mm / 4)
+    caps = [e.value for e in assemble_netlist(cfg).elements
+            if e.kind == CAPACITOR and e.label.startswith("chip_decap_c[")]
+    assert caps == [9.0 * 1e-9 * tile_area] * 16
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +183,22 @@ def test_unknown_field_rejected():
     d = json.loads(config_to_json(benchmark_config("on_package_4")))
     d["chip"]["warp_factor"] = 9
     with pytest.raises(ValidationError, match="unknown field"):
+        config_from_json(json.dumps(d))
+
+
+@pytest.mark.parametrize("section,key", [
+    (("chip",), "onchip_decap_density_nf_per_mm2"),
+    (("decaps", "package_decaps", 0), "tier"),
+    (("decaps", "board_decaps", 0), "tier"),
+    (("placement", "die_decap"), "tier"),
+])
+def test_removed_keys_rejected_as_unknown(section, key):
+    d = json.loads(config_to_json(benchmark_config("chip_on_vrm_3d")))
+    target = d
+    for part in section:
+        target = target[part]
+    target[key] = "package" if key == "tier" else 5.3
+    with pytest.raises(ValidationError, match=f"{key}: unknown field"):
         config_from_json(json.dumps(d))
 
 
@@ -192,3 +227,59 @@ def test_configs_are_hashable_consistently_with_eq():
     zero = PowerMap(np.zeros((2, 2)), 0.0)
     neg_zero = PowerMap(-np.zeros((2, 2)), 0.0)
     assert zero == neg_zero and hash(zero) == hash(neg_zero)
+
+
+# ---------------------------------------------------------------------------
+# properties over drawn field values
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_decaps = st.builds(DiscreteDecap, capacitance_uf=_floats(1e-3, 100.0),
+                    esr_mohm=_floats(0.0, 10.0), esl_nh=_floats(0.0, 1.0),
+                    x=_floats(0.0, 1.0), y=_floats(0.0, 1.0))
+
+
+@st.composite
+def scenario_configs(draw):
+    nx, ny = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    volts = draw(_floats(0.5, 1.5))
+    chip = ChipSpec(width_mm=draw(_floats(2.0, 20.0)), height_mm=draw(_floats(2.0, 20.0)),
+                    supply_voltage_v=volts, total_power_w=draw(_floats(0.1, 300.0)),
+                    tile_count_x=nx, tile_count_y=ny)
+    vrm = pdnsim.VrmSpec(series_resistance_mohm=draw(_floats(0.0, 1.0)),
+                         series_inductance_nh=draw(_floats(0.0, 1.0)),
+                         output_voltage_v=volts)
+    placement = draw(st.one_of(
+        st.builds(OnPackageVrm, count=st.sampled_from([1, 2, 4]), gap_mm=_floats(0.1, 5.0)),
+        st.just(BacksideVrm()),
+        st.builds(ChipOnVrm3D, die_decap=st.none() | _decaps)))
+    decaps = DecapPolicy(onchip_density_nf_per_mm2=draw(_floats(0.0, 20.0)),
+                         onchip_esr_ohm_mm2=draw(_floats(1e-3, 1.0)),
+                         package_decaps=tuple(draw(st.lists(_decaps, max_size=3))),
+                         board_decaps=tuple(draw(st.lists(_decaps, max_size=2))))
+    dens = draw(st.none() | st.lists(_floats(0.01, 10.0), min_size=nx * ny, max_size=nx * ny))
+    pm = None if dens is None else PowerMap(np.reshape(dens, (ny, nx)), chip.total_power_w)
+    return ScenarioConfig(chip=chip, vrm=vrm, placement=placement, decaps=decaps,
+                          power_map=pm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario_configs())
+def test_json_round_trip_over_drawn_configs(cfg):
+    assert config_from_json(config_to_json(cfg)) == cfg
+    valid = validate_config(cfg)
+    text = config_to_json(valid)
+    assert config_from_json(text) == valid
+    assert config_to_json(config_from_json(text)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario_configs())
+def test_validate_is_idempotent_over_drawn_configs(cfg):
+    valid = validate_config(cfg)
+    assert validate_config(valid) == valid
+    # nothing but the power map is rewritten
+    assert dataclasses.replace(valid, power_map=None) == dataclasses.replace(cfg, power_map=None)

@@ -128,6 +128,15 @@ def test_stimulus_load_activation_window():
     assert Stimulus(kind="dc").load_factor(0.0) == 1.0
 
 
+def test_stimulus_accepts_time_arrays():
+    s = Stimulus(kind="step", rise_time_s=1e-9, load_delay_s=2e-9, load_rise_s=0.5e-9)
+    t = np.linspace(-1e-9, 4e-9, 41)
+    assert np.array_equal(s.voltage(t, 0.0), [s.voltage(x, 0.0) for x in t])
+    assert np.array_equal(s.load_factor(t), [s.load_factor(x) for x in t])
+    assert s.voltage(t, 0.0)[0] == 0.0 and s.voltage(t, 0.0)[-1] == 1.0
+    assert s.load_factor(t)[0] == 0.0 and s.load_factor(t)[-1] == 1.0
+
+
 def test_stimulus_rejects_bad_arguments():
     with pytest.raises(ValueError, match="unknown stimulus kind"):
         Stimulus(kind="pulse")

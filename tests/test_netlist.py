@@ -142,13 +142,18 @@ def test_every_builder_label_parses(small_config, name):
 def test_chip_grid_shape_and_probes():
     chip = ChipSpec(tile_count_x=4, tile_count_y=3)
     pm = pdnsim.builtin_power_map("uniform", chip)
-    net, tiles = build_chip_grid(chip, power_map=pm, onchip_esr_ohm_mm2=0.02)
+    net, tiles = build_chip_grid(chip, power_map=pm)
     assert tiles.shape == (3, 4)
     counts = net.counts()
     # boundary resistors + one decap ESR per tile
     assert counts[RESISTOR] == 3 * 3 + 2 * 4 + 12
     assert counts[CURRENT_SOURCE] == 12
     assert counts[CAPACITOR] == 12
+    # decap density and ESR come from the default DecapPolicy
+    policy, tile_area = pdnsim.DecapPolicy(), (10.0 / 4) * (10.0 / 3)
+    decap = {e.label.split("[")[0]: e.value for e in net.elements}
+    assert decap["chip_decap_c"] == policy.onchip_density_nf_per_mm2 * 1e-9 * tile_area
+    assert decap["chip_decap_esr"] == policy.onchip_esr_ohm_mm2 / tile_area
     assert net.probes["tile[0,0]"] == int(tiles[0, 0])
     assert net.probes["tile[3,2]"] == int(tiles[2, 3])
 
@@ -191,9 +196,8 @@ def test_assembled_netlist_source_count(small_config, name, expected_sources):
 def test_assembled_netlist_is_connected_with_meta(small_config, name):
     net = assemble_netlist(small_config(name, tiles=5))
     net.check_connected()  # must not raise
+    assert set(net.meta) == {"chip_tile_nodes"}
     assert net.meta["chip_tile_nodes"].shape == (5, 5)
-    assert net.meta["supply_voltage_v"] == 1.0
-    assert net.meta["total_load_current_a"] == pytest.approx(100.0)
     assert "chip_center" in net.probes and "chip_corner" in net.probes
 
 
