@@ -41,10 +41,8 @@ class IrDropMap:
                    mean_mv=float(drop.mean()), argmax=(int(i), int(j)))
 
 
-def ir_drop_map(dc, config: ScenarioConfig, netlist=None) -> IrDropMap:
-    """IR-drop map of a DC solution for this config's netlist."""
-    if netlist is None:
-        raise ValueError("ir_drop_map needs the solved netlist for tile ids")
+def ir_drop_map(dc, config: ScenarioConfig, netlist) -> IrDropMap:
+    """IR-drop map of a DC solution of ``netlist``, built from ``config``."""
     tiles = netlist.meta["chip_tile_nodes"]
     tile_v = dc.voltages[np.asarray(tiles)]
     return IrDropMap.from_tiles(tile_v, config.vrm.output_voltage_v)
@@ -104,17 +102,18 @@ def extract_psn(waveform, config: ScenarioConfig, probe=None,
     if t[-1] < ramp_end + 5 * max(ramp_end, waveform.dt):
         raise ValueError("waveform too short: need >= 5x rise time past the ramp")
 
+    mask = t >= ramp_end
     if waveform.tile_min is not None:
         max_psn = (v_final - float(np.min(waveform.tile_min))) * 1e3
         settle = (v_final - float(np.min(waveform.tile_final))) * 1e3
     else:
-        max_psn = max((v_final - vmin) * 1e3 for vmin in waveform.post_ramp_min.values())
+        max_psn = max((v_final - float(np.min(s[mask]))) * 1e3
+                      for s in waveform.series.values())
         settle = max((v_final - s[-1]) * 1e3 for s in waveform.series.values())
 
     if probe is None:
         probe = next(iter(waveform.series))
     s = waveform.series[probe]
-    mask = t >= ramp_end
     seg = s[mask]
     seg_t = t[mask]
     k = first_prominent_min(seg, prominence_v)

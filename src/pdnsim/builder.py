@@ -152,10 +152,9 @@ def _decap_branch(net, node, cap, stem_prefix, idx):
 def _vrm_chain(net, k, vrm):
     """Ideal source + series R/L; returns the output node of the chain."""
     n_src, n1, n2 = (net.add_node("vrm_die", (p, k)) for p in ("src", "r", "l"))
-    net.sources.append(net.add_elements(
-        [VOLTAGE_SOURCE, RESISTOR, INDUCTOR], [n_src, n_src, n1], [GROUND, n1, n2],
-        [vrm.output_voltage_v, _r(vrm.series_resistance_mohm * 1e-3),
-         _l(vrm.series_inductance_nh * 1e-9)], ["vrm_src", "vrm_r", "vrm_l"], k))
+    net.add_elements([VOLTAGE_SOURCE, RESISTOR, INDUCTOR], [n_src, n_src, n1], [GROUND, n1, n2],
+                     [vrm.output_voltage_v, _r(vrm.series_resistance_mohm * 1e-3),
+                      _l(vrm.series_inductance_nh * 1e-9)], ["vrm_src", "vrm_r", "vrm_l"], k)
     return n2
 
 

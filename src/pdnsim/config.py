@@ -15,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -370,6 +372,14 @@ def _check_bump(v, path, b: BumpSpec):
         v.append(f"{path}.diameter_um must be < pitch_um")
 
 
+def _check_decap(v, path, d: DiscreteDecap):
+    _positive(v, f"{path}.capacitance_uf", d.capacitance_uf)
+    _nonneg(v, f"{path}.esr_mohm", d.esr_mohm)
+    _nonneg(v, f"{path}.esl_nh", d.esl_nh)
+    if not (0.0 <= d.x <= 1.0 and 0.0 <= d.y <= 1.0):
+        v.append(f"{path}: placement (x, y) must lie in [0, 1]")
+
+
 def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant and return a normalized, validated config.
 
@@ -430,25 +440,16 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     elif isinstance(plc, ChipOnVrm3D):
         _check_bump(v, "placement.microbump", plc.microbump)
         _check_via(v, "placement.vrm_tsv", plc.vrm_tsv)
+        if plc.die_decap is not None:
+            _check_decap(v, "placement.die_decap", plc.die_decap)
     else:
         v.append(f"unknown placement variant: {plc!r}")
 
     _nonneg(v, "decaps.onchip_density_nf_per_mm2", dec.onchip_density_nf_per_mm2)
     _positive(v, "decaps.onchip_esr_ohm_mm2", dec.onchip_esr_ohm_mm2)
-    for k, d in enumerate(list(dec.package_decaps) + list(dec.board_decaps)):
-        path = f"decaps[{k}]"
-        _positive(v, f"{path}.capacitance_uf", d.capacitance_uf)
-        _nonneg(v, f"{path}.esr_mohm", d.esr_mohm)
-        _nonneg(v, f"{path}.esl_nh", d.esl_nh)
-        if not (0.0 <= d.x <= 1.0 and 0.0 <= d.y <= 1.0):
-            v.append(f"{path}: placement (x, y) must lie in [0, 1]")
-
-    # C4 pitch must tile the chip footprint within one bump.
-    c4 = pkg.c4_bump
-    for dim, name in ((chip.width_mm, "width"), (chip.height_mm, "height")):
-        n = dim * 1000.0 / c4.pitch_um
-        if abs(n - round(n)) > 1.0 and n > 1.0:
-            v.append(f"c4 bump pitch does not tile the chip {name} within one bump")
+    for key in ("package_decaps", "board_decaps"):
+        for k, d in enumerate(getattr(dec, key)):
+            _check_decap(v, f"decaps.{key}[{k}]", d)
 
     pm = config.power_map
     if pm is not None:
@@ -539,67 +540,97 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return d
 
 
-def _build(cls, data, path):
-    kwargs = {}
-    names = {f.name: f for f in dataclasses.fields(cls)}
-    for key, val in data.items():
-        if key not in names:
-            raise ValidationError([f"{path}.{key}: unknown field for {cls.__name__}"])
-        kwargs[key] = val
-    return cls(**kwargs)
+# JSON types accepted for each scalar field type.  A JSON integer in a float
+# field is kept as given, so re-encoding a file gives the same bytes.
+_JSON_SCALARS = {float: (int, float), int: int, bool: bool}
+
+
+def _decode(tp, val, path):
+    """``val`` checked against the field annotation ``tp``: a spec from an
+    object, a tuple from a list, ``None`` for an optional field."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):   # Spec | None
+        if val is None:
+            return None
+        (tp,) = [t for t in typing.get_args(tp) if t is not type(None)]
+    if typing.get_origin(tp) is tuple:           # tuple[Spec, ...]
+        if not isinstance(val, (list, tuple)):
+            raise ValidationError([f"{path}: expected a list, got {val!r}"])
+        (item, _) = typing.get_args(tp)
+        return tuple(_decode(item, x, f"{path}[{k}]") for k, x in enumerate(val))
+    if dataclasses.is_dataclass(tp):
+        return _nested(tp, val, path)
+    # bool is an int subclass in Python, but not in JSON
+    if isinstance(val, bool) != (tp is bool) or not isinstance(val, _JSON_SCALARS[tp]):
+        raise ValidationError([f"{path}: expected {tp.__name__}, got {val!r}"])
+    return val
 
 
 def _nested(cls, data, path):
-    if data is None:
-        return None
-    sub = dict(data)
-    for f in dataclasses.fields(cls):
-        if f.name in sub and isinstance(sub[f.name], dict):
-            ftype = {"onchip_wire": WireSpec, "solder_bump": BumpSpec, "c4_bump": BumpSpec,
-                     "through_package_via": ViaSpec, "microbump": BumpSpec,
-                     "vrm_tsv": ViaSpec, "die_decap": DiscreteDecap}.get(f.name)
-            if ftype is not None:
-                sub[f.name] = _nested(ftype, sub[f.name], f"{path}.{f.name}")
-    return _build(cls, sub, path)
+    """A ``cls`` from the JSON object ``data``, each field decoded by its
+    annotation; unknown and missing fields are rejected."""
+    if not isinstance(data, dict):
+        raise ValidationError([f"{path}: expected an object, got {data!r}"])
+    prefix = f"{path}." if path else ""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, val in data.items():
+        if key not in hints:
+            raise ValidationError([f"{prefix}{key}: unknown field for {cls.__name__}"])
+        kwargs[key] = _decode(hints[key], val, prefix + key)
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in kwargs
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValidationError([f"{prefix}{name}: missing required field" for name in missing])
+    return cls(**kwargs)
+
+
+def _power_map(pmd, chip) -> PowerMap:
+    if not isinstance(pmd, dict):
+        raise ValidationError([f"power_map: expected an object, got {pmd!r}"])
+    known = ("kind",) if "kind" in pmd else ("densities_a_per_mm2", "total_power_w", "normalized")
+    for key in pmd:
+        if key not in known:
+            raise ValidationError([f"power_map.{key}: unknown field"])
+    if "kind" in pmd:
+        if pmd["kind"] not in ("uniform", "hotspot"):
+            raise ValidationError([f"power_map.kind: unknown kind {pmd['kind']!r}"])
+        return builtin_power_map(pmd["kind"], chip)
+    try:
+        dens = np.array(pmd.get("densities_a_per_mm2"))
+    except ValueError:                           # ragged rows
+        dens = None
+    if dens is None or dens.dtype.kind not in "iuf":
+        raise ValidationError(["power_map.densities_a_per_mm2: expected a grid of numbers"])
+    return PowerMap(
+        dens,
+        _decode(float, pmd.get("total_power_w", chip.total_power_w), "power_map.total_power_w"),
+        normalized=_decode(bool, pmd.get("normalized", False), "power_map.normalized"),
+    )
+
+
+_PLACEMENTS = {cls.variant: cls for cls in typing.get_args(VrmPlacement)}
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    """Inverse of config_to_dict.  Does not validate; call validate_config."""
-    chip = _nested(ChipSpec, d.get("chip", {}), "chip")
-    pkg = _nested(PackageSpec, d.get("package", {}), "package")
-    board = _nested(BoardSpec, d.get("board", {}), "board")
-    vrm = _nested(VrmSpec, d.get("vrm", {}), "vrm")
+    """Inverse of config_to_dict.  Checks the shape of ``d`` (known keys,
+    field types) but not the physics; call validate_config."""
+    if not isinstance(d, dict):
+        raise ValidationError([f"config: expected an object, got {d!r}"])
+    specs = dict(d)
+    pd = specs.pop("placement", {})
+    pmd = specs.pop("power_map", None)
+    cfg = _nested(ScenarioConfig, specs, "")
 
-    pd = dict(d.get("placement", {"variant": "on_package"}))
+    if not isinstance(pd, dict):
+        raise ValidationError([f"placement: expected an object, got {pd!r}"])
+    pd = dict(pd)
     variant = pd.pop("variant", "on_package")
-    if variant == "on_package":
-        plc = _build(OnPackageVrm, pd, "placement")
-    elif variant == "backside":
-        plc = _build(BacksideVrm, pd, "placement")
-    elif variant == "chip_on_vrm_3d":
-        plc = _nested(ChipOnVrm3D, pd, "placement")
-    else:
+    if not isinstance(variant, str) or variant not in _PLACEMENTS:
         raise ValidationError([f"placement.variant: unknown variant {variant!r}"])
+    plc = _nested(_PLACEMENTS[variant], pd, "placement")
 
-    dd = dict(d.get("decaps", {}))
-    for key in ("package_decaps", "board_decaps"):
-        if key in dd:
-            dd[key] = tuple(_build(DiscreteDecap, c, f"decaps.{key}") for c in dd[key])
-    dec = _build(DecapPolicy, dd, "decaps")
-
-    pm = None
-    if "power_map" in d:
-        pmd = d["power_map"]
-        if "kind" in pmd:
-            pm = builtin_power_map(pmd["kind"], chip)
-        else:
-            pm = PowerMap(
-                pmd["densities_a_per_mm2"],
-                pmd.get("total_power_w", chip.total_power_w),
-                normalized=pmd.get("normalized", False),
-            )
-    return ScenarioConfig(chip=chip, package=pkg, board=board, vrm=vrm,
-                          placement=plc, decaps=dec, power_map=pm)
+    pm = None if pmd is None else _power_map(pmd, cfg.chip)
+    return dataclasses.replace(cfg, placement=plc, power_map=pm)
 
 
 def config_to_json(config: ScenarioConfig, indent=2) -> str:

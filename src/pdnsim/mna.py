@@ -20,7 +20,7 @@ results on one platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -228,7 +228,6 @@ class TransientWaveform:
     dt: float
     ramp_end_s: float
     final_voltages: np.ndarray     # full node-voltage vector at t_end
-    post_ramp_min: dict = field(default_factory=dict)  # probe name -> min v after ramp
     tile_min: np.ndarray | None = None   # per chip tile min voltage after ramp
     tile_final: np.ndarray | None = None
 
@@ -337,14 +336,9 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
 
     series = {name: recorded[:, k].copy() for k, name in enumerate(probe_rows)}
     final = np.concatenate(([0.0], x[: sys_.n_nodes]))
-    mask = times >= ramp_end
-    if not np.any(mask):
-        mask = times == times[-1]
-    post_ramp_min = {name: float(np.min(s[mask])) for name, s in series.items()}
     wf = TransientWaveform(
         time_s=times, series=series, method=method, dt=dt,
-        ramp_end_s=ramp_end, final_voltages=final,
-        post_ramp_min=post_ramp_min)
+        ramp_end_s=ramp_end, final_voltages=final)
     if tile_min is not None:
         shape = np.asarray(tiles).shape
         wf.tile_min = tile_min.reshape(shape)

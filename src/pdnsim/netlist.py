@@ -1,9 +1,11 @@
 """Flat RLC netlist representation.
 
-Nodes are dense integer ids with ground reserved at 0.  Elements are
-two-terminal; every element carries a provenance label that encodes its tier
-and grid position (``chip_h[12,7]``) and parses back via
-``parse_label``.  The line-oriented text export is bit-exact and diffable.
+Nodes are dense integer ids with ground reserved at 0; each node carries
+its tier and position.  Elements are two-terminal; every element carries a
+provenance label of its stem and grid position (``chip_h[12,7]``) for
+people reading the text export.  Labels are provenance only: nothing parses
+them back, and the tier of an element is the tier of its nodes.  The
+line-oriented text export is bit-exact, diffable and write-only.
 
 Both are stored as appended blocks of arrays: a builder adds a whole grid
 in one call, and labels and ``Node``/``Element`` records are made only when
@@ -13,7 +15,6 @@ text or records are asked for.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -106,29 +107,28 @@ def _element_records(block, rows=slice(None)):
 
 
 class Netlist:
-    """Nodes, two-terminal elements, named probes (name -> node index), the
-    element indices of the VRM voltage sources, and builder ``meta``."""
+    """Nodes, two-terminal elements, named probes (name -> node index) and
+    builder ``meta``."""
 
     def __init__(self):
         self.probes: dict[str, int] = {}
-        self.sources: list[int] = []
         self.meta: dict = {}
-        self.nodes = [Node(GROUND, "ground")]
+        self._nodes = _Blocks(_node_records)
         self._elements = _Blocks(_element_records)
+        self.add_node("ground")
 
     @property
     def nodes(self) -> Sequence[Node]:
         return self._nodes
 
-    @nodes.setter
-    def nodes(self, nodes):
-        self._nodes = _Blocks(_node_records)
-        for n in nodes:
-            self.add_node(n.tier, n.position)
-
     @property
     def elements(self) -> Sequence[Element]:
         return self._elements
+
+    @property
+    def sources(self) -> list[int]:
+        """Element indices of the voltage sources, in element order."""
+        return np.flatnonzero(self.columns()[0] == VOLTAGE_SOURCE).tolist()
 
     @property
     def node_count(self):
@@ -227,54 +227,13 @@ def merged_sheet_resistance(pkg) -> float:
 
 
 # ---------------------------------------------------------------------------
-# labels
-
-_LABEL_RE = re.compile(r"^(?P<stem>[a-z0-9_]+?)(?:\[(?P<idx>[-0-9,]+)\])?$")
-
-# stem -> tier, for round-tripping labels back to their place in the stack
-LABEL_TIERS = {
-    "chip_h": "chip", "chip_v": "chip", "load": "chip",
-    "chip_decap_esr": "chip", "chip_decap_c": "chip",
-    "c4_r": "chip", "c4_l": "chip",
-    "pkg_h": "package_top", "pkg_v": "package_top", "pkg_lh": "package_top",
-    "pkg_lv": "package_top", "pad": "package_top",
-    "pkg_decap_esr": "package_top", "pkg_decap_esl": "package_top",
-    "pkg_decap_c": "package_top",
-    "tpv_r": "package_bottom", "tpv_l": "package_bottom",
-    "solder_r": "package_bottom", "solder_l": "package_bottom",
-    "board_r": "board", "board_l": "board",
-    "board_decap_esr": "board", "board_decap_esl": "board", "board_decap_c": "board",
-    "vrm_src": "vrm_die", "vrm_r": "vrm_die", "vrm_l": "vrm_die",
-    "strap_r": "vrm_die", "strap_l": "vrm_die",
-    "tsv_r": "vrm_die", "ubump_l": "vrm_die",
-    "die_c4_r": "vrm_die", "die_c4_l": "vrm_die",
-    "die_decap_esr": "vrm_die", "die_decap_esl": "vrm_die",
-    "die_decap_c": "vrm_die",
-}
+# labels and text export: one element per line "kind a b value label"
 
 
 def make_label(stem, *indices) -> str:
     if indices:
         return f"{stem}[{','.join(str(i) for i in indices)}]"
     return stem
-
-
-def parse_label(label):
-    """Split an element label into (stem, tier, index tuple or None)."""
-    m = _LABEL_RE.match(label)
-    if not m:
-        raise NetlistError(f"unparseable element label: {label!r}")
-    stem = m.group("stem")
-    tier = LABEL_TIERS.get(stem)
-    if tier is None:
-        raise NetlistError(f"label stem {stem!r} has no registered tier: {label!r}")
-    idx = m.group("idx")
-    indices = tuple(int(t) for t in idx.split(",")) if idx else None
-    return stem, tier, indices
-
-
-# ---------------------------------------------------------------------------
-# text export: one element per line "kind a b value label"
 
 
 def netlist_to_text(net: Netlist) -> str:
@@ -284,28 +243,3 @@ def netlist_to_text(net: Netlist) -> str:
     for name, idx in net.probes.items():
         lines.append(f"* probe {name} {idx}")
     return "\n".join(lines) + "\n"
-
-
-def netlist_from_text(text: str) -> Netlist:
-    """Parse the text export back into a netlist (node metadata is not
-    preserved; nodes are recreated as bare indices)."""
-    net = Netlist()
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("*"):
-            parts = line.split()
-            if len(parts) == 4 and parts[1] == "probe":
-                net.probes[parts[2]] = int(parts[3])
-            continue
-        rows.append(line.split(None, 4))
-    if rows:
-        kind, a, b, value, label = zip(*rows)
-        a, b = [int(x) for x in a], [int(x) for x in b]
-        net.add_elements(kind, a, b, [float(v) for v in value], label)
-        while net.node_count <= max(max(a), max(b)):
-            net.add_node("unknown")
-    net.sources = np.flatnonzero(net.columns()[0] == VOLTAGE_SOURCE).tolist()
-    return net

@@ -106,9 +106,7 @@ def random_dc_netlist(rng, max_nodes=10):
 
     # one grounded voltage source
     vn = nodes[int(rng.integers(1, len(nodes)))]
-    i = net.add(VOLTAGE_SOURCE, vn, GROUND, float(rng.uniform(0.5, 2.0)),
-                "vrm_src[0]")
-    net.sources.append(i)
+    net.add(VOLTAGE_SOURCE, vn, GROUND, float(rng.uniform(0.5, 2.0)), "vrm_src[0]")
 
     # current sources
     for k in range(int(rng.integers(1, n_extra + 1))):

@@ -58,7 +58,7 @@ def test_dc_oracle_equivalence_on_random_netlists():
 def _chain(*elems):
     net = Netlist()
     prev = net.add_node("vrm_die")
-    net.sources.append(net.add(VOLTAGE_SOURCE, prev, GROUND, 1.0, "vrm_src[0]"))
+    net.add(VOLTAGE_SOURCE, prev, GROUND, 1.0, "vrm_src[0]")
     stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
     for k, (kind, val) in enumerate(elems):
         last = k == len(elems) - 1
@@ -232,7 +232,7 @@ def _edge_fed_max_drop(tiles):
     pm = builtin_power_map("uniform", chip)
     net, nodes = build_chip_grid(chip, power_map=pm)
     src = net.add_node("vrm_die")
-    net.sources.append(net.add(VOLTAGE_SOURCE, src, GROUND, 1.0, "vrm_src[0]"))
+    net.add(VOLTAGE_SOURCE, src, GROUND, 1.0, "vrm_src[0]")
     for j in range(tiles):
         net.add(RESISTOR, src, int(nodes[j, 0]), 1e-3 * tiles, f"pad[0,{j}]")
     dc = dc_solve(net)

@@ -49,11 +49,9 @@ def _damped_cosine_waveform(amp=0.1, tau=10e-9, period=10e-9,
     t = dt * np.arange(int(round(t_end / dt)) + 1)
     w = 2 * np.pi / period
     v = 1.0 - amp * np.exp(-t / tau) * np.cos(w * t)
-    mask = t >= ramp_end
     return TransientWaveform(
         time_s=t, series={"probe": v}, method="trap", dt=dt,
-        ramp_end_s=ramp_end, final_voltages=np.array([0.0, v[-1]]),
-        post_ramp_min={"probe": float(v[mask].min())})
+        ramp_end_s=ramp_end, final_voltages=np.array([0.0, v[-1]]))
 
 
 def test_extract_psn_on_synthetic_waveform():
@@ -78,11 +76,9 @@ def test_extract_psn_on_synthetic_waveform():
 def test_extract_psn_monotone_settle_uses_worst_point():
     t = 1e-11 * np.arange(2001)
     v = 1.0 - 0.05 * (1.0 - np.exp(-t / 5e-9))     # monotone sag, no peaks
-    mask = t >= 1e-9
     wf = TransientWaveform(
         time_s=t, series={"p": v}, method="trap", dt=1e-11, ramp_end_s=1e-9,
-        final_voltages=np.array([0.0, v[-1]]),
-        post_ramp_min={"p": float(v[mask].min())})
+        final_voltages=np.array([0.0, v[-1]]))
     psn = extract_psn(wf, validate_config(ScenarioConfig()), probe="p")
     assert psn.first_droop_time_s == pytest.approx(t[-1])
     assert psn.first_droop_mv == pytest.approx((1.0 - v[-1]) * 1e3)

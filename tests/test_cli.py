@@ -113,6 +113,30 @@ def test_validate_mismatched_supply_is_validation_error(tmp_path, small_config, 
     assert "chip.supply_voltage_v (0.8) must equal vrm.output_voltage_v (1.0)" in err
 
 
+@pytest.mark.parametrize("where,key,value,message", [
+    (("placement", "die_decap"), "capacitance_uf", 0,
+     "placement.die_decap.capacitance_uf must be > 0"),
+    ((), "chip", 5, "chip: expected an object"),
+    (("chip",), "tile_count_x", "50", "chip.tile_count_x: expected int"),
+    (("decaps",), "package_decaps", [{}], "decaps.package_decaps[0].capacitance_uf"),
+    (("power_map",), "densities_a_per_mm2", "abc", "power_map.densities_a_per_mm2"),
+    ((), "bogus", 1, "bogus: unknown field"),
+])
+def test_validate_malformed_config_is_validation_error(tmp_path, capsys, where, key,
+                                                       value, message):
+    d = json.loads(config_to_json(pdnsim.benchmark_config("chip_on_vrm_3d")))
+    target = d
+    for part in where:
+        target = target[part]
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert main(["validate", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"validation error: {message}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # netlist / dc / tran
 
@@ -122,8 +146,7 @@ def test_netlist_export(small_cfg_file, tmp_path, capsys):
     assert main(["netlist", "--config", small_cfg_file(),
                  "--out-dir", str(out)]) == 0
     text = (out / "netlist.txt").read_text()
-    net = pdnsim.netlist_from_text(text)
-    assert len(net.sources) == 4
+    assert sum(line.startswith("V ") for line in text.splitlines()) == 4
 
 
 def test_dc_outputs_and_manifest(small_cfg_file, tmp_path, capsys):

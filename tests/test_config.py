@@ -70,6 +70,33 @@ def test_backside_requires_through_package_via():
         validate_config(ScenarioConfig(package=pkg, placement=BacksideVrm()))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("capacitance_uf", 0.0, "placement.die_decap.capacitance_uf must be > 0"),
+    ("esr_mohm", -1.0, "placement.die_decap.esr_mohm must be >= 0"),
+    ("esl_nh", -1.0, "placement.die_decap.esl_nh must be >= 0"),
+    ("x", 2.0, "placement.die_decap: placement (x, y) must lie in [0, 1]"),
+])
+def test_die_decap_is_validated(field, value, message):
+    plc = ChipOnVrm3D()
+    plc = dataclasses.replace(plc, die_decap=dataclasses.replace(plc.die_decap, **{field: value}))
+    with pytest.raises(ValidationError) as exc:
+        validate_config(ScenarioConfig(placement=plc))
+    (msg,) = exc.value.violations
+    assert msg.startswith(message)
+
+
+def test_decap_violations_name_their_list():
+    good = DiscreteDecap(capacitance_uf=1.0, esr_mohm=1.0, esl_nh=1.0)
+    bad = dataclasses.replace(good, capacitance_uf=0.0)
+    dec = DecapPolicy(package_decaps=(bad,), board_decaps=(good, bad))
+    with pytest.raises(ValidationError) as exc:
+        validate_config(ScenarioConfig(decaps=dec))
+    assert exc.value.violations == [
+        "decaps.package_decaps[0].capacitance_uf must be > 0 (got 0.0)",
+        "decaps.board_decaps[1].capacitance_uf must be > 0 (got 0.0)",
+    ]
+
+
 def test_benchmark_names():
     for name in ("on_package_1", "on_package_2", "on_package_4",
                  "backside", "chip_on_vrm_3d"):
@@ -200,6 +227,54 @@ def test_removed_keys_rejected_as_unknown(section, key):
     target[key] = "package" if key == "tier" else 5.3
     with pytest.raises(ValidationError, match=f"{key}: unknown field"):
         config_from_json(json.dumps(d))
+
+
+# (where in the JSON, key, value, the path and complaint the error must name)
+MALFORMED = [
+    ((), "chip", 5, "chip: expected an object, got 5"),
+    (("chip",), "onchip_wire", 5, "chip.onchip_wire: expected an object"),
+    (("chip",), "tile_count_x", "50", "chip.tile_count_x: expected int, got '50'"),
+    (("chip",), "width_mm", True, "chip.width_mm: expected float, got True"),
+    (("decaps",), "package_decaps", [5], "decaps.package_decaps[0]: expected an object"),
+    (("decaps",), "package_decaps", [{}],
+     "decaps.package_decaps[0].capacitance_uf: missing required field"),
+    (("decaps",), "board_decaps", 5, "decaps.board_decaps: expected a list"),
+    (("power_map",), "densities_a_per_mm2", "abc",
+     "power_map.densities_a_per_mm2: expected a grid of numbers"),
+    (("power_map",), "densities_a_per_mm2", [[1.0], [1.0, 2.0]],
+     "power_map.densities_a_per_mm2: expected a grid of numbers"),
+    (("power_map",), "normalized", 1, "power_map.normalized: expected bool"),
+    ((), "power_map", {"kind": "striped"}, "power_map.kind: unknown kind 'striped'"),
+    ((), "placement", 3, "placement: expected an object"),
+    ((), "bogus", 1, "bogus: unknown field for ScenarioConfig"),
+]
+
+
+def _malformed(where, key, value):
+    d = json.loads(config_to_json(benchmark_config("chip_on_vrm_3d")))
+    target = d
+    for part in where:
+        target = target[part]
+    target[key] = value
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("where,key,value,message", MALFORMED)
+def test_malformed_config_shapes_rejected(where, key, value, message):
+    with pytest.raises(ValidationError) as exc:
+        config_from_json(_malformed(where, key, value))
+    assert exc.value.violations[0].startswith(message)
+
+
+def test_integers_in_float_fields_are_kept_as_given():
+    d = json.loads(config_to_json(benchmark_config("on_package_4")))
+    d["chip"]["width_mm"] = 10
+    d["decaps"]["board_decaps"][0]["capacitance_uf"] = 100
+    text = json.dumps(d, indent=2, sort_keys=True) + "\n"
+    cfg = config_from_json(text)
+    assert type(cfg.chip.width_mm) is int
+    assert config_to_json(cfg) == text
+    assert validate_config(cfg) == benchmark_config("on_package_4")
 
 
 def test_unknown_placement_variant_rejected():

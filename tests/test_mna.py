@@ -16,7 +16,7 @@ def _series_rlc(*elems, v=1.0):
     """source - elem1 - elem2 - ... - ground chain with probes n0, n1, ..."""
     net = Netlist()
     prev = net.add_node("vrm_die")
-    net.sources.append(net.add(VOLTAGE_SOURCE, prev, GROUND, v, "vrm_src[0]"))
+    net.add(VOLTAGE_SOURCE, prev, GROUND, v, "vrm_src[0]")
     stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
     for k, (kind, val) in enumerate(elems):
         last = k == len(elems) - 1
@@ -77,11 +77,11 @@ def test_dc_superposition():
     net = random_dc_netlist(rng)
     v1 = dc_solve(net).voltages
     doubled = Netlist()
-    doubled.nodes = list(net.nodes)
+    for n in net.nodes[1:]:
+        doubled.add_node(n.tier, n.position)
     for e in net.elements:
         scale = 2.0 if e.kind in (VOLTAGE_SOURCE, CURRENT_SOURCE) else 1.0
         doubled.add(e.kind, e.a, e.b, e.value * scale, e.label)
-    doubled.sources = list(net.sources)
     v2 = dc_solve(doubled).voltages
     assert np.allclose(v2, 2.0 * v1, rtol=1e-9, atol=1e-12)
 
@@ -90,7 +90,7 @@ def test_dc_singular_matrix_raises_with_diagnostic():
     # a node reachable only through a capacitor has no DC equation
     net = Netlist()
     a = net.add_node("vrm_die")
-    net.sources.append(net.add(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]"))
+    net.add(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
     b = net.add_node("internal", (0, 0))
     net.add(CAPACITOR, a, b, 1e-9, "chip_decap_c[0,0]")
     net.add(RESISTOR, a, GROUND, 1.0, "chip_h[0,0]")

@@ -1,18 +1,17 @@
-"""Netlist data model, parasitic formulas, labels and text round-trip."""
+"""Netlist data model, parasitic formulas, labels and text export."""
 
 import math
 
 import pytest
 
 import pdnsim
-from pdnsim import Netlist, NetlistError, parse_label
+from pdnsim import Netlist, NetlistError
 from pdnsim.builder import assemble_netlist, build_chip_grid, build_package_network
 from pdnsim.config import ChipSpec, PackageSpec, ViaSpec, WireSpec
 from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
                             RESISTOR, VOLTAGE_SOURCE, make_label,
-                            merged_sheet_resistance, netlist_from_text,
-                            netlist_to_text, via_inductance, via_resistance,
-                            wire_resistance)
+                            merged_sheet_resistance, netlist_to_text,
+                            via_inductance, via_resistance, wire_resistance)
 
 
 def test_element_rejects_bad_kind():
@@ -42,6 +41,20 @@ def test_ground_is_node_zero():
     assert net.nodes[0].index == GROUND
     assert net.nodes[0].tier == "ground"
     assert net.add_node("chip", (0, 0)) == 1
+
+
+def test_sources_follow_element_kinds_and_views_are_read_only():
+    net = Netlist()
+    a = net.add_node("vrm_die")
+    assert net.sources == []
+    net.add(RESISTOR, a, GROUND, 1.0, "vrm_r[0]")
+    net.add(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
+    net.add_elements([VOLTAGE_SOURCE, CAPACITOR], a, GROUND, 1.0, ["vrm_src", "chip_decap_c"], 1)
+    assert net.sources == [1, 2]
+    with pytest.raises(AttributeError):
+        net.sources = []
+    with pytest.raises(AttributeError):
+        net.nodes = []
 
 
 def test_element_and_node_views_behave_as_sequences():
@@ -115,24 +128,20 @@ def test_merged_sheet_resistance_hand_value():
 
 
 def test_label_round_trip():
-    lbl = make_label("chip_h", 12, 7)
-    assert lbl == "chip_h[12,7]"
-    stem, tier, idx = parse_label(lbl)
-    assert (stem, tier, idx) == ("chip_h", "chip", (12, 7))
-    assert parse_label("board_r") == ("board_r", "board", None)
-
-
-def test_unregistered_label_stem_rejected():
-    with pytest.raises(NetlistError, match="no registered tier"):
-        parse_label("mystery_r[0]")
+    assert make_label("chip_h", 12, 7) == "chip_h[12,7]"
+    assert make_label("board_r") == "board_r"
+    net = Netlist()
+    a = net.add_node("chip", (0, 0))
+    net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h", 12, 7)
+    assert net.elements[0].label == "chip_h[12,7]"
+    assert netlist_to_text(net).splitlines()[1].endswith(" chip_h[12,7]")
 
 
 @pytest.mark.parametrize("name", ["on_package_1", "backside", "chip_on_vrm_3d"])
-def test_every_builder_label_parses(small_config, name):
-    net = assemble_netlist(small_config(name))
-    for e in net.elements:
-        stem, tier, _ = parse_label(e.label)
-        assert tier
+def test_builder_labels_are_unique(small_config, name):
+    labels = [e.label for e in assemble_netlist(small_config(name)).elements]
+    assert len(set(labels)) == len(labels)
+    assert not any(" " in lbl for lbl in labels)   # one text field each
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +199,8 @@ def test_assembled_netlist_source_count(small_config, name, expected_sources):
     net = assemble_netlist(small_config(name))
     assert len(net.sources) == expected_sources
     assert all(net.elements[i].kind == VOLTAGE_SOURCE for i in net.sources)
+    assert [e.label for e in net.elements if e.kind == VOLTAGE_SOURCE] == [
+        f"vrm_src[{k}]" for k in range(expected_sources)]
 
 
 @pytest.mark.parametrize("name", ["on_package_4", "backside", "chip_on_vrm_3d"])
@@ -202,19 +213,26 @@ def test_assembled_netlist_is_connected_with_meta(small_config, name):
 
 
 # ---------------------------------------------------------------------------
-# text round-trip
+# text export: one "kind a b value label" line per element, then the probes
+
+
+def _text_fields(text):
+    """(kind, a, b, value) of each element line, and the probe lines."""
+    lines = text.splitlines()[1:]
+    rows = [line.split() for line in lines if not line.startswith("*")]
+    probes = {name: int(idx) for _, _, name, idx in
+              (line.split() for line in lines if line.startswith("* probe "))}
+    return [(k, int(a), int(b), float(v)) for k, a, b, v, _ in rows], probes
 
 
 def test_netlist_text_round_trip(small_config):
     net = assemble_netlist(small_config("on_package_4"))
     text = netlist_to_text(net)
-    back = netlist_from_text(text)
-    assert len(back.elements) == len(net.elements)
-    assert back.elements == net.elements
-    assert back.probes == net.probes
-    assert back.sources == net.sources
-    # round-trip again: bit-stable
-    assert netlist_to_text(back).splitlines()[1:] == text.splitlines()[1:]
+    assert text.splitlines()[0] == (
+        f"* pdnsim netlist: {net.node_count} nodes, {len(net.elements)} elements")
+    rows, probes = _text_fields(text)
+    assert rows == list(zip(*(c.tolist() for c in net.columns())))
+    assert probes == net.probes
 
 
 def test_netlist_text_round_trip_preserves_values_exactly():
@@ -222,6 +240,6 @@ def test_netlist_text_round_trip_preserves_values_exactly():
     a = net.add_node("chip", (0, 0))
     net.add(RESISTOR, a, GROUND, 1.0 / 3.0, "chip_h[0,0]")
     net.add(CAPACITOR, a, GROUND, 5.3e-9 * 0.04, "chip_decap_c[0,0]")
-    back = netlist_from_text(netlist_to_text(net))
-    assert back.elements[0].value == net.elements[0].value
-    assert back.elements[1].value == net.elements[1].value
+    rows, _ = _text_fields(netlist_to_text(net))
+    assert [value for *_, value in rows] == [1.0 / 3.0, 5.3e-9 * 0.04]
+    assert rows == list(zip(*(c.tolist() for c in net.columns())))
