@@ -13,8 +13,10 @@ and safe to share across sweep workers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -24,6 +26,18 @@ import numpy as np
 from .errors import ValidationError
 
 # ---------------------------------------------------------------------------
+# field bounds
+
+
+# Each alias carries its bound as (text for messages, test).  Every test is a
+# chained comparison, so NaN and +-inf fail each bound.
+Positive = typing.Annotated[float, "> 0", lambda x: 0 < x < math.inf]
+NonNegative = typing.Annotated[float, ">= 0", lambda x: 0 <= x < math.inf]
+Fraction = typing.Annotated[float, "in [0, 1]", lambda x: 0 <= x <= 1]
+Count = typing.Annotated[int, ">= 1", lambda n: 1 <= n < math.inf]
+TileCount = typing.Annotated[int, ">= 2", lambda n: 2 <= n < math.inf]
+
+# ---------------------------------------------------------------------------
 # leaf specs
 
 
@@ -31,62 +45,62 @@ from .errors import ValidationError
 class WireSpec:
     """On-chip power grid wire geometry and material."""
 
-    resistivity_ohm_m: float = 17.1e-9
-    thickness_um: float = 5.0
-    width_um: float = 3.3
-    pitch_um: float = 30.0
+    resistivity_ohm_m: Positive = 17.1e-9
+    thickness_um: Positive = 5.0
+    width_um: Positive = 3.3
+    pitch_um: Positive = 30.0
 
 
 @dataclass(frozen=True)
 class ViaSpec:
     """Vertical via array (TSV or through-package via) at one attach site."""
 
-    resistivity_ohm_m: float = 80e-9
-    height_um: float = 50.0
-    diameter_um: float = 10.0
-    inductance_per_via_ph: float = 20.0
-    count_per_site: int = 4
+    resistivity_ohm_m: Positive = 80e-9
+    height_um: Positive = 50.0
+    diameter_um: Positive = 10.0
+    inductance_per_via_ph: Positive = 20.0
+    count_per_site: Count = 4
 
 
 @dataclass(frozen=True)
 class BumpSpec:
     """Solder/micro bump array parameters (per-bump lumped values)."""
 
-    diameter_um: float = 40.0
-    pitch_um: float = 100.0
-    resistance_per_bump_mohm: float = 5.0
-    inductance_per_bump_ph: float = 20.0
+    diameter_um: Positive = 40.0
+    pitch_um: Positive = 100.0
+    resistance_per_bump_mohm: Positive = 5.0
+    inductance_per_bump_ph: Positive = 20.0
 
 
 @dataclass(frozen=True)
 class ChipSpec:
-    width_mm: float = 10.0
-    height_mm: float = 10.0
-    supply_voltage_v: float = 1.0
-    total_power_w: float = 100.0
+    width_mm: Positive = 10.0
+    height_mm: Positive = 10.0
+    supply_voltage_v: Positive = 1.0
+    total_power_w: Positive = 100.0
     onchip_wire: WireSpec = field(default_factory=WireSpec)
-    tile_count_x: int = 50
-    tile_count_y: int = 50
+    tile_count_x: TileCount = 50
+    tile_count_y: TileCount = 50
 
 
 @dataclass(frozen=True)
 class PackageSpec:
-    metal_layer_count: int = 10
-    layer_thickness_mm: float = 0.010
-    package_width_mm: float = 30.0
-    package_height_mm: float = 30.0
+    metal_layer_count: Count = 10
+    layer_thickness_mm: Positive = 0.010
+    package_width_mm: Positive = 30.0
+    package_height_mm: Positive = 30.0
     # Effective sheet resistivity of one merged P/G plane.  Somewhat above
     # bulk copper: real planes are perforated and shared with signal routing.
-    sheet_resistivity_ohm_m: float = 22e-9
+    sheet_resistivity_ohm_m: Positive = 22e-9
     # Effective loop inductance of the package-level current path, expressed
     # per square of lateral plane.  A tightly coupled plane pair; the small
     # value keeps the plane L/R redistribution time constant well inside the
     # settling window.  Calibration knob.
-    segment_inductance_ph_per_square: float = 0.18
-    grid_pitch_mm: float = 1.0
+    segment_inductance_ph_per_square: Positive = 0.18
+    grid_pitch_mm: Positive = 1.0
     # Lateral attach pad width for on-package VRMs (pad spans the facing chip
     # edge by default).
-    vrm_pad_width_mm: float = 10.0
+    vrm_pad_width_mm: Positive = 10.0
     solder_bump: BumpSpec = field(
         default_factory=lambda: BumpSpec(
             diameter_um=500.0,
@@ -95,7 +109,7 @@ class PackageSpec:
             inductance_per_bump_ph=100.0,
         )
     )
-    solder_bump_count: int = 100
+    solder_bump_count: Count = 100
     # C4 values are effective per-bump figures for the whole chip attach
     # path (bump + package redistribution + on-chip grid entry), calibrated
     # against the benchmark noise targets rather than bare bump parasitics.
@@ -118,24 +132,24 @@ class PackageSpec:
     )
     # Backside VRM feeds the package through a grid of via attach sites
     # spread over the chip footprint projection (n x n sites).
-    tpv_sites_per_side: int = 8
+    tpv_sites_per_side: Count = 8
 
 
 @dataclass(frozen=True)
 class VrmSpec:
     """Regulator modeled as an ideal source with series parasitics."""
 
-    series_resistance_mohm: float = 0.01
-    series_inductance_nh: float = 0.00001
-    output_voltage_v: float = 1.0
+    series_resistance_mohm: NonNegative = 0.01
+    series_inductance_nh: NonNegative = 0.00001
+    output_voltage_v: Positive = 1.0
 
 
 @dataclass(frozen=True)
 class OnPackageVrm:
     """1/2/4 regulator dies beside the chip on the package top."""
 
-    count: int = 4
-    gap_mm: float = 1.0
+    count: Count = 4
+    gap_mm: Positive = 1.0
 
     variant = "on_package"
 
@@ -182,11 +196,11 @@ VrmPlacement = OnPackageVrm | BacksideVrm | ChipOnVrm3D
 
 @dataclass(frozen=True)
 class DiscreteDecap:
-    capacitance_uf: float
-    esr_mohm: float
-    esl_nh: float
-    x: float = 0.5
-    y: float = 0.5
+    capacitance_uf: Positive
+    esr_mohm: NonNegative
+    esl_nh: NonNegative
+    x: Fraction = 0.5
+    y: Fraction = 0.5
 
 
 def _default_package_decaps():
@@ -217,20 +231,20 @@ def _default_board_decaps():
 
 @dataclass(frozen=True)
 class DecapPolicy:
-    onchip_density_nf_per_mm2: float = 5.3
+    onchip_density_nf_per_mm2: NonNegative = 5.3
     # On-chip decap ESR scales inversely with decap area; specified as an
     # ohm*mm^2 product so tiling does not change the chip-total ESR.
-    onchip_esr_ohm_mm2: float = 0.02
+    onchip_esr_ohm_mm2: Positive = 0.02
     package_decaps: tuple[DiscreteDecap, ...] = field(default_factory=_default_package_decaps)
     board_decaps: tuple[DiscreteDecap, ...] = field(default_factory=_default_board_decaps)
 
 
 @dataclass(frozen=True)
 class BoardSpec:
-    lumped_resistance_mohm: float = 0.2
+    lumped_resistance_mohm: NonNegative = 0.2
     # Board + connector current loop; large enough that the board branch is
     # quiescent on the nanosecond timescale of the step experiment.
-    lumped_inductance_nh: float = 500.0
+    lumped_inductance_nh: NonNegative = 500.0
 
 
 class PowerMap:
@@ -297,12 +311,16 @@ def builtin_power_map(kind, chip, hotspot_ratio=HOTSPOT_DENSITY_RATIO,
     ``block_fraction`` of the chip edge in each direction, centered at the
     normalized ``block_centers``) at ``hotspot_ratio`` times the background.
     Both kinds are normalized so tile powers sum to ``chip.total_power_w``.
+    Raises ValidationError if a ``chip`` field is outside its bound.
     """
+    violations = list(_out_of_bounds(chip, "chip."))
+    if violations:
+        raise ValidationError(violations)
+    if kind not in ("uniform", "hotspot"):
+        raise ValueError(f"unknown builtin power map kind: {kind!r}")
     nx, ny = chip.tile_count_x, chip.tile_count_y
-    if kind == "uniform":
-        dens = np.ones((ny, nx))
-    elif kind == "hotspot":
-        dens = np.ones((ny, nx))
+    dens = np.ones((ny, nx))
+    if kind == "hotspot":
         half = block_fraction / 2.0
         xs = (np.arange(nx) + 0.5) / nx
         ys = (np.arange(ny) + 0.5) / ny
@@ -310,10 +328,7 @@ def builtin_power_map(kind, chip, hotspot_ratio=HOTSPOT_DENSITY_RATIO,
             in_x = np.abs(xs - cx) < half
             in_y = np.abs(ys - cy) < half
             dens[np.ix_(in_y, in_x)] = hotspot_ratio
-    else:
-        raise ValueError(f"unknown builtin power map kind: {kind!r}")
-    pm = PowerMap(dens, chip.total_power_w)
-    return normalize_power_map(pm, chip)
+    return normalize_power_map(PowerMap(dens, chip.total_power_w), chip)
 
 
 def normalize_power_map(pm, chip):
@@ -335,132 +350,65 @@ def normalize_power_map(pm, chip):
 # validation
 
 
-def _positive(violations, path, value):
-    if not value > 0:
-        violations.append(f"{path} must be > 0 (got {value})")
+@functools.cache
+def _bounds(cls):
+    """(name, (text, test) or None) for each field of ``cls``."""
+    return tuple((name, getattr(tp, "__metadata__", None))
+                 for name, tp in typing.get_type_hints(cls, include_extras=True).items())
 
 
-def _nonneg(violations, path, value):
-    if not value >= 0:
-        violations.append(f"{path} must be >= 0 (got {value})")
-
-
-def _check_wire(v, path, w: WireSpec):
-    _positive(v, f"{path}.resistivity_ohm_m", w.resistivity_ohm_m)
-    _positive(v, f"{path}.thickness_um", w.thickness_um)
-    _positive(v, f"{path}.width_um", w.width_um)
-    _positive(v, f"{path}.pitch_um", w.pitch_um)
-    if w.width_um >= w.pitch_um:
-        v.append(f"{path}.width_um must be < pitch_um")
-
-
-def _check_via(v, path, s: ViaSpec):
-    _positive(v, f"{path}.resistivity_ohm_m", s.resistivity_ohm_m)
-    _positive(v, f"{path}.height_um", s.height_um)
-    _positive(v, f"{path}.diameter_um", s.diameter_um)
-    _positive(v, f"{path}.inductance_per_via_ph", s.inductance_per_via_ph)
-    if s.count_per_site < 1:
-        v.append(f"{path}.count_per_site must be >= 1")
-
-
-def _check_bump(v, path, b: BumpSpec):
-    _positive(v, f"{path}.diameter_um", b.diameter_um)
-    _positive(v, f"{path}.pitch_um", b.pitch_um)
-    _positive(v, f"{path}.resistance_per_bump_mohm", b.resistance_per_bump_mohm)
-    _positive(v, f"{path}.inductance_per_bump_ph", b.inductance_per_bump_ph)
-    if b.diameter_um >= b.pitch_um:
-        v.append(f"{path}.diameter_um must be < pitch_um")
-
-
-def _check_decap(v, path, d: DiscreteDecap):
-    _positive(v, f"{path}.capacitance_uf", d.capacitance_uf)
-    _nonneg(v, f"{path}.esr_mohm", d.esr_mohm)
-    _nonneg(v, f"{path}.esl_nh", d.esl_nh)
-    if not (0.0 <= d.x <= 1.0 and 0.0 <= d.y <= 1.0):
-        v.append(f"{path}: placement (x, y) must lie in [0, 1]")
+def _out_of_bounds(spec, prefix):
+    """A violation, named ``prefix`` + path, for each number under ``spec``
+    outside its annotated bound; specs and tuple items are walked."""
+    for name, bound in _bounds(type(spec)):
+        val = getattr(spec, name)
+        if bound:
+            text, holds = bound
+            if not holds(val):
+                yield f"{prefix}{name} must be {text} (got {val})"
+        elif isinstance(val, tuple):
+            for k, item in enumerate(val):
+                yield from _out_of_bounds(item, f"{prefix}{name}[{k}].")
+        elif dataclasses.is_dataclass(val):
+            yield from _out_of_bounds(val, f"{prefix}{name}.")
 
 
 def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant and return a normalized, validated config.
 
-    Collects all violations before raising.  Only the power map is
-    rewritten: a missing map defaults to the hotspot map, and the map is
-    renormalized to the chip's total power.
+    Collects all violations before raising, field bounds first.  Only the
+    power map is rewritten: a missing map defaults to the hotspot map, and
+    the map is renormalized to the chip's total power.
     Idempotent: re-validating the result returns an equal config.
     """
-    v = []
-    chip, pkg, board, vrm, plc, dec = (
-        config.chip, config.package, config.board, config.vrm,
-        config.placement, config.decaps,
-    )
-
-    _positive(v, "chip.width_mm", chip.width_mm)
-    _positive(v, "chip.height_mm", chip.height_mm)
-    _positive(v, "chip.supply_voltage_v", chip.supply_voltage_v)
-    _positive(v, "chip.total_power_w", chip.total_power_w)
-    if chip.tile_count_x < 2 or chip.tile_count_y < 2:
-        v.append("chip.tile_count_x/tile_count_y must be >= 2")
-    _check_wire(v, "chip.onchip_wire", chip.onchip_wire)
-
-    if pkg.metal_layer_count < 1:
-        v.append("package.metal_layer_count must be >= 1")
-    _positive(v, "package.layer_thickness_mm", pkg.layer_thickness_mm)
-    _positive(v, "package.package_width_mm", pkg.package_width_mm)
-    _positive(v, "package.package_height_mm", pkg.package_height_mm)
-    _positive(v, "package.sheet_resistivity_ohm_m", pkg.sheet_resistivity_ohm_m)
-    _positive(v, "package.segment_inductance_ph_per_square", pkg.segment_inductance_ph_per_square)
-    _positive(v, "package.grid_pitch_mm", pkg.grid_pitch_mm)
-    _positive(v, "package.vrm_pad_width_mm", pkg.vrm_pad_width_mm)
-    _check_bump(v, "package.solder_bump", pkg.solder_bump)
-    _check_bump(v, "package.c4_bump", pkg.c4_bump)
-    if pkg.through_package_via is not None:
-        _check_via(v, "package.through_package_via", pkg.through_package_via)
+    v = list(_out_of_bounds(config, ""))
+    chip, pkg, vrm, plc = config.chip, config.package, config.vrm, config.placement
+    if chip.onchip_wire.width_um >= chip.onchip_wire.pitch_um:
+        v.append("chip.onchip_wire.width_um must be < pitch_um")
+    bumps = {"package.solder_bump": pkg.solder_bump, "package.c4_bump": pkg.c4_bump,
+             "placement.microbump": getattr(plc, "microbump", None)}
+    for path, bump in bumps.items():
+        if bump is not None and bump.diameter_um >= bump.pitch_um:
+            v.append(f"{path}.diameter_um must be < pitch_um")
     if pkg.package_width_mm < chip.width_mm or pkg.package_height_mm < chip.height_mm:
         v.append("package must be at least as large as the chip footprint")
-
-    _nonneg(v, "board.lumped_resistance_mohm", board.lumped_resistance_mohm)
-    _nonneg(v, "board.lumped_inductance_nh", board.lumped_inductance_nh)
-
-    _nonneg(v, "vrm.series_resistance_mohm", vrm.series_resistance_mohm)
-    _nonneg(v, "vrm.series_inductance_nh", vrm.series_inductance_nh)
-    _positive(v, "vrm.output_voltage_v", vrm.output_voltage_v)
     # the chip supply sets the load current, the VRM output the drop
     # reference and the stimulus; both describe one rail
     if chip.supply_voltage_v != vrm.output_voltage_v:
         v.append(f"chip.supply_voltage_v ({chip.supply_voltage_v}) must equal "
                  f"vrm.output_voltage_v ({vrm.output_voltage_v})")
-
-    if isinstance(plc, OnPackageVrm):
-        if plc.count not in (1, 2, 4):
-            v.append("placement.count must be one of 1, 2, 4")
-        _positive(v, "placement.gap_mm", plc.gap_mm)
-    elif isinstance(plc, BacksideVrm):
-        if pkg.through_package_via is None:
-            v.append("placement backside requires package.through_package_via")
-    elif isinstance(plc, ChipOnVrm3D):
-        _check_bump(v, "placement.microbump", plc.microbump)
-        _check_via(v, "placement.vrm_tsv", plc.vrm_tsv)
-        if plc.die_decap is not None:
-            _check_decap(v, "placement.die_decap", plc.die_decap)
-    else:
-        v.append(f"unknown placement variant: {plc!r}")
-
-    _nonneg(v, "decaps.onchip_density_nf_per_mm2", dec.onchip_density_nf_per_mm2)
-    _positive(v, "decaps.onchip_esr_ohm_mm2", dec.onchip_esr_ohm_mm2)
-    for key in ("package_decaps", "board_decaps"):
-        for k, d in enumerate(getattr(dec, key)):
-            _check_decap(v, f"decaps.{key}[{k}]", d)
+    if isinstance(plc, OnPackageVrm) and plc.count not in (1, 2, 4):
+        v.append("placement.count must be one of 1, 2, 4")
+    if isinstance(plc, BacksideVrm) and pkg.through_package_via is None:
+        v.append("placement backside requires package.through_package_via")
 
     pm = config.power_map
     if pm is not None:
         if pm.densities.shape != (chip.tile_count_y, chip.tile_count_x):
-            v.append(
-                f"power_map shape {pm.densities.shape} does not match tile grid "
-                f"({chip.tile_count_y}, {chip.tile_count_x})"
-            )
-        elif np.any(pm.densities < 0):
-            v.append("power_map densities must all be >= 0")
-
+            v.append(f"power_map shape {pm.densities.shape} does not match tile grid "
+                     f"({chip.tile_count_y}, {chip.tile_count_x})")
+        elif not np.all((pm.densities >= 0) & (pm.densities < np.inf)):
+            v.append("power_map densities must all be finite and >= 0")
     if v:
         raise ValidationError(v)
 
@@ -613,7 +561,8 @@ _PLACEMENTS = {cls.variant: cls for cls in typing.get_args(VrmPlacement)}
 
 def config_from_dict(d: dict) -> ScenarioConfig:
     """Inverse of config_to_dict.  Checks the shape of ``d`` (known keys,
-    field types) but not the physics; call validate_config."""
+    field types) but not the physics, save the chip bounds a builtin map
+    ``kind`` needs; call validate_config."""
     if not isinstance(d, dict):
         raise ValidationError([f"config: expected an object, got {d!r}"])
     specs = dict(d)

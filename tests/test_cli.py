@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -121,6 +122,14 @@ def test_validate_mismatched_supply_is_validation_error(tmp_path, small_config, 
     (("decaps",), "package_decaps", [{}], "decaps.package_decaps[0].capacitance_uf"),
     (("power_map",), "densities_a_per_mm2", "abc", "power_map.densities_a_per_mm2"),
     ((), "bogus", 1, "bogus: unknown field"),
+    (("package",), "solder_bump_count", 0, "package.solder_bump_count must be >= 1 (got 0)"),
+    (("package",), "tpv_sites_per_side", 0, "package.tpv_sites_per_side must be >= 1 (got 0)"),
+    (("package",), "package_width_mm", math.inf, "package.package_width_mm must be > 0 (got inf)"),
+    (("package",), "solder_bump_count", -3, "package.solder_bump_count must be >= 1 (got -3)"),
+    (("decaps",), "onchip_density_nf_per_mm2", math.inf,
+     "decaps.onchip_density_nf_per_mm2 must be >= 0 (got inf)"),
+    (("power_map",), "densities_a_per_mm2", [[math.nan] * 50] * 50,
+     "power_map densities must all be finite and >= 0"),
 ])
 def test_validate_malformed_config_is_validation_error(tmp_path, capsys, where, key,
                                                        value, message):
@@ -131,10 +140,32 @@ def test_validate_malformed_config_is_validation_error(tmp_path, capsys, where, 
     target[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
+    out = tmp_path / "out"
     assert main(["validate", "--config", str(bad)]) == 1
+    assert main(["dc", "--config", str(bad), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"validation error: {message}" in err
+    assert err.count(f"validation error: {message}") == 2
     assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("via", ["flag", "kind_key"])
+def test_builtin_power_map_with_zero_supply_is_validation_error(tmp_path, capsys, via):
+    d = json.loads(config_to_json(pdnsim.benchmark_config("on_package_1")))
+    d["chip"]["supply_voltage_v"] = 0
+    d["vrm"]["output_voltage_v"] = 0
+    flags = ["--power-map", "uniform"] if via == "flag" else []
+    if via == "kind_key":
+        d["power_map"] = {"kind": "uniform"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(bad), *flags]) == 1
+    assert main(["dc", "--config", str(bad), "--out-dir", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.count("validation error: chip.supply_voltage_v must be > 0 (got 0)") == 2
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

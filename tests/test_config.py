@@ -1,7 +1,11 @@
 """Configuration model: defaults, validation, power maps, serialization."""
 
 import dataclasses
+import functools
 import json
+import math
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -14,7 +18,8 @@ from pdnsim import (BacksideVrm, ChipOnVrm3D, ChipSpec, OnPackageVrm, PowerMap,
                     builtin_power_map, config_from_json, config_hash,
                     config_to_json, total_load_current, validate_config)
 from pdnsim.builder import assemble_netlist
-from pdnsim.config import DecapPolicy, DiscreteDecap, normalize_power_map
+from pdnsim.config import (BENCHMARK_NAMES, DecapPolicy, DiscreteDecap,
+                           normalize_power_map)
 from pdnsim.netlist import CAPACITOR
 
 
@@ -74,7 +79,7 @@ def test_backside_requires_through_package_via():
     ("capacitance_uf", 0.0, "placement.die_decap.capacitance_uf must be > 0"),
     ("esr_mohm", -1.0, "placement.die_decap.esr_mohm must be >= 0"),
     ("esl_nh", -1.0, "placement.die_decap.esl_nh must be >= 0"),
-    ("x", 2.0, "placement.die_decap: placement (x, y) must lie in [0, 1]"),
+    ("x", 2.0, "placement.die_decap.x must be in [0, 1] (got 2.0)"),
 ])
 def test_die_decap_is_validated(field, value, message):
     plc = ChipOnVrm3D()
@@ -176,6 +181,28 @@ def test_negative_power_map_rejected():
     dens[0, 0] = -1.0
     with pytest.raises(ValidationError, match=">= 0"):
         validate_config(ScenarioConfig(chip=chip, power_map=PowerMap(dens, 100.0)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_power_map_rejected(value):
+    chip = dataclasses.replace(ChipSpec(), tile_count_x=4, tile_count_y=4)
+    pm = PowerMap(np.full((4, 4), value), 100.0)
+    with pytest.raises(ValidationError) as exc:
+        validate_config(ScenarioConfig(chip=chip, power_map=pm))
+    assert exc.value.violations == ["power_map densities must all be finite and >= 0"]
+
+
+def test_builtin_power_map_needs_a_chip_within_bounds():
+    chip = dataclasses.replace(ChipSpec(), supply_voltage_v=0.0, tile_count_x=-1)
+    with pytest.raises(ValidationError) as exc:
+        builtin_power_map("uniform", chip)
+    assert exc.value.violations == ["chip.supply_voltage_v must be > 0 (got 0.0)",
+                                    "chip.tile_count_x must be >= 2 (got -1)"]
+    d = json.loads(config_to_json(benchmark_config("on_package_1")))
+    d["chip"]["supply_voltage_v"] = 0
+    d["power_map"] = {"kind": "hotspot"}
+    with pytest.raises(ValidationError, match=r"chip.supply_voltage_v must be > 0 \(got 0\)"):
+        config_from_json(json.dumps(d))
 
 
 def test_decap_policy_density_sets_chip_capacitors(small_config):
@@ -358,3 +385,79 @@ def test_validate_is_idempotent_over_drawn_configs(cfg):
     assert validate_config(valid) == valid
     # nothing but the power map is rewritten
     assert dataclasses.replace(valid, power_map=None) == dataclasses.replace(cfg, power_map=None)
+
+
+# ---------------------------------------------------------------------------
+# field bounds
+
+
+def _numeric_leaves(tp, path):
+    """(path, annotation) for each float or int reachable from the type ``tp``."""
+    origin = typing.get_origin(tp)
+    if origin is typing.Annotated or tp in (float, int):
+        yield path, tp
+    elif origin in (typing.Union, types.UnionType):
+        for arg in typing.get_args(tp):
+            yield from _numeric_leaves(arg, path)
+    elif origin is tuple:
+        yield from _numeric_leaves(typing.get_args(tp)[0], f"{path}[k]")
+    elif dataclasses.is_dataclass(tp):
+        for name, sub in typing.get_type_hints(tp, include_extras=True).items():
+            yield from _numeric_leaves(sub, f"{path}.{name}" if path else name)
+
+
+def test_every_numeric_field_carries_a_bound():
+    leaves = dict(_numeric_leaves(ScenarioConfig, ""))
+    assert {"package.solder_bump_count", "package.tpv_sites_per_side",
+            "decaps.board_decaps[k].x", "placement.die_decap.esl_nh"} <= leaves.keys()
+    assert [path for path, tp in leaves.items()
+            if typing.get_origin(tp) is not typing.Annotated] == []
+
+
+def _bounded_fields(spec, parts=()):
+    """(field path parts, bound text) for each bounded number in ``spec``."""
+    for name, tp in typing.get_type_hints(type(spec), include_extras=True).items():
+        val = getattr(spec, name)
+        if typing.get_origin(tp) is typing.Annotated:
+            yield parts + (name,), tp.__metadata__[0]
+        elif isinstance(val, tuple):
+            for k, item in enumerate(val):
+                yield from _bounded_fields(item, parts + (name, k))
+        elif dataclasses.is_dataclass(val):
+            yield from _bounded_fields(val, parts + (name,))
+
+
+def _replace_at(obj, parts, value):
+    head, rest = parts[0], parts[1:]
+    if isinstance(head, int):
+        new = _replace_at(obj[head], rest, value) if rest else value
+        return obj[:head] + (new,) + obj[head + 1:]
+    new = _replace_at(getattr(obj, head), rest, value) if rest else value
+    return dataclasses.replace(obj, **{head: new})
+
+
+@functools.cache
+def _benchmark_fields(name):
+    cfg = benchmark_config(name)
+    return cfg, list(_bounded_fields(cfg))
+
+
+_OUT_OF_BOUNDS = {
+    "> 0": st.floats(max_value=0.0),
+    ">= 0": st.floats(max_value=-math.ulp(0.0)),
+    "in [0, 1]": st.floats(max_value=-math.ulp(0.0)) | st.floats(min_value=1.0 + math.ulp(1.0)),
+    ">= 1": st.integers(max_value=0),
+    ">= 2": st.integers(max_value=1),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_field_out_of_bounds_is_rejected(data):
+    cfg, fields = _benchmark_fields(data.draw(st.sampled_from(BENCHMARK_NAMES)))
+    parts, bound = data.draw(st.sampled_from(fields))
+    value = data.draw(_OUT_OF_BOUNDS[bound] | st.sampled_from([math.nan, math.inf, -math.inf]))
+    path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts)[1:]
+    with pytest.raises(ValidationError) as exc:
+        validate_config(_replace_at(cfg, parts, value))
+    assert exc.value.violations[0].startswith(f"{path} must be {bound} (got ")
