@@ -22,6 +22,7 @@ from .mna import Stimulus, dc_solve, transient_solve
 DEFAULT_DT_S = 10e-12
 DEFAULT_T_END_S = 200e-9
 DEFAULT_RISE_S = 1e-9
+PSN_PROMINENCE_V = 1e-3   # smallest droop that counts as the first droop
 
 
 @dataclass
@@ -87,14 +88,13 @@ def first_prominent_min(s, prominence):
     return None
 
 
-def extract_psn(waveform, config: ScenarioConfig, probe=None,
-                prominence_v=1e-3) -> PsnMetrics:
+def extract_psn(waveform, config: ScenarioConfig, probe=None) -> PsnMetrics:
     """PSN metrics from a step-response waveform.
 
     max_psn uses the per-tile running minima when the solver recorded them,
     otherwise the probed series.  The first droop is detected on ``probe``
     (default: first recorded series) as the first local minimum after the
-    ramp with at least ``prominence_v`` of prominence.
+    ramp with at least ``PSN_PROMINENCE_V`` of prominence.
     """
     v_final = config.vrm.output_voltage_v
     t = waveform.time_s
@@ -116,7 +116,7 @@ def extract_psn(waveform, config: ScenarioConfig, probe=None,
     s = waveform.series[probe]
     seg = s[mask]
     seg_t = t[mask]
-    k = first_prominent_min(seg, prominence_v)
+    k = first_prominent_min(seg, PSN_PROMINENCE_V)
     if k is not None:
         first = (v_final - float(seg[k])) * 1e3
         first_t = float(seg_t[k])
@@ -144,8 +144,7 @@ class BenchmarkResult:
 
 
 def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
-             t_end=DEFAULT_T_END_S, method="trap",
-             rise_time_s=DEFAULT_RISE_S, init="cold") -> BenchmarkResult:
+             t_end=DEFAULT_T_END_S, method="trap", init="cold") -> BenchmarkResult:
     """Build, DC-solve and (optionally) step-response-solve one scenario.
 
     The transient probes the worst DC tile, chip center and corner; PSN
@@ -163,7 +162,7 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
         worst = f"tile[{wi},{wj}]"
         net.probes["chip_worst_tile"] = net.probes[worst]
         stim = Stimulus(kind="step", v_start=0.0,
-                        v_end=config.vrm.output_voltage_v, rise_time_s=rise_time_s)
+                        v_end=config.vrm.output_voltage_v, rise_time_s=DEFAULT_RISE_S)
         wf = transient_solve(net, stim, dt, t_end, method=method, init=init,
                              probes=["chip_worst_tile", "chip_center", "chip_corner"])
         psn = extract_psn(wf, config, probe="chip_worst_tile")
@@ -181,7 +180,10 @@ def _apply_axis(base: ScenarioConfig, axis, value) -> ScenarioConfig:
     if axis == "vrm_count":
         if not isinstance(base.placement, OnPackageVrm):
             raise ValueError("vrm_count axis requires an on-package placement")
-        plc = dataclasses.replace(base.placement, count=int(value))
+        # a fractional count is kept as given, so validation rejects it
+        # instead of a truncated count being evaluated
+        count = int(value) if float(value).is_integer() else value
+        plc = dataclasses.replace(base.placement, count=count)
         return dataclasses.replace(base, placement=plc)
     if axis == "vrm_gap":
         if not isinstance(base.placement, OnPackageVrm):
@@ -302,9 +304,8 @@ def config_label(config: ScenarioConfig) -> str:
     return "backside"
 
 
-def compare_configurations(configs, labels=None, transient=True,
-                           dt=DEFAULT_DT_S, t_end=DEFAULT_T_END_S,
-                           method="trap") -> ComparisonReport:
+def compare_configurations(configs, transient=True, dt=DEFAULT_DT_S,
+                           t_end=DEFAULT_T_END_S, method="trap") -> ComparisonReport:
     """Solve each config and tabulate metrics plus improvement relative to
     the first entry.  All configs must share the chip spec."""
     configs = [validate_config(c) for c in configs]
@@ -314,19 +315,17 @@ def compare_configurations(configs, labels=None, transient=True,
     for c in configs[1:]:
         if c.chip != chip0:
             raise ValueError("all compared configurations must share the chip spec")
-    if labels is None:
-        labels = [config_label(c) for c in configs]
 
     rows = []
     ir_ref = psn_ref = None
-    for label, cfg in zip(labels, configs):
+    for cfg in configs:
         res = evaluate(cfg, transient=transient, dt=dt, t_end=t_end, method=method)
         ir = res.ir_map.max_mv
         psn = None if res.psn is None else res.psn.max_psn_mv
         if ir_ref is None:
             ir_ref, psn_ref = ir, psn
         rows.append(ComparisonRow(
-            label=label, max_ir_drop_mv=ir, max_psn_mv=psn,
+            label=config_label(cfg), max_ir_drop_mv=ir, max_psn_mv=psn,
             ir_improvement=(ir_ref - ir) / ir_ref,
             psn_improvement=None if psn is None or psn_ref is None
             else (psn_ref - psn) / psn_ref))

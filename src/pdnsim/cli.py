@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -48,9 +49,8 @@ def _build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("--config", required=True, help="scenario JSON file")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="scenario JSON file")
         sp.add_argument("--out-dir", default=".", help="output directory")
         sp.add_argument("--power-map", choices=["uniform", "hotspot"],
                         help="override the power map with a builtin kind")
@@ -110,16 +110,15 @@ def _build_parser():
     return p
 
 
-def _load(args) -> ScenarioConfig:
+def _load(path, power_map) -> ScenarioConfig:
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(path)
     except OSError as exc:
         raise _IoFail(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
-    if getattr(args, "power_map", None):
-        cfg = dataclasses.replace(
-            cfg, power_map=builtin_power_map(args.power_map, cfg.chip))
+    if power_map:
+        cfg = dataclasses.replace(cfg, power_map=builtin_power_map(power_map, cfg.chip))
     return validate_config(cfg)
 
 
@@ -136,29 +135,26 @@ def _write(path, text):
     return str(path)
 
 
-def _manifest(args, out_dir, outputs, extra=None):
-    import os
+def _manifest(args, out_dir, outputs, t0, config=None, **extra):
+    """Write ``manifest.json``: the command, its parameters and outputs,
+    the wall time since ``t0`` and, when given, the config snapshot."""
     doc = {
         "command": args.command,
         "tool_version": __version__,
         "outputs": outputs,
-        "wall_clock_s": None,  # filled by caller
+        "wall_clock_s": time.perf_counter() - t0,
         "parameters": {k: getattr(args, k) for k in
                        ("dt", "t_end", "method", "axis", "values", "power_map")
                        if hasattr(args, k)},
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    return os.path.join(out_dir, "manifest.json"), doc
-
-
-def _finish_manifest(path, doc, t0):
-    doc["wall_clock_s"] = time.perf_counter() - t0
-    _write(path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+    if config is not None:
+        doc["config_snapshot"] = json.loads(config_to_json(config))
+    _write(os.path.join(out_dir, "manifest.json"),
+           json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _run(args) -> int:
-    import os
     t0 = time.perf_counter()
     out_dir = getattr(args, "out_dir", ".")
     if out_dir != ".":
@@ -174,57 +170,51 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "validate":
-        _load(args)
+        _load(args.config, args.power_map)
         print("ok")
         return EXIT_OK
 
     if args.command == "netlist":
-        cfg = _load(args)
+        cfg = _load(args.config, args.power_map)
         net = assemble_netlist(cfg)
         out = _write(os.path.join(out_dir, "netlist.txt"), netlist_to_text(net))
         print(f"{net.node_count} nodes, {len(net.elements)} elements -> {out}")
         return EXIT_OK
 
     if args.command == "dc":
-        cfg = _load(args)
+        cfg = _load(args.config, args.power_map)
         res = evaluate(cfg, transient=False)
         csv_path = _write(os.path.join(out_dir, "ir_map.csv"), ir_map_to_csv(res.ir_map))
         svg_path = emit_heatmap(res.ir_map, os.path.join(out_dir, "ir_map.svg"))
-        mpath, doc = _manifest(args, out_dir, [csv_path, str(svg_path)],
-                               {"config_snapshot": json.loads(config_to_json(res.config)),
-                                "max_ir_drop_mv": res.ir_map.max_mv})
-        _finish_manifest(mpath, doc, t0)
+        _manifest(args, out_dir, [csv_path, str(svg_path)], t0, res.config,
+                  max_ir_drop_mv=res.ir_map.max_mv)
         print(f"max IR drop: {res.ir_map.max_mv:.3f} mV "
               f"(mean {res.ir_map.mean_mv:.3f} mV) -> {csv_path}")
         return EXIT_OK
 
     if args.command == "tran":
-        cfg = _load(args)
+        cfg = _load(args.config, args.power_map)
         res = evaluate(cfg, transient=True, dt=args.dt, t_end=args.t_end,
                        method=args.method)
         csv_path = _write(os.path.join(out_dir, "waveform.csv"),
                           waveform_to_csv(res.waveform))
-        mpath, doc = _manifest(args, out_dir, [csv_path],
-                               {"config_snapshot": json.loads(config_to_json(res.config)),
-                                "max_psn_mv": res.psn.max_psn_mv,
-                                "first_droop_mv": res.psn.first_droop_mv,
-                                "settling_mv": res.psn.settling_mv})
-        _finish_manifest(mpath, doc, t0)
+        _manifest(args, out_dir, [csv_path], t0, res.config,
+                  max_psn_mv=res.psn.max_psn_mv,
+                  first_droop_mv=res.psn.first_droop_mv,
+                  settling_mv=res.psn.settling_mv)
         print(f"max PSN: {res.psn.max_psn_mv:.3f} mV "
               f"(first droop {res.psn.first_droop_mv:.3f} mV) -> {csv_path}")
         return EXIT_OK
 
     if args.command == "sweep":
-        cfg = _load(args)
+        cfg = _load(args.config, args.power_map)
         values = [float(v) for v in args.values.split(",") if v]
         sweep = run_sweep(cfg, args.axis, values,
                           transient=not args.no_transient,
                           dt=args.dt, t_end=args.t_end, method=args.method)
         csv_path = _write(os.path.join(out_dir, "sweep.csv"), sweep.to_csv())
-        mpath, doc = _manifest(args, out_dir, [csv_path],
-                               {"config_snapshot": json.loads(config_to_json(cfg)),
-                                "failures": [p.error for p in sweep.failures]})
-        _finish_manifest(mpath, doc, t0)
+        _manifest(args, out_dir, [csv_path], t0, cfg,
+                  failures=[p.error for p in sweep.failures])
         for p in sweep.points:
             status = p.error or "ok"
             print(f"{sweep.axis}={p.value:g}: ir={p.max_ir_drop_mv} "
@@ -232,18 +222,14 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "compare":
-        cfgs = []
-        for path in args.config:
-            a = argparse.Namespace(config=path, power_map=args.power_map)
-            cfgs.append(_load(a))
+        cfgs = [_load(path, args.power_map) for path in args.config]
         report = compare_configurations(cfgs, transient=not args.no_transient,
                                         dt=args.dt, t_end=args.t_end,
                                         method=args.method)
         csv_path = _write(os.path.join(out_dir, "compare.csv"), report.to_csv())
         txt = report.to_text()
         _write(os.path.join(out_dir, "compare.txt"), txt)
-        mpath, doc = _manifest(args, out_dir, [csv_path])
-        _finish_manifest(mpath, doc, t0)
+        _manifest(args, out_dir, [csv_path], t0)
         sys.stdout.write(txt)
         return EXIT_OK
 
@@ -277,6 +263,14 @@ def main(argv=None) -> int:
     except _IoFail as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        # the analysis rejects flag values it cannot run with ValueError: a
+        # step or window it cannot use, an axis the placement lacks, fewer
+        # than two configs.  Elsewhere a ValueError is a program fault.
+        if args.command not in ("tran", "sweep", "compare", "calibrate"):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -582,8 +582,8 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     return dataclasses.replace(cfg, placement=plc, power_map=pm)
 
 
-def config_to_json(config: ScenarioConfig, indent=2) -> str:
-    return json.dumps(config_to_dict(config), indent=indent, sort_keys=True) + "\n"
+def config_to_json(config: ScenarioConfig) -> str:
+    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
 
 
 def config_from_json(text: str) -> ScenarioConfig:

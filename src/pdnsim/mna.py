@@ -92,9 +92,6 @@ class MnaSystem:
             if method not in ("trap", "be"):
                 raise ValueError(f"unknown integration method {method!r}")
         self.netlist = netlist
-        self.mode = mode
-        self.dt = dt
-        self.method = method
 
         self.n_nodes = n_nodes = netlist.node_count - 1  # ground eliminated
 
@@ -104,10 +101,10 @@ class MnaSystem:
         is_c = kind == CAPACITOR if mode == "transient" else np.zeros(len(kind), bool)
         is_g = (kind == RESISTOR) | is_c
         # one branch row per inductor and voltage source, in element order
-        self.branch_elems = np.flatnonzero(is_l | is_v)
+        branch_elems = np.flatnonzero(is_l | is_v)
         br = np.full(len(kind), -1)
-        br[self.branch_elems] = n_nodes + np.arange(len(self.branch_elems))
-        self.dim = n_nodes + len(self.branch_elems)
+        br[branch_elems] = n_nodes + np.arange(len(branch_elems))
+        self.dim = n_nodes + len(branch_elems)
 
         factor = 2.0 if method == "trap" else 1.0
         g = np.divide(1.0, value, out=np.zeros(len(kind)), where=kind == RESISTOR)
@@ -154,9 +151,11 @@ class MnaSystem:
                 f"cluster: {', '.join(names)}")
 
     def static_rhs(self):
-        rhs = np.zeros(self.dim)
-        np.add.at(rhs, self.isrc_a[self.isrc_a >= 0], -self.isrc_vals[self.isrc_a >= 0])
-        np.add.at(rhs, self.isrc_b[self.isrc_b >= 0], self.isrc_vals[self.isrc_b >= 0])
+        """Current-source injections, with one trailing entry for ground:
+        row -1 soaks up the ground-side injections, so no masks are needed."""
+        rhs = np.zeros(self.dim + 1)
+        np.add.at(rhs, self.isrc_a, -self.isrc_vals)
+        np.add.at(rhs, self.isrc_b, self.isrc_vals)
         return rhs
 
 
@@ -168,10 +167,11 @@ def stamp_mna(netlist: Netlist, mode="dc", dt=None, method="trap") -> MnaSystem:
 @dataclass
 class DcSolution:
     """Operating point: node voltages indexed by netlist node id (ground
-    included as entry 0) and branch currents by element index."""
+    included as entry 0) and voltage-source branch currents in
+    ``netlist.sources`` order."""
 
     voltages: np.ndarray
-    branch_currents: dict
+    source_currents: np.ndarray
     kcl_residual: float
 
     def voltage(self, node):
@@ -182,7 +182,7 @@ def dc_solve(netlist: Netlist) -> DcSolution:
     """Sparse-LU DC operating point with a KCL residual check."""
     sys_ = stamp_mna(netlist, mode="dc")
     lu = sys_.factorize()
-    rhs = sys_.static_rhs()
+    rhs = sys_.static_rhs()[:-1]
     rhs[sys_.vsrc_rows] = sys_.vsrc_vals
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
@@ -190,31 +190,23 @@ def dc_solve(netlist: Netlist) -> DcSolution:
     # Iterative refinement with the residual accumulated in extended
     # precision: high-degree nodes (thousands of stiff branches) sum terms
     # orders of magnitude above the net current, so a float64 dot product
-    # alone cannot resolve residuals near the accuracy target.
+    # alone cannot resolve residuals near the accuracy target.  Each
+    # iterate keeps its residual, which also gives the next correction.
     A_ext = sys_.matrix.astype(np.longdouble)
     rhs_ext = rhs.astype(np.longdouble)
-
-    def _resid(v):
-        return np.asarray(A_ext @ v.astype(np.longdouble) - rhs_ext,
-                          dtype=np.longdouble)
-
-    best_x = x
-    best_r = float(np.max(np.abs(_resid(x))))
+    resid = A_ext @ x.astype(np.longdouble) - rhs_ext
+    best_r = float(np.max(np.abs(resid)))
     for _ in range(4):
-        x = x + lu.solve(np.asarray(_resid(x), dtype=float) * -1.0)
-        r = float(np.max(np.abs(_resid(x))))
-        if r < best_r:
-            best_x, best_r = x, r
-        else:
+        x_new = x + lu.solve(-resid.astype(float))
+        resid_new = A_ext @ x_new.astype(np.longdouble) - rhs_ext
+        r = float(np.max(np.abs(resid_new)))
+        if not r < best_r:
             break
-    x = best_x
+        x, resid, best_r = x_new, resid_new, r
 
-    resid = _resid(x)
     kcl = float(np.max(np.abs(resid[: sys_.n_nodes]))) if sys_.n_nodes else 0.0
-
     voltages = np.concatenate(([0.0], x[: sys_.n_nodes]))
-    branch_currents = dict(zip(sys_.branch_elems.tolist(), x[sys_.n_nodes:].tolist()))
-    return DcSolution(voltages=voltages, branch_currents=branch_currents,
+    return DcSolution(voltages=voltages, source_currents=x[sys_.vsrc_rows],
                       kcl_residual=kcl)
 
 
@@ -224,10 +216,8 @@ class TransientWaveform:
 
     time_s: np.ndarray
     series: dict                   # probe name -> voltage array
-    method: str
     dt: float
     ramp_end_s: float
-    final_voltages: np.ndarray     # full node-voltage vector at t_end
     tile_min: np.ndarray | None = None   # per chip tile min voltage after ramp
     tile_final: np.ndarray | None = None
 
@@ -277,7 +267,7 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     # reads 0.0 from x and soaks up ground injections in rhs, so the step
     # loop needs no ground masks
     x = np.zeros(sys_.dim + 1)
-    static = np.append(sys_.static_rhs(), 0.0)
+    static = sys_.static_rhs()
 
     cap_a, cap_b, cap_g = sys_.cap_a, sys_.cap_b, sys_.cap_g
     cap_ieq = np.zeros(len(cap_g))
@@ -335,14 +325,11 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
             np.minimum(tile_min, x[tile_rows], out=tile_min)
 
     series = {name: recorded[:, k].copy() for k, name in enumerate(probe_rows)}
-    final = np.concatenate(([0.0], x[: sys_.n_nodes]))
-    wf = TransientWaveform(
-        time_s=times, series=series, method=method, dt=dt,
-        ramp_end_s=ramp_end, final_voltages=final)
+    wf = TransientWaveform(time_s=times, series=series, dt=dt, ramp_end_s=ramp_end)
     if tile_min is not None:
         shape = np.asarray(tiles).shape
         wf.tile_min = tile_min.reshape(shape)
-        wf.tile_final = final[np.asarray(tiles)]
+        wf.tile_final = x[tile_rows].reshape(shape)
     return wf
 
 

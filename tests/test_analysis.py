@@ -49,9 +49,8 @@ def _damped_cosine_waveform(amp=0.1, tau=10e-9, period=10e-9,
     t = dt * np.arange(int(round(t_end / dt)) + 1)
     w = 2 * np.pi / period
     v = 1.0 - amp * np.exp(-t / tau) * np.cos(w * t)
-    return TransientWaveform(
-        time_s=t, series={"probe": v}, method="trap", dt=dt,
-        ramp_end_s=ramp_end, final_voltages=np.array([0.0, v[-1]]))
+    return TransientWaveform(time_s=t, series={"probe": v}, dt=dt,
+                             ramp_end_s=ramp_end)
 
 
 def test_extract_psn_on_synthetic_waveform():
@@ -76,9 +75,7 @@ def test_extract_psn_on_synthetic_waveform():
 def test_extract_psn_monotone_settle_uses_worst_point():
     t = 1e-11 * np.arange(2001)
     v = 1.0 - 0.05 * (1.0 - np.exp(-t / 5e-9))     # monotone sag, no peaks
-    wf = TransientWaveform(
-        time_s=t, series={"p": v}, method="trap", dt=1e-11, ramp_end_s=1e-9,
-        final_voltages=np.array([0.0, v[-1]]))
+    wf = TransientWaveform(time_s=t, series={"p": v}, dt=1e-11, ramp_end_s=1e-9)
     psn = extract_psn(wf, validate_config(ScenarioConfig()), probe="p")
     assert psn.first_droop_time_s == pytest.approx(t[-1])
     assert psn.first_droop_mv == pytest.approx((1.0 - v[-1]) * 1e3)
@@ -179,6 +176,18 @@ def test_run_sweep_records_per_point_failures(small_config):
     assert len(good) == 2 and len(sweep.failures) == 1
     assert sweep.failures[0].value == 3.0
     assert "count" in sweep.failures[0].error
+
+
+def test_run_sweep_rejects_fractional_vrm_count(small_config):
+    sweep = run_sweep(small_config("on_package_4"), "vrm_count",
+                      (2, 2.0, 2.5), transient=False)
+    ok, same, frac = sweep.points
+    assert ok.error is None and same.error is None
+    assert ok.config_hash == same.config_hash
+    assert ok.max_ir_drop_mv == same.max_ir_drop_mv
+    assert frac.value == 2.5 and frac.max_ir_drop_mv is None
+    assert "placement.count" in frac.error
+    assert frac.config_hash != ok.config_hash
 
 
 def test_sweep_csv_format(small_config):

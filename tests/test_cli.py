@@ -255,6 +255,25 @@ def test_compare(small_cfg_file, tmp_path, capsys):
     assert "IR drop" in (out / "compare.txt").read_text()
 
 
+@pytest.mark.parametrize("name,args", [
+    ("on_package_4", ["sweep", "--axis", "vrm_gap", "--values", "1,x"]),
+    ("chip_on_vrm_3d", ["sweep", "--axis", "vrm_gap", "--values", "1"]),
+    ("on_package_4", ["tran", "--dt", "0"]),
+    ("on_package_4", ["tran", "--dt", "nan"]),
+    ("on_package_4", ["tran", "--dt", "1e-9", "--t-end", "2e-9"]),
+    ("on_package_4", ["compare"]),
+], ids=["values_not_numbers", "axis_not_in_placement", "dt_zero", "dt_nan",
+        "window_too_short", "compare_one_config"])
+def test_unusable_flag_values_are_usage_errors(small_cfg_file, tmp_path, capsys,
+                                               name, args):
+    command, *flags = args
+    assert main([command, "--config", small_cfg_file(name), *flags,
+                 "--out-dir", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert [line.startswith("error: ") for line in err.splitlines()] == [True]
+    assert "Traceback" not in err
+
+
 def test_calibrate_writes_report(tmp_path, monkeypatch, capsys):
     import pdnsim.cli as cli
 

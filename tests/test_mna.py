@@ -56,9 +56,25 @@ def test_dc_branch_currents_and_residual():
     net = _series_rlc((RESISTOR, 4.0,))
     dc = dc_solve(net)
     # source branch carries -0.25 A (current flows out of the + terminal)
-    (src_idx,) = net.sources
-    assert dc.branch_currents[src_idx] == pytest.approx(-0.25, rel=1e-12)
+    assert dc.source_currents[0] == pytest.approx(-0.25, rel=1e-12)
     assert dc.kcl_residual < 1e-12
+
+
+def test_dc_source_currents_follow_netlist_sources():
+    """Two 1 V sources feed a 0.4 A load through 3 and 1 ohm: the load
+    node sits at 1 - 0.4 * (3 || 1) = 0.7 V, so the 3 ohm feed carries
+    0.1 A and the 1 ohm feed 0.3 A."""
+    net = Netlist()
+    load = net.add_node("chip_grid", (0, 0))
+    for k, r in enumerate((3.0, 1.0)):
+        src = net.add_node("vrm_die", (k, 0))
+        net.add(VOLTAGE_SOURCE, src, GROUND, 1.0, f"vrm_src[{k}]")
+        net.add(RESISTOR, src, load, r, f"pkg_h[{k},0]")
+    net.add(CURRENT_SOURCE, load, GROUND, 0.4, "load[0,0]")
+    dc = dc_solve(net)
+    assert dc.voltage(load) == pytest.approx(0.7, rel=1e-12)
+    assert dc.source_currents.shape == (len(net.sources),) == (2,)
+    assert dc.source_currents == pytest.approx([-0.1, -0.3], rel=1e-12)
 
 
 def test_dc_matches_dense_oracle_on_random_netlists():
