@@ -14,7 +14,7 @@ import os
 
 import pdnsim
 from pdnsim.analysis import ir_map_to_csv
-from pdnsim.heatmap import emit_heatmap
+from pdnsim.heatmap import heatmap_svg
 
 
 def main():
@@ -34,7 +34,8 @@ def main():
     svg_path = os.path.join(args.out_dir, f"ir_map_{args.benchmark}.svg")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(ir_map_to_csv(res.ir_map))
-    emit_heatmap(res.ir_map, svg_path, title=f"IR drop ({args.benchmark})")
+    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(heatmap_svg(res.ir_map.drop_mv, title=f"IR drop ({args.benchmark})"))
 
     i, j = res.ir_map.argmax
     print(f"{args.benchmark}: max IR drop {res.ir_map.max_mv:.2f} mV at tile "

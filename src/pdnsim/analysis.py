@@ -88,13 +88,13 @@ def first_prominent_min(s, prominence):
     return None
 
 
-def extract_psn(waveform, config: ScenarioConfig, probe=None) -> PsnMetrics:
+def extract_psn(waveform, config: ScenarioConfig, probe) -> PsnMetrics:
     """PSN metrics from a step-response waveform.
 
     max_psn uses the per-tile running minima when the solver recorded them,
     otherwise the probed series.  The first droop is detected on ``probe``
-    (default: first recorded series) as the first local minimum after the
-    ramp with at least ``PSN_PROMINENCE_V`` of prominence.
+    as the first local minimum after the ramp with at least
+    ``PSN_PROMINENCE_V`` of prominence.
     """
     v_final = config.vrm.output_voltage_v
     t = waveform.time_s
@@ -111,8 +111,6 @@ def extract_psn(waveform, config: ScenarioConfig, probe=None) -> PsnMetrics:
                       for s in waveform.series.values())
         settle = max((v_final - s[-1]) * 1e3 for s in waveform.series.values())
 
-    if probe is None:
-        probe = next(iter(waveform.series))
     s = waveform.series[probe]
     seg = s[mask]
     seg_t = t[mask]

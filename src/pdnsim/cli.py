@@ -20,11 +20,11 @@ from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES,
                        run_sweep)
 from .builder import assemble_netlist
 from .calibrate import grid_search
-from .config import (ScenarioConfig, benchmark_config, builtin_power_map,
-                     config_from_json, config_to_json, load_config,
+from .config import (BENCHMARK_NAMES, ScenarioConfig, benchmark_config,
+                     builtin_power_map, config_to_json, load_config,
                      validate_config)
 from .errors import SolverError, ValidationError
-from .heatmap import emit_heatmap
+from .heatmap import heatmap_svg
 from .mna import waveform_to_csv
 from .netlist import netlist_to_text
 
@@ -64,8 +64,7 @@ def _build_parser():
 
     sp = sub.add_parser("default-config", help="emit the default scenario with "
                                                "every assumed value visible")
-    sp.add_argument("--benchmark", default="on_package_4",
-                    help="on_package_{1,2,4} | backside | chip_on_vrm_3d")
+    sp.add_argument("--benchmark", default="on_package_4", choices=BENCHMARK_NAMES)
     sp.add_argument("--power-map", choices=["uniform", "hotspot"], default="hotspot")
     sp.add_argument("--out", help="write to file instead of stdout")
 
@@ -185,8 +184,9 @@ def _run(args) -> int:
         cfg = _load(args.config, args.power_map)
         res = evaluate(cfg, transient=False)
         csv_path = _write(os.path.join(out_dir, "ir_map.csv"), ir_map_to_csv(res.ir_map))
-        svg_path = emit_heatmap(res.ir_map, os.path.join(out_dir, "ir_map.svg"))
-        _manifest(args, out_dir, [csv_path, str(svg_path)], t0, res.config,
+        svg_path = _write(os.path.join(out_dir, "ir_map.svg"),
+                          heatmap_svg(res.ir_map.drop_mv))
+        _manifest(args, out_dir, [csv_path, svg_path], t0, res.config,
                   max_ir_drop_mv=res.ir_map.max_mv)
         print(f"max IR drop: {res.ir_map.max_mv:.3f} mV "
               f"(mean {res.ir_map.mean_mv:.3f} mV) -> {csv_path}")

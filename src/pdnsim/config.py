@@ -337,8 +337,6 @@ def normalize_power_map(pm, chip):
     tile_area = (chip.width_mm / nx) * (chip.height_mm / ny)
     target_current = chip.total_power_w / chip.supply_voltage_v
     total = float(pm.densities.sum()) * tile_area
-    if target_current == 0.0:
-        return PowerMap(np.zeros_like(pm.densities), chip.total_power_w, normalized=True)
     if total <= 0.0:
         raise ValidationError(
             ["power_map: all-zero density map cannot be normalized to nonzero total power"]
@@ -419,11 +417,6 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     return dataclasses.replace(config, power_map=pm)
 
 
-def total_load_current(config: ScenarioConfig) -> float:
-    """Total chip load current in amperes (power / supply voltage)."""
-    return config.chip.total_power_w / config.chip.supply_voltage_v
-
-
 # ---------------------------------------------------------------------------
 # benchmark configurations
 
@@ -453,32 +446,10 @@ def benchmark_config(name, power_map_kind="hotspot", **overrides) -> ScenarioCon
 # ---------------------------------------------------------------------------
 # serialization
 
-def _spec_to_dict(obj):
-    if obj is None:
-        return None
-    return {f.name: _field_to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-
-
-def _field_to_json(val):
-    if dataclasses.is_dataclass(val) and not isinstance(val, type):
-        return _spec_to_dict(val)
-    if isinstance(val, tuple):
-        return [_field_to_json(x) for x in val]
-    return val
-
-
 def config_to_dict(config: ScenarioConfig) -> dict:
-    plc = config.placement
-    pdict = {"variant": plc.variant}
-    pdict.update(_spec_to_dict(plc) or {})
-    d = {
-        "chip": _spec_to_dict(config.chip),
-        "package": _spec_to_dict(config.package),
-        "board": _spec_to_dict(config.board),
-        "vrm": _spec_to_dict(config.vrm),
-        "placement": pdict,
-        "decaps": _spec_to_dict(config.decaps),
-    }
+    d = {f.name: dataclasses.asdict(getattr(config, f.name))
+         for f in dataclasses.fields(config) if f.name != "power_map"}
+    d["placement"]["variant"] = config.placement.variant
     if config.power_map is not None:
         d["power_map"] = {
             "densities_a_per_mm2": config.power_map.densities.tolist(),
@@ -593,11 +564,6 @@ def config_from_json(text: str) -> ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_json(fh.read())
-
-
-def save_config(config: ScenarioConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_json(config))
 
 
 def config_hash(config: ScenarioConfig) -> str:

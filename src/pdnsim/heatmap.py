@@ -54,10 +54,3 @@ def heatmap_svg(values, title="IR drop", unit="mV") -> str:
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
-
-def emit_heatmap(ir_map, path, title="IR drop"):
-    """Write the SVG for an IrDropMap to ``path``."""
-    svg = heatmap_svg(ir_map.drop_mv, title=title, unit="mV")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
-    return path

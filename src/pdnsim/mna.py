@@ -131,15 +131,11 @@ class MnaSystem:
         is_i = kind == CURRENT_SOURCE
         self.isrc_a, self.isrc_b, self.isrc_vals = a[is_i], b[is_i], value[is_i]
 
-        self._lu = None
-
     def factorize(self):
-        if self._lu is None:
-            try:
-                self._lu = spla.splu(self.matrix)
-            except RuntimeError as exc:
-                raise SolverError(self._singular_diagnostic(str(exc))) from exc
-        return self._lu
+        try:
+            return spla.splu(self.matrix)
+        except RuntimeError as exc:
+            raise SolverError(self._singular_diagnostic(str(exc))) from exc
 
     def _singular_diagnostic(self, detail):
         diag = np.abs(self.matrix.diagonal())
@@ -173,9 +169,6 @@ class DcSolution:
     voltages: np.ndarray
     source_currents: np.ndarray
     kcl_residual: float
-
-    def voltage(self, node):
-        return float(self.voltages[node])
 
 
 def dc_solve(netlist: Netlist) -> DcSolution:
@@ -237,10 +230,10 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     the named chip probes) and running post-ramp minima for every chip tile
     when the netlist carries tile metadata.
     """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    if not t_end > 0:
-        raise ValueError("t_end must be > 0")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and > 0 (got {dt})")
+    if not 0 < t_end < np.inf:
+        raise ValueError(f"t_end must be finite and > 0 (got {t_end})")
     if init not in ("cold", "warm"):
         raise ValueError(f"unknown init {init!r}")
     warm = init == "warm"

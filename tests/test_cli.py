@@ -67,8 +67,12 @@ def test_default_config_to_file(tmp_path):
 
 
 def test_default_config_unknown_benchmark_is_handled(capsys):
-    with pytest.raises(ValueError):
-        main(["default-config", "--benchmark", "slab"])
+    assert main(["default-config", "--benchmark", "slab"]) == 64
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: argument --benchmark: invalid choice: 'slab'")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +198,16 @@ def test_dc_outputs_and_manifest(small_cfg_file, tmp_path, capsys):
     assert "config_snapshot" in manifest
 
 
+def test_dc_unwritable_output_is_io_error(small_cfg_file, tmp_path, capsys):
+    out = tmp_path / "dc"
+    (out / "ir_map.svg").mkdir(parents=True)
+    assert main(["dc", "--config", small_cfg_file(), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert [line.startswith("io error: cannot write ") for line in err.splitlines()] == [True]
+    assert "ir_map.svg" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_tran_outputs_and_manifest(small_cfg_file, tmp_path):
     out = tmp_path / "tran"
     assert main(["tran", "--config", small_cfg_file(),
@@ -261,9 +275,10 @@ def test_compare(small_cfg_file, tmp_path, capsys):
     ("on_package_4", ["tran", "--dt", "0"]),
     ("on_package_4", ["tran", "--dt", "nan"]),
     ("on_package_4", ["tran", "--dt", "1e-9", "--t-end", "2e-9"]),
+    ("on_package_4", ["tran", "--t-end", "inf"]),
     ("on_package_4", ["compare"]),
 ], ids=["values_not_numbers", "axis_not_in_placement", "dt_zero", "dt_nan",
-        "window_too_short", "compare_one_config"])
+        "window_too_short", "t_end_inf", "compare_one_config"])
 def test_unusable_flag_values_are_usage_errors(small_cfg_file, tmp_path, capsys,
                                                name, args):
     command, *flags = args

@@ -16,7 +16,7 @@ import pdnsim
 from pdnsim import (BacksideVrm, ChipOnVrm3D, ChipSpec, OnPackageVrm, PowerMap,
                     ScenarioConfig, ValidationError, benchmark_config,
                     builtin_power_map, config_from_json, config_hash,
-                    config_to_json, total_load_current, validate_config)
+                    config_to_json, validate_config)
 from pdnsim.builder import assemble_netlist
 from pdnsim.config import (BENCHMARK_NAMES, DecapPolicy, DiscreteDecap,
                            normalize_power_map)
@@ -116,12 +116,6 @@ def test_benchmark_placement_variants():
     assert benchmark_config("on_package_2").placement.count == 2
     assert isinstance(benchmark_config("backside").placement, BacksideVrm)
     assert isinstance(benchmark_config("chip_on_vrm_3d").placement, ChipOnVrm3D)
-
-
-def test_total_load_current():
-    cfg = validate_config(ScenarioConfig())
-    # 100 W at 1 V
-    assert total_load_current(cfg) == pytest.approx(100.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import (dense_dc, random_dc_netlist, rc_step_voltage,
                     rl_mid_voltage, rlc_cap_voltage)
@@ -35,21 +37,21 @@ def _series_rlc(*elems, v=1.0):
 def test_dc_voltage_divider():
     net = _series_rlc((RESISTOR, 3.0), (RESISTOR, 1.0))
     dc = dc_solve(net)
-    assert dc.voltage(net.probes["n0"]) == pytest.approx(0.25, rel=1e-12)
+    assert dc.voltages[net.probes["n0"]] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_dc_inductor_is_short():
     net = _series_rlc((RESISTOR, 2.0), (INDUCTOR, 1e-9), (RESISTOR, 2.0))
     dc = dc_solve(net)
-    assert dc.voltage(net.probes["n0"]) == pytest.approx(0.5, rel=1e-12)
-    assert dc.voltage(net.probes["n1"]) == pytest.approx(0.5, rel=1e-12)
+    assert dc.voltages[net.probes["n0"]] == pytest.approx(0.5, rel=1e-12)
+    assert dc.voltages[net.probes["n1"]] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_dc_capacitor_is_open():
     net = _series_rlc((RESISTOR, 1.0), (CAPACITOR, 1e-9))
     dc = dc_solve(net)
     # no DC path through the cap: no current, no drop across R
-    assert dc.voltage(net.probes["n0"]) == pytest.approx(1.0, rel=1e-12)
+    assert dc.voltages[net.probes["n0"]] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_dc_branch_currents_and_residual():
@@ -72,19 +74,29 @@ def test_dc_source_currents_follow_netlist_sources():
         net.add(RESISTOR, src, load, r, f"pkg_h[{k},0]")
     net.add(CURRENT_SOURCE, load, GROUND, 0.4, "load[0,0]")
     dc = dc_solve(net)
-    assert dc.voltage(load) == pytest.approx(0.7, rel=1e-12)
+    assert dc.voltages[load] == pytest.approx(0.7, rel=1e-12)
     assert dc.source_currents.shape == (len(net.sources),) == (2,)
     assert dc.source_currents == pytest.approx([-0.1, -0.3], rel=1e-12)
+
+
+def _assert_matches_dense_oracle(net):
+    ref = dense_dc(net)
+    got = dc_solve(net).voltages
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(got - ref)) / scale < 1e-9
 
 
 def test_dc_matches_dense_oracle_on_random_netlists():
     rng = np.random.default_rng(1234)
     for _ in range(25):
-        net = random_dc_netlist(rng)
-        ref = dense_dc(net)
-        got = dc_solve(net).voltages
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        assert np.max(np.abs(got - ref)) / scale < 1e-9
+        _assert_matches_dense_oracle(random_dc_netlist(rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(3, 40))
+def test_dc_matches_dense_oracle_property(seed, max_nodes):
+    _assert_matches_dense_oracle(random_dc_netlist(np.random.default_rng(seed),
+                                                   max_nodes=max_nodes))
 
 
 def test_dc_superposition():
@@ -233,7 +245,7 @@ def test_transient_settles_to_dc():
     wf = transient_solve(net, Stimulus(kind="step", rise_time_s=1e-10,
                                        load_delay_s=0.0, load_rise_s=1e-12),
                          1e-11, 1e-7, probes=["n0"])
-    assert wf.series["n0"][-1] == pytest.approx(dc.voltage(net.probes["n0"]),
+    assert wf.series["n0"][-1] == pytest.approx(dc.voltages[net.probes["n0"]],
                                                 abs=1e-9)
 
 
@@ -264,6 +276,9 @@ def test_transient_argument_checks():
         transient_solve(net, stim, 0.0, 1e-9)
     with pytest.raises(ValueError, match="t_end must be"):
         transient_solve(net, stim, 1e-12, 0.0)
+    for dt, t_end in ((np.inf, 1e-9), (np.nan, 1e-9), (1e-12, np.inf), (1e-12, np.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            transient_solve(net, stim, dt, t_end)
     with pytest.raises(ValueError, match="unknown init"):
         transient_solve(net, stim, 1e-12, 1e-9, init="tepid")
     with pytest.raises(KeyError, match="unknown probe"):
