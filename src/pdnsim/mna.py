@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR, RESISTOR,
@@ -91,6 +89,11 @@ class MnaSystem:
                 raise ValueError("transient mode requires dt > 0")
             if method not in ("trap", "be"):
                 raise ValueError(f"unknown integration method {method!r}")
+        # scipy is imported on first use, here and in factorize, not with
+        # the module: it costs about 0.3 s, and importing pdnsim, building
+        # configs and `validate` need only numpy
+        import scipy.sparse as sp
+
         self.netlist = netlist
 
         self.n_nodes = n_nodes = netlist.node_count - 1  # ground eliminated
@@ -132,6 +135,8 @@ class MnaSystem:
         self.isrc_a, self.isrc_b, self.isrc_vals = a[is_i], b[is_i], value[is_i]
 
     def factorize(self):
+        import scipy.sparse.linalg as spla
+
         try:
             return spla.splu(self.matrix)
         except RuntimeError as exc:
@@ -234,6 +239,9 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
         raise ValueError(f"dt must be finite and > 0 (got {dt})")
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be finite and > 0 (got {t_end})")
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_end must span at least one step (got t_end={t_end}, dt={dt})")
     if init not in ("cold", "warm"):
         raise ValueError(f"unknown init {init!r}")
     warm = init == "warm"
@@ -241,7 +249,6 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     lu = sys_.factorize()
     trap = method == "trap"
 
-    n_steps = int(round(t_end / dt))
     times = dt * np.arange(n_steps + 1)
 
     if probes is None:

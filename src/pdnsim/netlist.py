@@ -20,8 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NetlistError
 
@@ -157,8 +155,8 @@ class Netlist:
             np.ravel(c) for c in np.broadcast_arrays(kind, a, b, value, stem, *index))
         a, b, value = a.astype(np.int64), b.astype(np.int64), value.astype(float)
         index = np.stack(index, axis=1).astype(np.int64) if index else None
-        bad_kind = ~np.isin(kind, _KINDS)
-        bad = bad_kind | (a == b) | (np.isin(kind, _PASSIVE) & ~(value > 0))
+        bad_kind, non_finite = ~np.isin(kind, _KINDS), ~np.isfinite(value)
+        bad = bad_kind | (a == b) | non_finite | (np.isin(kind, _PASSIVE) & ~(value > 0))
         if bad.any():
             k = int(np.argmax(bad))
             label = str(stem[k]) if index is None else make_label(stem[k], *index[k].tolist())
@@ -166,6 +164,9 @@ class Netlist:
                 raise NetlistError(f"unknown element kind {str(kind[k])!r} ({label})")
             if a[k] == b[k]:
                 raise NetlistError(f"element terminals must differ ({label})")
+            if non_finite[k]:
+                raise NetlistError(
+                    f"element value must be finite ({label}: {float(value[k])})")
             raise NetlistError(
                 f"passive element value must be > 0 ({label}: {float(value[k])})")
         return self._elements.append(len(kind), kind, a, b, value, stem, index)
@@ -183,6 +184,11 @@ class Netlist:
 
     def check_connected(self):
         """Every node must reach ground through element terminals."""
+        # scipy is imported here, on first use, not with the module: it
+        # costs about 0.3 s, and config work and `validate` need only numpy
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
         _, a, b, _ = self.columns()
         n = self.node_count
         graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))

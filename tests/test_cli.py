@@ -276,9 +276,10 @@ def test_compare(small_cfg_file, tmp_path, capsys):
     ("on_package_4", ["tran", "--dt", "nan"]),
     ("on_package_4", ["tran", "--dt", "1e-9", "--t-end", "2e-9"]),
     ("on_package_4", ["tran", "--t-end", "inf"]),
+    ("on_package_4", ["tran", "--dt", "1e-9", "--t-end", "0.4e-9"]),
     ("on_package_4", ["compare"]),
 ], ids=["values_not_numbers", "axis_not_in_placement", "dt_zero", "dt_nan",
-        "window_too_short", "t_end_inf", "compare_one_config"])
+        "window_too_short", "t_end_inf", "window_under_one_step", "compare_one_config"])
 def test_unusable_flag_values_are_usage_errors(small_cfg_file, tmp_path, capsys,
                                                name, args):
     command, *flags = args

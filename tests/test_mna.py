@@ -279,6 +279,12 @@ def test_transient_argument_checks():
     for dt, t_end in ((np.inf, 1e-9), (np.nan, 1e-9), (1e-12, np.inf), (1e-12, np.nan)):
         with pytest.raises(ValueError, match="must be finite"):
             transient_solve(net, stim, dt, t_end)
+    # a window under half a step rounds to zero steps; it is rejected
+    # before stamping, which would reject the method
+    for dt, t_end in ((1e-9, 0.4e-9), (1e-9, 0.5e-9)):
+        with pytest.raises(ValueError, match="at least one step"):
+            transient_solve(net, stim, dt, t_end, method="rk4")
+    assert len(transient_solve(net, stim, 1e-9, 0.6e-9).time_s) == 2
     with pytest.raises(ValueError, match="unknown init"):
         transient_solve(net, stim, 1e-12, 1e-9, init="tepid")
     with pytest.raises(KeyError, match="unknown probe"):

@@ -36,6 +36,18 @@ def test_passive_values_must_be_positive(kind):
         net.add(kind, a, GROUND, 0.0, "chip_h[0,0]")
 
 
+@pytest.mark.parametrize("kind,value", [
+    (CURRENT_SOURCE, math.nan), (VOLTAGE_SOURCE, math.inf), (VOLTAGE_SOURCE, -math.inf),
+    (RESISTOR, math.inf), (INDUCTOR, math.inf), (CAPACITOR, math.inf), (RESISTOR, math.nan),
+])
+def test_element_values_must_be_finite(kind, value):
+    net = Netlist()
+    a = net.add_node("chip", (0, 0))
+    with pytest.raises(NetlistError, match=r"must be finite \(chip_x\[0,3\]: "):
+        net.add_elements(kind, [a, a], GROUND, [1.0, value], "chip_x", 0, [2, 3])
+    assert len(net.elements) == 0
+
+
 def test_ground_is_node_zero():
     net = Netlist()
     assert net.nodes[0].index == GROUND
