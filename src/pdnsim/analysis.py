@@ -237,6 +237,8 @@ def run_sweep(base: ScenarioConfig, axis, values, transient=True,
     compare the noise of the load transient itself, which the power-up
     charging transient of the cold start would mask (its amplitude scales
     with the total decap charge, not with supply quality)."""
+    if len(values) == 0:
+        raise ValueError("sweep needs at least one axis value")
     points = []
     for value in values:
         cfg = _apply_axis(base, axis, value)

@@ -49,8 +49,8 @@ def _build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", required=True, help="scenario JSON file")
+    def common(sp, config_help="scenario JSON file", **config):
+        sp.add_argument("--config", required=True, help=config_help, **config)
         sp.add_argument("--out-dir", default=".", help="output directory")
         sp.add_argument("--power-map", choices=["uniform", "hotspot"],
                         help="override the power map with a builtin kind")
@@ -91,10 +91,7 @@ def _build_parser():
                     help="DC metrics only (faster)")
 
     sp = sub.add_parser("compare", help="metric table for several scenarios")
-    sp.add_argument("--config", action="append", required=True,
-                    help="scenario JSON file (repeat; first is the reference)")
-    sp.add_argument("--out-dir", default=".")
-    sp.add_argument("--power-map", choices=["uniform", "hotspot"])
+    common(sp, "scenario JSON file (repeat; first is the reference)", action="append")
     tran_flags(sp)
     sp.add_argument("--no-transient", action="store_true")
 
@@ -134,30 +131,37 @@ def _write(path, text):
     return str(path)
 
 
-def _manifest(args, out_dir, outputs, t0, config=None, **extra):
-    """Write ``manifest.json``: the command, its parameters and outputs,
-    the wall time since ``t0`` and, when given, the config snapshot."""
+def _emit(args, t0, files, config=None, **extra):
+    """Write each ``name -> text`` of ``files`` into ``--out-dir``, then
+    ``manifest.json``: the command, tool version, every parsed flag, the
+    files written, the wall time since ``t0`` and, when given, the config
+    snapshot.  A failed write raises before the manifest is written.
+    Returns the paths written, in ``files`` order."""
+    outputs = [_write(os.path.join(args.out_dir, name), text)
+               for name, text in files.items()]
     doc = {
         "command": args.command,
         "tool_version": __version__,
         "outputs": outputs,
         "wall_clock_s": time.perf_counter() - t0,
-        "parameters": {k: getattr(args, k) for k in
-                       ("dt", "t_end", "method", "axis", "values", "power_map")
-                       if hasattr(args, k)},
+        "parameters": {k: v for k, v in vars(args).items() if k != "command"},
         **extra,
     }
     if config is not None:
         doc["config_snapshot"] = json.loads(config_to_json(config))
-    _write(os.path.join(out_dir, "manifest.json"),
+    _write(os.path.join(args.out_dir, "manifest.json"),
            json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+    return outputs
 
 
 def _run(args) -> int:
     t0 = time.perf_counter()
-    out_dir = getattr(args, "out_dir", ".")
-    if out_dir != ".":
-        os.makedirs(out_dir, exist_ok=True)
+    if hasattr(args, "out_dir"):
+        # made before the config loads, so a failed run leaves it empty
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise _IoFail(f"cannot create output directory {args.out_dir}: {exc}") from exc
 
     if args.command == "default-config":
         cfg = benchmark_config(args.benchmark, power_map_kind=args.power_map)
@@ -176,34 +180,28 @@ def _run(args) -> int:
     if args.command == "netlist":
         cfg = _load(args.config, args.power_map)
         net = assemble_netlist(cfg)
-        out = _write(os.path.join(out_dir, "netlist.txt"), netlist_to_text(net))
+        out, = _emit(args, t0, {"netlist.txt": netlist_to_text(net)}, cfg)
         print(f"{net.node_count} nodes, {len(net.elements)} elements -> {out}")
         return EXIT_OK
 
     if args.command == "dc":
-        cfg = _load(args.config, args.power_map)
-        res = evaluate(cfg, transient=False)
-        csv_path = _write(os.path.join(out_dir, "ir_map.csv"), ir_map_to_csv(res.ir_map))
-        svg_path = _write(os.path.join(out_dir, "ir_map.svg"),
-                          heatmap_svg(res.ir_map.drop_mv))
-        _manifest(args, out_dir, [csv_path, svg_path], t0, res.config,
-                  max_ir_drop_mv=res.ir_map.max_mv)
+        res = evaluate(_load(args.config, args.power_map), transient=False)
+        csv_path, _ = _emit(args, t0, {"ir_map.csv": ir_map_to_csv(res.ir_map),
+                                       "ir_map.svg": heatmap_svg(res.ir_map.drop_mv)},
+                            res.config, max_ir_drop_mv=res.ir_map.max_mv)
         print(f"max IR drop: {res.ir_map.max_mv:.3f} mV "
               f"(mean {res.ir_map.mean_mv:.3f} mV) -> {csv_path}")
         return EXIT_OK
 
     if args.command == "tran":
-        cfg = _load(args.config, args.power_map)
-        res = evaluate(cfg, transient=True, dt=args.dt, t_end=args.t_end,
-                       method=args.method)
-        csv_path = _write(os.path.join(out_dir, "waveform.csv"),
-                          waveform_to_csv(res.waveform))
-        _manifest(args, out_dir, [csv_path], t0, res.config,
-                  max_psn_mv=res.psn.max_psn_mv,
-                  first_droop_mv=res.psn.first_droop_mv,
-                  settling_mv=res.psn.settling_mv)
-        print(f"max PSN: {res.psn.max_psn_mv:.3f} mV "
-              f"(first droop {res.psn.first_droop_mv:.3f} mV) -> {csv_path}")
+        res = evaluate(_load(args.config, args.power_map), transient=True,
+                       dt=args.dt, t_end=args.t_end, method=args.method)
+        psn = res.psn
+        csv_path, = _emit(args, t0, {"waveform.csv": waveform_to_csv(res.waveform)},
+                          res.config, max_psn_mv=psn.max_psn_mv,
+                          first_droop_mv=psn.first_droop_mv, settling_mv=psn.settling_mv)
+        print(f"max PSN: {psn.max_psn_mv:.3f} mV "
+              f"(first droop {psn.first_droop_mv:.3f} mV) -> {csv_path}")
         return EXIT_OK
 
     if args.command == "sweep":
@@ -212,13 +210,11 @@ def _run(args) -> int:
         sweep = run_sweep(cfg, args.axis, values,
                           transient=not args.no_transient,
                           dt=args.dt, t_end=args.t_end, method=args.method)
-        csv_path = _write(os.path.join(out_dir, "sweep.csv"), sweep.to_csv())
-        _manifest(args, out_dir, [csv_path], t0, cfg,
-                  failures=[p.error for p in sweep.failures])
+        _emit(args, t0, {"sweep.csv": sweep.to_csv()}, cfg,
+              failures=[p.error for p in sweep.failures])
         for p in sweep.points:
-            status = p.error or "ok"
             print(f"{sweep.axis}={p.value:g}: ir={p.max_ir_drop_mv} "
-                  f"psn={p.max_psn_mv} [{status}]")
+                  f"psn={p.max_psn_mv} [{p.error or 'ok'}]")
         return EXIT_OK
 
     if args.command == "compare":
@@ -226,19 +222,16 @@ def _run(args) -> int:
         report = compare_configurations(cfgs, transient=not args.no_transient,
                                         dt=args.dt, t_end=args.t_end,
                                         method=args.method)
-        csv_path = _write(os.path.join(out_dir, "compare.csv"), report.to_csv())
         txt = report.to_text()
-        _write(os.path.join(out_dir, "compare.txt"), txt)
-        _manifest(args, out_dir, [csv_path], t0)
+        _emit(args, t0, {"compare.csv": report.to_csv(), "compare.txt": txt})
         sys.stdout.write(txt)
         return EXIT_OK
 
     if args.command == "calibrate":
         best, history = grid_search(tile_count=args.tile_count, dt=args.dt,
                                     t_end=args.t_end, log=print)
-        out = _write(os.path.join(out_dir, "calibration.json"),
-                     json.dumps({"best": best, "history": history},
-                                indent=2, sort_keys=True) + "\n")
+        out, = _emit(args, t0, {"calibration.json": json.dumps(
+            {"best": best, "history": history}, indent=2, sort_keys=True) + "\n"})
         print(f"best knobs: {best['knobs']} (score {best['score']:.4f}) -> {out}")
         return EXIT_OK
 

@@ -423,12 +423,9 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
 BENCHMARK_NAMES = ("on_package_1", "on_package_2", "on_package_4", "backside", "chip_on_vrm_3d")
 
 
-def benchmark_config(name, power_map_kind="hotspot", **overrides) -> ScenarioConfig:
-    """One of the five studied VRM placement benchmarks, validated.
-
-    ``on_package_{1,2,4}``, ``backside``, ``chip_on_vrm_3d``.  Field
-    overrides apply to the top-level ScenarioConfig.
-    """
+def benchmark_config(name, power_map_kind="hotspot") -> ScenarioConfig:
+    """One of the five studied VRM placement benchmarks, validated:
+    ``on_package_{1,2,4}``, ``backside``, ``chip_on_vrm_3d``."""
     placements = {
         "on_package_1": OnPackageVrm(count=1),
         "on_package_2": OnPackageVrm(count=2),
@@ -438,7 +435,7 @@ def benchmark_config(name, power_map_kind="hotspot", **overrides) -> ScenarioCon
     }
     if name not in placements:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {BENCHMARK_NAMES}")
-    cfg = ScenarioConfig(placement=placements[name], **overrides)
+    cfg = ScenarioConfig(placement=placements[name])
     cfg = dataclasses.replace(cfg, power_map=builtin_power_map(power_map_kind, cfg.chip))
     return validate_config(cfg)
 

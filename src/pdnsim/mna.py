@@ -220,6 +220,21 @@ class TransientWaveform:
     tile_final: np.ndarray | None = None
 
 
+def _check_warm_start(netlist: Netlist):
+    """Raise ``ValueError`` unless every node at v_end with every branch
+    current at zero is an operating point of ``netlist``."""
+    kind, a, b, _ = netlist.columns()
+    grounded = (a == GROUND) | (b == GROUND)  # never both: terminals differ
+    bad_rl = ((kind == RESISTOR) | (kind == INDUCTOR)) & grounded
+    bad = bad_rl | ((kind == VOLTAGE_SOURCE) & (b != GROUND))
+    if bad.any():
+        k = int(np.argmax(bad))
+        why = ("has a terminal on ground" if bad_rl[k]
+               else "does not run from a node to ground")
+        raise ValueError(f"warm start is not an operating point: "
+                         f"{netlist.elements[k].label} {why}")
+
+
 def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
                     method="trap", probes=None, init="cold") -> TransientWaveform:
     """Fixed-step transient simulation.
@@ -229,7 +244,10 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     starts from the energized zero-load operating point (every node at
     v_end, all branch currents zero) and holds the sources at v_end, so
     the response is the pure load step; used for load-step studies such
-    as decap sweeps.
+    as decap sweeps.  That state is an operating point only when no
+    resistor or inductor touches ground and every voltage source runs
+    from a node to ground; a warm start of any other netlist raises
+    ``ValueError`` naming the first element that breaks this.
 
     Records voltage series for ``probes`` (netlist probe names; defaults to
     the named chip probes) and running post-ramp minima for every chip tile
@@ -245,6 +263,8 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     if init not in ("cold", "warm"):
         raise ValueError(f"unknown init {init!r}")
     warm = init == "warm"
+    if warm:
+        _check_warm_start(netlist)
     sys_ = stamp_mna(netlist, mode="transient", dt=dt, method=method)
     lu = sys_.factorize()
     trap = method == "trap"

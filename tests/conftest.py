@@ -41,8 +41,8 @@ def bench_results():
 def small_config():
     """Factory for desk-scale configs (coarse tile grid, same physics)."""
 
-    def make(name="on_package_4", tiles=6, **overrides):
-        cfg = pdnsim.benchmark_config(name, **overrides)
+    def make(name="on_package_4", tiles=6):
+        cfg = pdnsim.benchmark_config(name)
         chip = dataclasses.replace(cfg.chip, tile_count_x=tiles, tile_count_y=tiles)
         cfg = dataclasses.replace(cfg, chip=chip, power_map=None)
         return pdnsim.validate_config(cfg)

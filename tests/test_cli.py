@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,9 @@ from pdnsim.cli import main
 
 @pytest.fixture()
 def small_cfg_file(tmp_path, small_config):
-    def write(name="on_package_4", fname="scenario.json", **kw):
+    def write(name="on_package_4", fname="scenario.json"):
         path = tmp_path / fname
-        path.write_text(config_to_json(small_config(name, **kw)))
+        path.write_text(config_to_json(small_config(name)))
         return str(path)
     return write
 
@@ -278,8 +279,10 @@ def test_compare(small_cfg_file, tmp_path, capsys):
     ("on_package_4", ["tran", "--t-end", "inf"]),
     ("on_package_4", ["tran", "--dt", "1e-9", "--t-end", "0.4e-9"]),
     ("on_package_4", ["compare"]),
+    ("on_package_4", ["sweep", "--axis", "vrm_gap", "--values", ","]),
 ], ids=["values_not_numbers", "axis_not_in_placement", "dt_zero", "dt_nan",
-        "window_too_short", "t_end_inf", "window_under_one_step", "compare_one_config"])
+        "window_too_short", "t_end_inf", "window_under_one_step", "compare_one_config",
+        "values_empty"])
 def test_unusable_flag_values_are_usage_errors(small_cfg_file, tmp_path, capsys,
                                                name, args):
     command, *flags = args
@@ -299,6 +302,64 @@ def test_calibrate_writes_report(tmp_path, monkeypatch, capsys):
     assert main(["calibrate", "--out-dir", str(out)]) == 0
     doc = json.loads((out / "calibration.json").read_text())
     assert doc["best"]["score"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# manifest and output directory
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["dc"], {}),
+    (["tran", "--dt", "1e-10", "--t-end", "2e-8", "--method", "be"],
+     {"dt": 1e-10, "t_end": 2e-8, "method": "be"}),
+    (["sweep", "--axis", "vrm_gap", "--values", "0.5,1", "--no-transient",
+      "--power-map", "uniform"],
+     {"axis": "vrm_gap", "values": "0.5,1", "no_transient": True, "power_map": "uniform"}),
+    (["compare", "--no-transient"], {"no_transient": True}),
+    (["netlist"], {}),
+    (["calibrate", "--tile-count", "7"], {"tile_count": 7}),
+], ids=["dc", "tran", "sweep", "compare", "netlist", "calibrate"])
+def test_manifest_lists_every_output_and_flag(small_cfg_file, tmp_path, monkeypatch,
+                                              capsys, argv, expected):
+    import pdnsim.cli as cli
+
+    stub = {"knobs": {"k": 1.0}, "errors": {}, "metrics": {}, "score": 0.0}
+    monkeypatch.setattr(cli, "grid_search", lambda **kw: (stub, [stub]))
+    command, *flags = argv
+    if command == "calibrate":
+        configs = []
+    elif command == "compare":
+        configs = [small_cfg_file("on_package_1", "a.json"),
+                   small_cfg_file("on_package_4", "b.json")]
+    else:
+        configs = [small_cfg_file()]
+    out = tmp_path / "out"
+    flags += [arg for path in configs for arg in ("--config", path)]
+    assert main([command, *flags, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert sorted(Path(p).name for p in manifest["outputs"]) == written
+    params = manifest["parameters"]
+    assert "command" not in params
+    assert {f[2:].replace("-", "_") for f in flags if f.startswith("--")} <= params.keys()
+    assert params["out_dir"] == str(out)
+    assert {k: params[k] for k in expected} == expected
+    if configs:
+        assert params["config"] == (configs if command == "compare" else configs[0])
+
+
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_unusable_out_dir_is_io_error(small_cfg_file, tmp_path, capsys, where):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    out = afile if where == "file" else afile / "sub"
+    assert main(["dc", "--config", small_cfg_file(), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert [line.startswith("io error: cannot create output directory ")
+            for line in err.splitlines()] == [True]
+    assert "Traceback" not in err
+    assert afile.read_text() == "keep"
 
 
 # ---------------------------------------------------------------------------

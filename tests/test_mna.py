@@ -9,7 +9,9 @@ from oracle import (dense_dc, random_dc_netlist, rc_step_voltage,
                     rl_mid_voltage, rlc_cap_voltage)
 from pdnsim import (Netlist, SolverError, Stimulus, dc_solve, stamp_mna,
                     transient_solve)
-from pdnsim.mna import waveform_to_csv
+from pdnsim.builder import assemble_netlist
+from pdnsim.config import benchmark_config
+from pdnsim.mna import _check_warm_start, waveform_to_csv
 from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
                             RESISTOR, VOLTAGE_SOURCE)
 
@@ -267,6 +269,32 @@ def test_warm_start_responds_only_to_the_load_step():
     before = wf.series["n0"][t < 1.9e-9]
     assert np.max(np.abs(before - 1.0)) < 1e-9       # quiet until the step
     assert wf.series["n0"][-1] == pytest.approx(1.0 - 0.1 * 2.0, rel=1e-6)
+
+
+def test_warm_start_rejects_a_netlist_it_would_not_hold():
+    # a divider with a decap on its midpoint and no load settles at 0.5 V,
+    # so a warm start at 1 V would simulate a transient nothing drove
+    net = _series_rlc((RESISTOR, 2.0), (RESISTOR, 2.0))
+    net.add(CAPACITOR, net.probes["n0"], GROUND, 1e-9, "chip_decap_c[0,0]")
+    with pytest.raises(ValueError, match=r"chip_h\[1,0\] has a terminal on ground"):
+        transient_solve(net, Stimulus(kind="step"), 1e-11, 1e-8,
+                        probes=["n0"], init="warm")
+    net = _series_rlc((RESISTOR, 2.0), (INDUCTOR, 1e-9))
+    with pytest.raises(ValueError, match=r"pkg_lh\[1,0\] has a terminal on ground"):
+        transient_solve(net, Stimulus(kind="step"), 1e-11, 1e-8, init="warm")
+    # a source with its positive terminal on ground drives its node to -v_end
+    net = Netlist()
+    node = net.add_node("vrm_die")
+    net.add(VOLTAGE_SOURCE, GROUND, node, 1.0, "vrm_src[0]")
+    net.add(CAPACITOR, node, GROUND, 1e-9, "chip_decap_c[0,0]")
+    with pytest.raises(ValueError, match=r"vrm_src\[0\] does not run from a node to ground"):
+        transient_solve(net, Stimulus(kind="step"), 1e-11, 1e-8, init="warm")
+
+
+@pytest.mark.parametrize("name", ["on_package_1", "on_package_2", "on_package_4",
+                                  "backside", "chip_on_vrm_3d"])
+def test_benchmark_netlists_admit_a_warm_start(name):
+    _check_warm_start(assemble_netlist(benchmark_config(name)))
 
 
 def test_transient_argument_checks():
