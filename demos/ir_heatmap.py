@@ -14,6 +14,7 @@ import os
 
 import pdnsim
 from pdnsim.analysis import ir_map_to_csv
+from pdnsim.config import POWER_MAP_KINDS
 from pdnsim.heatmap import heatmap_svg
 
 
@@ -21,8 +22,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--benchmark", default="on_package_4",
                     help="on_package_{1,2,4} | backside | chip_on_vrm_3d")
-    ap.add_argument("--power-map", choices=["uniform", "hotspot"],
-                    default="hotspot")
+    ap.add_argument("--power-map", choices=POWER_MAP_KINDS, default="hotspot")
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args()
 

@@ -17,11 +17,11 @@ from .builder import assemble_netlist
 from .config import (ChipOnVrm3D, OnPackageVrm, PowerMap, ScenarioConfig,
                      config_hash, normalize_power_map, validate_config)
 from .errors import PdnError
-from .mna import Stimulus, dc_solve, transient_solve
+# DEFAULT_RISE_S, the rise of the evaluated power-up, stays importable here
+from .mna import DEFAULT_RISE_S, Stimulus, csv_text, dc_solve, transient_solve
 
 DEFAULT_DT_S = 10e-12
 DEFAULT_T_END_S = 200e-9
-DEFAULT_RISE_S = 1e-9
 PSN_PROMINENCE_V = 1e-3   # smallest droop that counts as the first droop
 
 
@@ -115,16 +115,11 @@ def extract_psn(waveform, config: ScenarioConfig, probe) -> PsnMetrics:
     seg = s[mask]
     seg_t = t[mask]
     k = first_prominent_min(seg, PSN_PROMINENCE_V)
-    if k is not None:
-        first = (v_final - float(seg[k])) * 1e3
-        first_t = float(seg_t[k])
-    else:
+    if k is None:
         # monotone settle: treat the worst post-ramp point as the droop
         k = int(np.argmin(seg))
-        first = (v_final - float(seg[k])) * 1e3
-        first_t = float(seg_t[k])
-    return PsnMetrics(max_psn_mv=max_psn, first_droop_mv=first,
-                      first_droop_time_s=first_t, settling_mv=settle)
+    return PsnMetrics(max_psn_mv=max_psn, first_droop_mv=(v_final - float(seg[k])) * 1e3,
+                      first_droop_time_s=float(seg_t[k]), settling_mv=settle)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +152,8 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
     wf = psn = None
     if transient:
         wi, wj = ir.argmax
-        worst = f"tile[{wi},{wj}]"
-        net.probes["chip_worst_tile"] = net.probes[worst]
-        stim = Stimulus(kind="step", v_start=0.0,
-                        v_end=config.vrm.output_voltage_v, rise_time_s=DEFAULT_RISE_S)
+        net.probes["chip_worst_tile"] = int(net.meta["chip_tile_nodes"][wj, wi])
+        stim = Stimulus(kind="step", v_start=0.0, v_end=config.vrm.output_voltage_v)
         wf = transient_solve(net, stim, dt, t_end, method=method, init=init,
                              probes=["chip_worst_tile", "chip_center", "chip_corner"])
         psn = extract_psn(wf, config, probe="chip_worst_tile")
@@ -215,12 +208,9 @@ class SweepResult:
     points: list
 
     def to_csv(self) -> str:
-        lines = ["axis_value,max_ir_drop_mv,max_psn_mv,config_hash"]
-        for p in self.points:
-            ir = "" if p.max_ir_drop_mv is None else f"{p.max_ir_drop_mv:.17g}"
-            psn = "" if p.max_psn_mv is None else f"{p.max_psn_mv:.17g}"
-            lines.append(f"{p.value:.17g},{ir},{psn},{p.config_hash}")
-        return "\n".join(lines) + "\n"
+        return csv_text(["axis_value", "max_ir_drop_mv", "max_psn_mv", "config_hash"],
+                        ((p.value, p.max_ir_drop_mv, p.max_psn_mv, p.config_hash)
+                         for p in self.points))
 
     @property
     def failures(self):
@@ -275,13 +265,10 @@ class ComparisonReport:
     rows: list
 
     def to_csv(self) -> str:
-        lines = ["label,max_ir_drop_mv,max_psn_mv,ir_improvement,psn_improvement"]
-        for r in self.rows:
-            psn = "" if r.max_psn_mv is None else f"{r.max_psn_mv:.17g}"
-            pimp = "" if r.psn_improvement is None else f"{r.psn_improvement:.17g}"
-            lines.append(f"{r.label},{r.max_ir_drop_mv:.17g},{psn},"
-                         f"{r.ir_improvement:.17g},{pimp}")
-        return "\n".join(lines) + "\n"
+        return csv_text(["label", "max_ir_drop_mv", "max_psn_mv", "ir_improvement",
+                         "psn_improvement"],
+                        ((r.label, r.max_ir_drop_mv, r.max_psn_mv, r.ir_improvement,
+                          r.psn_improvement) for r in self.rows))
 
     def to_text(self) -> str:
         hdr = f"{'config':<18} {'IR drop (mV)':>14} {'max PSN (mV)':>14} " \
@@ -334,9 +321,6 @@ def compare_configurations(configs, transient=True, dt=DEFAULT_DT_S,
 
 def ir_map_to_csv(ir: IrDropMap) -> str:
     """CSV of the tile drop map: tile_i,tile_j,drop_mv."""
-    lines = ["tile_i,tile_j,drop_mv"]
     ny, nx = ir.drop_mv.shape
-    for j in range(ny):
-        for i in range(nx):
-            lines.append(f"{i},{j},{ir.drop_mv[j, i]:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["tile_i", "tile_j", "drop_mv"],
+                    ((i, j, ir.drop_mv[j, i]) for j in range(ny) for i in range(nx)))

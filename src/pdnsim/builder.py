@@ -48,19 +48,17 @@ def _stack(*columns):
     return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
-def build_chip_grid(chip, power_map=None, decaps=DecapPolicy(), net=None):
-    """Discretized on-chip PDN: tile node grid, aggregated boundary
-    resistors, per-tile load current sources and decap branches (density
-    and ESR from the ``decaps`` policy).
+def build_chip_grid(net, chip, power_map=None, decaps=DecapPolicy()):
+    """Add the discretized on-chip PDN to ``net``: tile node grid,
+    aggregated boundary resistors, per-tile load current sources and decap
+    branches (density and ESR from the ``decaps`` policy).
 
-    Returns ``(net, tile_nodes)`` with ``tile_nodes[j, i]`` the node index
-    of tile (i, j).
+    Returns ``tile_nodes`` with ``tile_nodes[j, i]`` the node index of tile
+    (i, j).
     """
     nx, ny = chip.tile_count_x, chip.tile_count_y
     if nx < 2 or ny < 2:
         raise NetlistError("chip tile grid must be at least 2x2")
-    if net is None:
-        net = Netlist()
 
     tx_mm = chip.width_mm / nx
     ty_mm = chip.height_mm / ny
@@ -95,17 +93,15 @@ def build_chip_grid(chip, power_map=None, decaps=DecapPolicy(), net=None):
         net.add_elements(CURRENT_SOURCE, tile_nodes, GROUND, amps, "load", ii, jj)
     net.probes.update((f"tile[{i},{j}]", n) for i, j, n in
                       zip(ii.ravel().tolist(), jj.ravel().tolist(), tile_nodes.ravel().tolist()))
-    return net, tile_nodes
+    return tile_nodes
 
 
-def build_package_network(pkg, net=None):
-    """Merged-sheet package plane on a coarse grid.
+def build_package_network(net, pkg):
+    """Add the merged-sheet package plane on a coarse grid to ``net``.
 
-    Returns ``(net, pkg_nodes, xs_mm, ys_mm)``; ``pkg_nodes[j, i]`` is the
-    node at lateral position (xs_mm[i], ys_mm[j]), origin at package center.
+    Returns ``(pkg_nodes, xs_mm, ys_mm)``; ``pkg_nodes[j, i]`` is the node
+    at lateral position (xs_mm[i], ys_mm[j]), origin at package center.
     """
-    if net is None:
-        net = Netlist()
     p = pkg.grid_pitch_mm
     nx = int(round(pkg.package_width_mm / p)) + 1
     ny = int(round(pkg.package_height_mm / p)) + 1
@@ -121,7 +117,7 @@ def build_package_network(pkg, net=None):
                  ii[:, :-1], jj[:, :-1])
     _rl_branches(net, nodes[:-1], nodes[1:], r_sq, l_sq, ("pkg_v", "pkg_lv"),
                  ii[:-1], jj[:-1])
-    return net, nodes, xs, ys
+    return nodes, xs, ys
 
 
 def _nearest(coords, values):
@@ -167,9 +163,8 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     chip, pkg = config.chip, config.package
     net = Netlist()
 
-    net, tiles = build_chip_grid(chip, power_map=config.power_map,
-                                 decaps=config.decaps, net=net)
-    net, pnodes, pxs, pys = build_package_network(pkg, net=net)
+    tiles = build_chip_grid(net, chip, power_map=config.power_map, decaps=config.decaps)
+    pnodes, pxs, pys = build_package_network(net, pkg)
 
     nx, ny = chip.tile_count_x, chip.tile_count_y
     tx_mm = chip.width_mm / nx

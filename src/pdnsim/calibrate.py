@@ -13,13 +13,18 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .analysis import evaluate
+from .analysis import compare_configurations
 from .config import benchmark_config
 
 # transient anchors (mV / fraction)
 ANCHOR_BACKSIDE_PSN_MV = 82.64
 ANCHOR_3D_PSN_MV = 58.8
 ANCHOR_4V1_IMPROVEMENT = 0.2445
+
+# reduced resolution of the search: chip tiles per side, step and window
+CAL_TILE_COUNT = 30
+CAL_DT_S = 25e-12
+CAL_T_END_S = 150e-9
 
 DEFAULT_GRID = {
     "vrm_series_resistance_mohm": (0.005, 0.01, 0.02),
@@ -43,23 +48,23 @@ def _with_knobs(cfg, knobs):
     return dataclasses.replace(cfg, vrm=vrm, package=pkg, board=board)
 
 
-def anchor_errors(knobs, tile_count=30, dt=25e-12, t_end=150e-9):
-    """Relative errors of the three anchors for one knob combination.
+def anchor_errors(knobs, tile_count=CAL_TILE_COUNT, dt=CAL_DT_S, t_end=CAL_T_END_S):
+    """Relative errors of the three anchors for one knob combination, and
+    the max PSN of each benchmark they come from.
 
     Runs at reduced resolution so a grid search stays desk-scale; the
     winner should be re-checked at full resolution.
     """
-    metrics = {}
+    cfgs = []
     for name in ("on_package_1", "on_package_4", "backside", "chip_on_vrm_3d"):
         cfg = benchmark_config(name)
         chip = dataclasses.replace(cfg.chip, tile_count_x=tile_count,
                                    tile_count_y=tile_count)
-        cfg = dataclasses.replace(cfg, chip=chip, power_map=None)
-        cfg = _with_knobs(cfg, knobs)
-        res = evaluate(cfg, dt=dt, t_end=t_end)
-        metrics[name] = res.psn.max_psn_mv
-
-    imp = (metrics["on_package_1"] - metrics["on_package_4"]) / metrics["on_package_1"]
+        cfgs.append(_with_knobs(dataclasses.replace(cfg, chip=chip, power_map=None), knobs))
+    # rows are labelled by benchmark name; the 4-vs-1 improvement is row 1's
+    rows = compare_configurations(cfgs, dt=dt, t_end=t_end).rows
+    metrics = {r.label: r.max_psn_mv for r in rows}
+    imp = rows[1].psn_improvement
     return {
         "backside_psn": metrics["backside"] / ANCHOR_BACKSIDE_PSN_MV - 1.0,
         "psn_3d": metrics["chip_on_vrm_3d"] / ANCHOR_3D_PSN_MV - 1.0,
@@ -67,7 +72,8 @@ def anchor_errors(knobs, tile_count=30, dt=25e-12, t_end=150e-9):
     }, metrics
 
 
-def grid_search(grid=None, tile_count=30, dt=25e-12, t_end=150e-9, log=None):
+def grid_search(grid=None, tile_count=CAL_TILE_COUNT, dt=CAL_DT_S, t_end=CAL_T_END_S,
+                log=None):
     """Exhaustive search over the knob grid; returns (best knobs, history)."""
     grid = dict(DEFAULT_GRID if grid is None else grid)
     names = list(grid)

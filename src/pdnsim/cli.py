@@ -19,13 +19,13 @@ from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES,
                        compare_configurations, evaluate, ir_map_to_csv,
                        run_sweep)
 from .builder import assemble_netlist
-from .calibrate import grid_search
-from .config import (BENCHMARK_NAMES, ScenarioConfig, benchmark_config,
-                     builtin_power_map, config_to_json, load_config,
-                     validate_config)
+from .calibrate import CAL_DT_S, CAL_T_END_S, CAL_TILE_COUNT, grid_search
+from .config import (BENCHMARK_NAMES, POWER_MAP_KINDS, ScenarioConfig,
+                     benchmark_config, builtin_power_map, config_to_dict,
+                     config_to_json, load_config, validate_config)
 from .errors import SolverError, ValidationError
 from .heatmap import heatmap_svg
-from .mna import waveform_to_csv
+from .mna import INTEGRATION_METHODS, waveform_to_csv
 from .netlist import netlist_to_text
 
 EXIT_OK = 0
@@ -51,21 +51,27 @@ def _build_parser():
 
     def common(sp, config_help="scenario JSON file", **config):
         sp.add_argument("--config", required=True, help=config_help, **config)
-        sp.add_argument("--out-dir", default=".", help="output directory")
-        sp.add_argument("--power-map", choices=["uniform", "hotspot"],
+        sp.add_argument("--power-map", choices=POWER_MAP_KINDS,
                         help="override the power map with a builtin kind")
 
     def tran_flags(sp):
         sp.add_argument("--dt", type=float, default=DEFAULT_DT_S, help="time step [s]")
         sp.add_argument("--t-end", type=float, default=DEFAULT_T_END_S,
                         help="simulation window [s]")
-        sp.add_argument("--method", choices=["trap", "be"], default="trap",
+        sp.add_argument("--method", choices=INTEGRATION_METHODS, default="trap",
                         help="integration method")
+
+    def tile_count(text):
+        n = int(text)
+        if n < 2:
+            raise argparse.ArgumentTypeError(f"must be at least 2, the smallest chip grid "
+                                             f"(got {n})")
+        return n
 
     sp = sub.add_parser("default-config", help="emit the default scenario with "
                                                "every assumed value visible")
     sp.add_argument("--benchmark", default="on_package_4", choices=BENCHMARK_NAMES)
-    sp.add_argument("--power-map", choices=["uniform", "hotspot"], default="hotspot")
+    sp.add_argument("--power-map", choices=POWER_MAP_KINDS, default="hotspot")
     sp.add_argument("--out", help="write to file instead of stdout")
 
     sp = sub.add_parser("validate", help="validate a scenario file")
@@ -98,11 +104,13 @@ def _build_parser():
     sp = sub.add_parser("calibrate", help="grid-search the unpublished "
                                           "parasitic knobs against the "
                                           "transient anchors")
-    sp.add_argument("--out-dir", default=".")
-    sp.add_argument("--tile-count", type=int, default=30)
-    sp.add_argument("--dt", type=float, default=25e-12)
-    sp.add_argument("--t-end", type=float, default=150e-9)
+    sp.add_argument("--tile-count", type=tile_count, default=CAL_TILE_COUNT)
+    sp.add_argument("--dt", type=float, default=CAL_DT_S)
+    sp.add_argument("--t-end", type=float, default=CAL_T_END_S)
 
+    # every command that writes files writes them into --out-dir
+    for name in ("netlist", "dc", "tran", "sweep", "compare", "calibrate"):
+        sub.choices[name].add_argument("--out-dir", default=".", help="output directory")
     return p
 
 
@@ -134,9 +142,9 @@ def _write(path, text):
 def _emit(args, t0, files, config=None, **extra):
     """Write each ``name -> text`` of ``files`` into ``--out-dir``, then
     ``manifest.json``: the command, tool version, every parsed flag, the
-    files written, the wall time since ``t0`` and, when given, the config
-    snapshot.  A failed write raises before the manifest is written.
-    Returns the paths written, in ``files`` order."""
+    files written, the wall time since ``t0``, each ``extra`` entry and,
+    when given, the config snapshot.  A failed write raises before the
+    manifest is written.  Returns the paths written, in ``files`` order."""
     outputs = [_write(os.path.join(args.out_dir, name), text)
                for name, text in files.items()]
     doc = {
@@ -148,7 +156,7 @@ def _emit(args, t0, files, config=None, **extra):
         **extra,
     }
     if config is not None:
-        doc["config_snapshot"] = json.loads(config_to_json(config))
+        doc["config_snapshot"] = config_to_dict(config)
     _write(os.path.join(args.out_dir, "manifest.json"),
            json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
     return outputs
@@ -223,7 +231,8 @@ def _run(args) -> int:
                                         dt=args.dt, t_end=args.t_end,
                                         method=args.method)
         txt = report.to_text()
-        _emit(args, t0, {"compare.csv": report.to_csv(), "compare.txt": txt})
+        _emit(args, t0, {"compare.csv": report.to_csv(), "compare.txt": txt},
+              config_snapshots=[config_to_dict(c) for c in cfgs])
         sys.stdout.write(txt)
         return EXIT_OK
 

@@ -297,6 +297,7 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # built-in power maps
 
+POWER_MAP_KINDS = ("uniform", "hotspot")
 HOTSPOT_BLOCK_CENTERS = ((0.3, 0.3), (0.7, 0.7))
 HOTSPOT_BLOCK_FRACTION = 0.2
 HOTSPOT_DENSITY_RATIO = 3.0
@@ -316,7 +317,7 @@ def builtin_power_map(kind, chip, hotspot_ratio=HOTSPOT_DENSITY_RATIO,
     violations = list(_out_of_bounds(chip, "chip."))
     if violations:
         raise ValidationError(violations)
-    if kind not in ("uniform", "hotspot"):
+    if kind not in POWER_MAP_KINDS:
         raise ValueError(f"unknown builtin power map kind: {kind!r}")
     nx, ny = chip.tile_count_x, chip.tile_count_y
     dens = np.ones((ny, nx))
@@ -508,7 +509,7 @@ def _power_map(pmd, chip) -> PowerMap:
         if key not in known:
             raise ValidationError([f"power_map.{key}: unknown field"])
     if "kind" in pmd:
-        if pmd["kind"] not in ("uniform", "hotspot"):
+        if pmd["kind"] not in POWER_MAP_KINDS:
             raise ValidationError([f"power_map.kind: unknown kind {pmd['kind']!r}"])
         return builtin_power_map(pmd["kind"], chip)
     try:

@@ -28,6 +28,9 @@ from .errors import SolverError
 from .netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR, RESISTOR,
                       VOLTAGE_SOURCE, Netlist)
 
+INTEGRATION_METHODS = ("trap", "be")
+DEFAULT_RISE_S = 1e-9
+
 
 @dataclass(frozen=True)
 class Stimulus:
@@ -47,7 +50,7 @@ class Stimulus:
     kind: str = "step"  # "dc" | "step"
     v_start: float = 0.0
     v_end: float = 1.0
-    rise_time_s: float = 1e-9
+    rise_time_s: float = DEFAULT_RISE_S
     load_delay_s: float = 5e-9
     load_rise_s: float = 0.35e-9
 
@@ -87,7 +90,7 @@ class MnaSystem:
         if mode == "transient":
             if dt is None or not dt > 0:
                 raise ValueError("transient mode requires dt > 0")
-            if method not in ("trap", "be"):
+            if method not in INTEGRATION_METHODS:
                 raise ValueError(f"unknown integration method {method!r}")
         # scipy is imported on first use, here and in factorize, not with
         # the module: it costs about 0.3 s, and importing pdnsim, building
@@ -353,12 +356,16 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     return wf
 
 
+def csv_text(header, rows) -> str:
+    """CSV text: the ``header`` names, then one line per row of ``rows``.
+    Numbers are written in full precision (17 significant digits), strings
+    as given and ``None`` as an empty cell."""
+    lines = [",".join(header)]
+    lines.extend(",".join("" if v is None else v if isinstance(v, str) else f"{v:.17g}"
+                          for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def waveform_to_csv(wf: TransientWaveform) -> str:
     """CSV export: ``time_s,probe,...`` one row per step, full precision."""
-    names = list(wf.series)
-    lines = ["time_s," + ",".join(names)]
-    cols = [wf.series[n] for n in names]
-    for k, t in enumerate(wf.time_s):
-        vals = ",".join(f"{c[k]:.17g}" for c in cols)
-        lines.append(f"{t:.17g},{vals}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["time_s", *wf.series], zip(wf.time_s, *wf.series.values()))

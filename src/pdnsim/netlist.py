@@ -178,10 +178,6 @@ class Netlist:
                      else np.empty(0, dtype) for c, dtype in
                      ((2, "<U1"), (3, np.int64), (4, np.int64), (5, float)))
 
-    def counts(self):
-        kind = self.columns()[0]
-        return {k: int(np.count_nonzero(kind == k)) for k in _KINDS}
-
     def check_connected(self):
         """Every node must reach ground through element terminals."""
         # scipy is imported here, on first use, not with the module: it

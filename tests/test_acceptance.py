@@ -230,7 +230,8 @@ def _edge_fed_max_drop(tiles):
                                total_power_w=4.0,
                                tile_count_x=tiles, tile_count_y=tiles)
     pm = builtin_power_map("uniform", chip)
-    net, nodes = build_chip_grid(chip, power_map=pm)
+    net = Netlist()
+    nodes = build_chip_grid(net, chip, power_map=pm)
     src = net.add_node("vrm_die")
     net.add(VOLTAGE_SOURCE, src, GROUND, 1.0, "vrm_src[0]")
     for j in range(tiles):

@@ -2,7 +2,9 @@
 and is exercised through its CLI entry point with a stubbed search)."""
 
 import pdnsim
-from pdnsim.calibrate import DEFAULT_GRID, _with_knobs, grid_search
+from pdnsim.calibrate import (ANCHOR_3D_PSN_MV, ANCHOR_4V1_IMPROVEMENT,
+                              ANCHOR_BACKSIDE_PSN_MV, DEFAULT_GRID, _with_knobs,
+                              anchor_errors, grid_search)
 
 
 def _mid_knobs():
@@ -53,3 +55,21 @@ def test_grid_search_visits_every_combination(monkeypatch):
     best, history = grid_search(grid=grid)
     assert len(history) == 4
     assert best["knobs"] == {"a": 1.0, "b": 3.0}
+
+
+def test_anchor_errors_follow_from_four_evaluations(small_config):
+    # toy resolution: 6 tiles per side, 0.25 ns step, 40 ns window
+    knobs = _mid_knobs()
+    errs, metrics = anchor_errors(knobs, tile_count=6, dt=0.25e-9, t_end=40e-9)
+    names = ["on_package_1", "on_package_4", "backside", "chip_on_vrm_3d"]
+    direct = {name: pdnsim.evaluate(_with_knobs(small_config(name, tiles=6), knobs),
+                                    dt=0.25e-9, t_end=40e-9).psn.max_psn_mv
+              for name in names}
+    assert list(metrics) == names
+    assert metrics == direct
+    imp = (direct["on_package_1"] - direct["on_package_4"]) / direct["on_package_1"]
+    assert errs == {
+        "backside_psn": direct["backside"] / ANCHOR_BACKSIDE_PSN_MV - 1.0,
+        "psn_3d": direct["chip_on_vrm_3d"] / ANCHOR_3D_PSN_MV - 1.0,
+        "improvement_4v1": imp / ANCHOR_4V1_IMPROVEMENT - 1.0,
+    }

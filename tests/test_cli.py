@@ -293,6 +293,19 @@ def test_unusable_flag_values_are_usage_errors(small_cfg_file, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["validate", "--config", "scenario.json"],
+    ["calibrate", "--tile-count", "1"],
+], ids=["validate_has_no_out_dir", "calibrate_one_tile"])
+def test_flags_rejected_when_parsed_make_no_out_dir(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main([*args, "--out-dir", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_calibrate_writes_report(tmp_path, monkeypatch, capsys):
     import pdnsim.cli as cli
 
@@ -347,6 +360,10 @@ def test_manifest_lists_every_output_and_flag(small_cfg_file, tmp_path, monkeypa
     assert {k: params[k] for k in expected} == expected
     if configs:
         assert params["config"] == (configs if command == "compare" else configs[0])
+    if command == "compare":
+        # one validated config per --config, in order
+        assert manifest["config_snapshots"] == [json.loads(Path(c).read_text())
+                                                for c in configs]
 
 
 @pytest.mark.parametrize("where", ["file", "under_file"])

@@ -1,6 +1,7 @@
 """Netlist data model, parasitic formulas, labels and text export."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -163,9 +164,10 @@ def test_builder_labels_are_unique(small_config, name):
 def test_chip_grid_shape_and_probes():
     chip = ChipSpec(tile_count_x=4, tile_count_y=3)
     pm = pdnsim.builtin_power_map("uniform", chip)
-    net, tiles = build_chip_grid(chip, power_map=pm)
+    net = Netlist()
+    tiles = build_chip_grid(net, chip, power_map=pm)
     assert tiles.shape == (3, 4)
-    counts = net.counts()
+    counts = Counter(e.kind for e in net.elements)
     # boundary resistors + one decap ESR per tile
     assert counts[RESISTOR] == 3 * 3 + 2 * 4 + 12
     assert counts[CURRENT_SOURCE] == 12
@@ -182,7 +184,8 @@ def test_chip_grid_shape_and_probes():
 def test_chip_grid_load_currents_sum_to_total():
     chip = ChipSpec(tile_count_x=5, tile_count_y=5)
     pm = pdnsim.builtin_power_map("hotspot", chip)
-    net, _ = build_chip_grid(chip, power_map=pm)
+    net = Netlist()
+    build_chip_grid(net, chip, power_map=pm)
     total = sum(e.value for e in net.elements if e.kind == CURRENT_SOURCE)
     assert total == pytest.approx(100.0, rel=1e-9)
 
@@ -190,15 +193,16 @@ def test_chip_grid_load_currents_sum_to_total():
 def test_chip_grid_rejects_degenerate_grid():
     chip = ChipSpec(tile_count_x=1, tile_count_y=5)
     with pytest.raises(NetlistError, match="at least 2x2"):
-        build_chip_grid(chip)
+        build_chip_grid(Netlist(), chip)
 
 
 def test_package_network_dimensions():
     pkg = PackageSpec()
-    net, nodes, xs, ys = build_package_network(pkg)
+    net = Netlist()
+    nodes, xs, ys = build_package_network(net, pkg)
     assert nodes.shape == (31, 31)
     assert xs[0] == -15.0 and xs[-1] == 15.0
-    counts = net.counts()
+    counts = Counter(e.kind for e in net.elements)
     # each lateral segment is one R plus one L
     assert counts[RESISTOR] == counts[INDUCTOR] == 2 * 31 * 30
 
