@@ -18,5 +18,5 @@ from .config import (BacksideVrm, BoardSpec, BumpSpec, ChipOnVrm3D, ChipSpec,
 from .errors import NetlistError, PdnError, SolverError, ValidationError
 from .mna import (DcSolution, MnaSystem, Stimulus, TransientWaveform,
                   dc_solve, stamp_mna, transient_solve, waveform_to_csv)
-from .netlist import (Element, Netlist, Node, netlist_to_text, via_resistance,
+from .netlist import (Element, Netlist, netlist_to_text, via_resistance,
                       wire_resistance)

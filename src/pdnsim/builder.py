@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import (BacksideVrm, ChipOnVrm3D, DecapPolicy, OnPackageVrm,
-                     ScenarioConfig)
+from .config import (MIN_TILE_COUNT, BacksideVrm, ChipOnVrm3D, DecapPolicy,
+                     OnPackageVrm, ScenarioConfig)
 from .errors import NetlistError
 from .netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR, RESISTOR,
                       VOLTAGE_SOURCE, Netlist, merged_sheet_resistance,
@@ -57,8 +57,9 @@ def build_chip_grid(net, chip, power_map=None, decaps=DecapPolicy()):
     (i, j).
     """
     nx, ny = chip.tile_count_x, chip.tile_count_y
-    if nx < 2 or ny < 2:
-        raise NetlistError("chip tile grid must be at least 2x2")
+    if min(nx, ny) < MIN_TILE_COUNT:
+        raise NetlistError(
+            f"chip tile grid must be at least {MIN_TILE_COUNT}x{MIN_TILE_COUNT}")
 
     tx_mm = chip.width_mm / nx
     ty_mm = chip.height_mm / ny

@@ -20,9 +20,10 @@ from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES,
                        run_sweep)
 from .builder import assemble_netlist
 from .calibrate import CAL_DT_S, CAL_T_END_S, CAL_TILE_COUNT, grid_search
-from .config import (BENCHMARK_NAMES, POWER_MAP_KINDS, ScenarioConfig,
-                     benchmark_config, builtin_power_map, config_to_dict,
-                     config_to_json, load_config, validate_config)
+from .config import (BENCHMARK_NAMES, MIN_TILE_COUNT, POWER_MAP_KINDS,
+                     ScenarioConfig, benchmark_config, builtin_power_map,
+                     config_to_dict, config_to_json, load_config,
+                     validate_config)
 from .errors import SolverError, ValidationError
 from .heatmap import heatmap_svg
 from .mna import INTEGRATION_METHODS, waveform_to_csv
@@ -63,9 +64,9 @@ def _build_parser():
 
     def tile_count(text):
         n = int(text)
-        if n < 2:
-            raise argparse.ArgumentTypeError(f"must be at least 2, the smallest chip grid "
-                                             f"(got {n})")
+        if n < MIN_TILE_COUNT:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {MIN_TILE_COUNT}, the smallest chip grid (got {n})")
         return n
 
     sp = sub.add_parser("default-config", help="emit the default scenario with "
@@ -189,7 +190,7 @@ def _run(args) -> int:
         cfg = _load(args.config, args.power_map)
         net = assemble_netlist(cfg)
         out, = _emit(args, t0, {"netlist.txt": netlist_to_text(net)}, cfg)
-        print(f"{net.node_count} nodes, {len(net.elements)} elements -> {out}")
+        print(f"{net.node_count} nodes, {len(net.columns()[0])} elements -> {out}")
         return EXIT_OK
 
     if args.command == "dc":

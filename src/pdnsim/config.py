@@ -35,7 +35,9 @@ Positive = typing.Annotated[float, "> 0", lambda x: 0 < x < math.inf]
 NonNegative = typing.Annotated[float, ">= 0", lambda x: 0 <= x < math.inf]
 Fraction = typing.Annotated[float, "in [0, 1]", lambda x: 0 <= x <= 1]
 Count = typing.Annotated[int, ">= 1", lambda n: 1 <= n < math.inf]
-TileCount = typing.Annotated[int, ">= 2", lambda n: 2 <= n < math.inf]
+MIN_TILE_COUNT = 2  # tiles per side of the smallest chip grid
+TileCount = typing.Annotated[int, f">= {MIN_TILE_COUNT}",
+                             lambda n: MIN_TILE_COUNT <= n < math.inf]
 
 # ---------------------------------------------------------------------------
 # leaf specs

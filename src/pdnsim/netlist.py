@@ -7,16 +7,15 @@ people reading the text export.  Labels are provenance only: nothing parses
 them back, and the tier of an element is the tier of its nodes.  The
 line-oriented text export is bit-exact, diffable and write-only.
 
-Both are stored as appended blocks of arrays: a builder adds a whole grid
-in one call, and labels and ``Node``/``Element`` records are made only when
-text or records are asked for.
+Both are stored as plain lists of array blocks: a builder adds a whole
+grid in one call, and labels, node names and ``Element`` records are made
+only when they are asked for.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,72 +35,12 @@ _PASSIVE = (RESISTOR, INDUCTOR, CAPACITOR)
 
 
 @dataclass(frozen=True)
-class Node:
-    index: int
-    tier: str            # board | package_bottom | package_top | chip | vrm_die | internal
-    position: tuple | str = "lumped"
-
-
-@dataclass(frozen=True)
 class Element:
     kind: str
     a: int
     b: int
     value: float         # ohms / henries / farads / amperes / volts
     label: str
-
-
-class _Blocks(Sequence):
-    """Read-only sequence over rows kept as blocks ``(first row, rows,
-    *data)``; ``records(block, rows)`` makes the records of a slice of one
-    block."""
-
-    def __init__(self, records):
-        self.blocks = []
-        self._records = records
-        self._len = 0
-
-    def append(self, rows, *data) -> int:
-        first = self._len
-        self.blocks.append((first, rows, *data))
-        self._len += rows
-        return first
-
-    def __len__(self):
-        return self._len
-
-    def __getitem__(self, i):
-        i = range(self._len)[i]  # bounds, negative and slice indices
-        if isinstance(i, range):
-            return [self[k] for k in i]
-        block = self.blocks[bisect_right(self.blocks, i, key=lambda blk: blk[0]) - 1]
-        return self._records(block, slice(i - block[0], i - block[0] + 1))[0]
-
-    def __iter__(self):
-        for block in self.blocks:
-            yield from self._records(block)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
-
-
-def _node_records(block, rows=slice(None)):
-    first, _, tier, position, index = block
-    if index is None:
-        return [Node(first, tier, position)]
-    return [Node(r, tier, position + tuple(ix)) for r, ix in
-            enumerate(index[rows].tolist(), start=first + (rows.start or 0))]
-
-
-def _element_records(block, rows=slice(None)):
-    _, _, kind, a, b, value, stem, index = block
-    stems = stem[rows].tolist()
-    labels = stems if index is None else [
-        make_label(s, *ix) for s, ix in zip(stems, index[rows].tolist())]
-    return [Element(*row) for row in zip(kind[rows].tolist(), a[rows].tolist(),
-                                         b[rows].tolist(), value[rows].tolist(), labels)]
 
 
 class Netlist:
@@ -111,17 +50,17 @@ class Netlist:
     def __init__(self):
         self.probes: dict[str, int] = {}
         self.meta: dict = {}
-        self._nodes = _Blocks(_node_records)
-        self._elements = _Blocks(_element_records)
+        self._nodes = []      # blocks (first node id, tier, position or prefix, index rows)
+        self._elements = []   # blocks (kind, a, b, value, stem, index rows)
+        self._node_count = 0
         self.add_node("ground")
 
     @property
-    def nodes(self) -> Sequence[Node]:
-        return self._nodes
-
-    @property
-    def elements(self) -> Sequence[Element]:
-        return self._elements
+    def elements(self) -> list[Element]:
+        """Every element as an ``Element`` record, in element order; built
+        from ``columns()`` and ``labels()`` on each access."""
+        return [Element(*row) for row in
+                zip(*(c.tolist() for c in self.columns()), self.labels())]
 
     @property
     def sources(self) -> list[int]:
@@ -130,10 +69,12 @@ class Netlist:
 
     @property
     def node_count(self):
-        return len(self._nodes)
+        return self._node_count
 
     def add_node(self, tier, position="lumped") -> int:
-        return self._nodes.append(1, tier, position, None)
+        self._nodes.append((self._node_count, tier, position, None))
+        self._node_count += 1
+        return self._node_count - 1
 
     def add_nodes(self, tier, *index, prefix=()):
         """One node per entry of the broadcast ``index`` arrays, at position
@@ -141,11 +82,19 @@ class Netlist:
         the broadcast shape."""
         index = np.broadcast_arrays(*index)
         rows = np.stack([ix.ravel() for ix in index], axis=1).astype(np.int64)
-        first = self._nodes.append(len(rows), tier, prefix, rows)
+        first = self._node_count
+        self._nodes.append((first, tier, prefix, rows))
+        self._node_count += len(rows)
         return first + np.arange(len(rows)).reshape(index[0].shape)
 
-    def add(self, kind, a, b, value, label) -> int:
-        return self.add_elements(kind, a, b, value, label)
+    def node_name(self, k) -> str:
+        """``tier`` and position of node ``k``, as messages name a node."""
+        k = range(self._node_count)[k]
+        first, tier, position, index = self._nodes[
+            bisect_right(self._nodes, k, key=lambda blk: blk[0]) - 1]
+        if index is not None:
+            position = position + tuple(index[k - first].tolist())
+        return f"{tier}{position}"
 
     def add_elements(self, kind, a, b, value, stem, *index) -> int:
         """Append the elements of broadcast column arrays in row-major order;
@@ -169,14 +118,24 @@ class Netlist:
                     f"element value must be finite ({label}: {float(value[k])})")
             raise NetlistError(
                 f"passive element value must be > 0 ({label}: {float(value[k])})")
-        return self._elements.append(len(kind), kind, a, b, value, stem, index)
+        first = sum(len(blk[0]) for blk in self._elements)
+        self._elements.append((kind, a, b, value, stem, index))
+        return first
 
     def columns(self):
         """``(kind, a, b, value)`` arrays of every element, in element order."""
-        blocks = self._elements.blocks
+        blocks = self._elements
         return tuple(np.concatenate([blk[c] for blk in blocks]) if blocks
                      else np.empty(0, dtype) for c, dtype in
-                     ((2, "<U1"), (3, np.int64), (4, np.int64), (5, float)))
+                     ((0, "<U1"), (1, np.int64), (2, np.int64), (3, float)))
+
+    def labels(self) -> list[str]:
+        """Every element label, in element order."""
+        labels = []
+        for *_, stem, index in self._elements:
+            labels.extend(stem.tolist() if index is None else
+                          [make_label(s, *ix) for s, ix in zip(stem.tolist(), index.tolist())])
+        return labels
 
     def check_connected(self):
         """Every node must reach ground through element terminals."""
@@ -191,8 +150,7 @@ class Netlist:
         _, component = connected_components(graph, directed=False)
         floating = np.flatnonzero(component != component[GROUND])
         if len(floating):
-            labels = ", ".join(f"{self.nodes[k].tier}{self.nodes[k].position}"
-                               for k in floating[:8])
+            labels = ", ".join(self.node_name(k) for k in floating[:8])
             raise NetlistError(
                 f"{len(floating)} node(s) not connected to ground (first: {labels})"
             )
@@ -239,9 +197,9 @@ def make_label(stem, *indices) -> str:
 
 
 def netlist_to_text(net: Netlist) -> str:
-    lines = [f"* pdnsim netlist: {net.node_count} nodes, {len(net.elements)} elements"]
-    for e in net.elements:
-        lines.append(f"{e.kind} {e.a} {e.b} {e.value!r} {e.label}")
+    elements = net.elements
+    lines = [f"* pdnsim netlist: {net.node_count} nodes, {len(elements)} elements"]
+    lines.extend(f"{e.kind} {e.a} {e.b} {e.value!r} {e.label}" for e in elements)
     for name, idx in net.probes.items():
         lines.append(f"* probe {name} {idx}")
     return "\n".join(lines) + "\n"

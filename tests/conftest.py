@@ -9,8 +9,13 @@ import dataclasses
 import time
 
 import pytest
+from hypothesis import settings
 
 import pdnsim
+
+# CI runs pass --hypothesis-profile=ci: examples are drawn from a fixed seed
+# and a failure prints the blob that replays it; local runs stay random
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 BENCHMARKS = ("on_package_1", "on_package_2", "on_package_4",
               "backside", "chip_on_vrm_3d")

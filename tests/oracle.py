@@ -1,11 +1,13 @@
 """Independent reference implementations used by the test suite.
 
 Everything here is deliberately written against the production solver's
-grain: the DC reference builds one dense matrix with the ground row kept
-and overwritten by a Dirichlet condition, and solves it with LAPACK via
-``numpy.linalg.solve``; the transient references are closed-form textbook
-step responses.  Agreement between these and the sparse solver is evidence,
-not tautology.
+grain: the DC and transient references build the dense descriptor
+matrices ``G`` and ``C`` with the ground row kept and overwritten by a
+Dirichlet condition, and solve with LAPACK via ``numpy.linalg.solve``,
+integrating ``G x + C x' = b(t)`` as a whole rather than stamping one
+companion model per element; the other transient references are
+closed-form textbook step responses.  Agreement between these and the
+sparse solver is evidence, not tautology.
 """
 
 import numpy as np
@@ -14,46 +16,99 @@ from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
                             RESISTOR, VOLTAGE_SOURCE)
 
 
+def _descriptor(netlist):
+    """Dense ``G``, ``C`` and ``b`` of the descriptor form ``G x + C x' =
+    b(t)``, with the ground row and column overwritten by a Dirichlet
+    condition.
+
+    Unknowns: every node voltage (ground kept), then one branch current per
+    inductor and voltage source, in element order.  ``b`` holds the
+    current-source injections at full load; the voltage-source rows
+    ``v_rows`` take the source values ``v_vals``, which are left out of
+    ``b``.
+    """
+    n = netlist.node_count
+    kind, a, b, value = (c.tolist() for c in netlist.columns())
+    branches = [k for k, kd in enumerate(kind) if kd in (INDUCTOR, VOLTAGE_SOURCE)]
+    dim = n + len(branches)
+    G, C = np.zeros((dim, dim)), np.zeros((dim, dim))
+    rhs = np.zeros(dim)
+
+    for kd, i, j, v in zip(kind, a, b, value):
+        if kd in (RESISTOR, CAPACITOR):
+            M, g = (G, 1.0 / v) if kd == RESISTOR else (C, v)
+            M[i, i] += g
+            M[j, j] += g
+            M[i, j] -= g
+            M[j, i] -= g
+        elif kd == CURRENT_SOURCE:
+            rhs[i] -= v
+            rhs[j] += v
+
+    for row, k in enumerate(branches, start=n):
+        i, j = a[k], b[k]
+        G[i, row] += 1.0
+        G[j, row] -= 1.0
+        G[row, i] += 1.0
+        G[row, j] -= 1.0
+        if kind[k] == INDUCTOR:
+            C[row, row] -= value[k]     # v_a - v_b - L j' = 0
+
+    # Dirichlet ground: overwrite the ground KCL row instead of deleting it
+    G[GROUND, :] = G[:, GROUND] = C[GROUND, :] = C[:, GROUND] = 0.0
+    G[GROUND, GROUND] = 1.0
+    rhs[GROUND] = 0.0
+    v_rows = [row for row, k in enumerate(branches, start=n) if kind[k] == VOLTAGE_SOURCE]
+    return G, C, rhs, v_rows, [value[k] for k in netlist.sources]
+
+
 def dense_dc(netlist):
     """Brute-force DC nodal analysis, dense, ground row kept.
 
     Returns the node-voltage vector indexed by netlist node id (ground
     entry 0).  Inductors are treated as 0 V sources; capacitors are open.
     """
+    G, _, rhs, v_rows, v_vals = _descriptor(netlist)
+    rhs[v_rows] = v_vals
+    x = np.linalg.solve(G, rhs)
+    return x[:netlist.node_count]
+
+
+def dense_transient(netlist, stimulus, dt, t_end, method="trap", init="cold"):
+    """Fixed-step transient of the dense descriptor form ``G x + C x' =
+    b(t)``, one ``numpy.linalg.solve`` per step.
+
+    Backward Euler solves ``(G + C/dt) x1 = b(t1) + (C/dt) x0``.  The
+    trapezoidal rule is applied to ``y = C x'`` alone, so the algebraic
+    rows hold exactly at every step, cold start included:
+    ``(G + 2C/dt) x1 = b(t1) + (2C/dt) x0 + y0`` and then
+    ``y1 = (2C/dt)(x1 - x0) - y0``, starting from ``y = 0``.
+
+    ``init="cold"`` starts from zero with the sources driven by
+    ``stimulus``; ``init="warm"`` starts with every node at ``v_end`` and
+    every branch current at zero, sources held at ``v_end``.  The loads
+    follow ``stimulus.load_factor`` in both.  Returns ``(times, v)`` with
+    ``v[step, node]`` the node voltages, ground included.
+    """
+    G, C, load, v_rows, v_vals = _descriptor(netlist)
     n = netlist.node_count
-    branches = [e for e in netlist.elements
-                if e.kind in (INDUCTOR, VOLTAGE_SOURCE)]
-    dim = n + len(branches)
-    A = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
-
-    for e in netlist.elements:
-        if e.kind == RESISTOR:
-            g = 1.0 / e.value
-            A[e.a, e.a] += g
-            A[e.b, e.b] += g
-            A[e.a, e.b] -= g
-            A[e.b, e.a] -= g
-        elif e.kind == CURRENT_SOURCE:
-            rhs[e.a] -= e.value
-            rhs[e.b] += e.value
-
-    for k, e in enumerate(branches):
-        row = n + k
-        A[e.a, row] += 1.0
-        A[e.b, row] -= 1.0
-        A[row, e.a] += 1.0
-        A[row, e.b] -= 1.0
-        rhs[row] = e.value if e.kind == VOLTAGE_SOURCE else 0.0
-
-    # Dirichlet ground: overwrite the ground KCL row instead of deleting it
-    A[GROUND, :] = 0.0
-    A[:, GROUND] = 0.0
-    A[GROUND, GROUND] = 1.0
-    rhs[GROUND] = 0.0
-
-    x = np.linalg.solve(A, rhs)
-    return x[:n]
+    times = dt * np.arange(int(round(t_end / dt)) + 1)
+    c_dt = C / dt if method == "be" else 2.0 * C / dt
+    M = G + c_dt
+    x, y = np.zeros(len(load)), np.zeros(len(load))
+    if init == "warm":
+        x[1:n] = stimulus.v_end
+    v = np.empty((len(times), n))
+    v[0] = x[:n]
+    for step, t in enumerate(times[1:], start=1):
+        rhs = load * stimulus.load_factor(t)
+        rhs[v_rows] = stimulus.v_end if init == "warm" else stimulus.voltage(t, np.array(v_vals))
+        x_new = np.linalg.solve(M, rhs + c_dt @ x + y)
+        if method == "trap":
+            y = c_dt @ (x_new - x) - y
+        x = x_new
+        v[step] = x[:n]
+    return times, v
 
 
 def rc_step_voltage(t, v_step, r, c):
@@ -97,26 +152,26 @@ def random_dc_netlist(rng, max_nodes=10):
     # spanning tree of resistors
     for k in range(1, len(nodes)):
         other = nodes[int(rng.integers(0, k))]
-        net.add(RESISTOR, nodes[k], other, rnd_r(), f"chip_h[{k},0]")
+        net.add_elements(RESISTOR, nodes[k], other, rnd_r(), f"chip_h[{k},0]")
 
     # extra resistors
     for k in range(int(rng.integers(0, 2 * n_extra))):
         a, b = rng.choice(len(nodes), size=2, replace=False)
-        net.add(RESISTOR, nodes[int(a)], nodes[int(b)], rnd_r(), f"chip_v[{k},0]")
+        net.add_elements(RESISTOR, nodes[int(a)], nodes[int(b)], rnd_r(), f"chip_v[{k},0]")
 
     # one grounded voltage source
     vn = nodes[int(rng.integers(1, len(nodes)))]
-    net.add(VOLTAGE_SOURCE, vn, GROUND, float(rng.uniform(0.5, 2.0)), "vrm_src[0]")
+    net.add_elements(VOLTAGE_SOURCE, vn, GROUND, float(rng.uniform(0.5, 2.0)), "vrm_src[0]")
 
     # current sources
     for k in range(int(rng.integers(1, n_extra + 1))):
         a = nodes[int(rng.integers(1, len(nodes)))]
-        net.add(CURRENT_SOURCE, a, GROUND, float(rng.uniform(0.01, 2.0)),
-                f"load[{k},0]")
+        net.add_elements(CURRENT_SOURCE, a, GROUND, float(rng.uniform(0.01, 2.0)),
+                         f"load[{k},0]")
 
     # inductors, kept loop-free among the zero-DC-impedance edges (V and L)
     # via union-find so the DC matrix stays nonsingular
-    parent = list(range(len(net.nodes)))
+    parent = list(range(net.node_count))
 
     def find(x):
         while parent[x] != x:
@@ -124,21 +179,65 @@ def random_dc_netlist(rng, max_nodes=10):
             x = parent[x]
         return x
 
+    _, src_a, src_b, _ = net.columns()
     for i in net.sources:
-        e = net.elements[i]
-        parent[find(e.a)] = find(e.b)
+        parent[find(int(src_a[i]))] = find(int(src_b[i]))
     for k in range(int(rng.integers(0, 3))):
         a, b = (int(x) for x in rng.choice(len(nodes), size=2, replace=False))
         ra, rb = find(nodes[a]), find(nodes[b])
         if ra == rb:
             continue
         parent[ra] = rb
-        net.add(INDUCTOR, nodes[a], nodes[b], float(10.0 ** rng.uniform(-10, -7)),
-                f"pkg_lh[{k},0]")
+        net.add_elements(INDUCTOR, nodes[a], nodes[b], float(10.0 ** rng.uniform(-10, -7)),
+                         f"pkg_lh[{k},0]")
 
     # capacitors are DC-invisible but exercise the stamper's open-circuit path
     for k in range(int(rng.integers(0, 3))):
         a = nodes[int(rng.integers(1, len(nodes)))]
-        net.add(CAPACITOR, a, GROUND, float(10.0 ** rng.uniform(-12, -9)),
-                f"chip_decap_c[{k},0]")
+        net.add_elements(CAPACITOR, a, GROUND, float(10.0 ** rng.uniform(-12, -9)),
+                         f"chip_decap_c[{k},0]")
+    return net
+
+
+def random_transient_netlist(rng, max_nodes=10, reroot=False):
+    """``random_dc_netlist`` plus grounded capacitors, R-L-C decap chains
+    to ground and R-L chains between two nodes, the shapes the builder
+    makes.
+
+    With ``reroot``, every resistor or inductor terminal on ground moves to
+    the voltage source's node (an element left with equal terminals is
+    dropped), so no resistor or inductor touches ground and the netlist
+    admits a warm start.
+    """
+    from pdnsim.netlist import Netlist
+
+    base = random_dc_netlist(rng, max_nodes)
+    kind, a, b, value = base.columns()
+    if reroot:
+        vn = a[base.sources[0]]
+        rl = (kind == RESISTOR) | (kind == INDUCTOR)
+        a, b = (np.where(rl & (t == GROUND), vn, t) for t in (a, b))
+    keep = a != b
+    net = Netlist()
+    nodes = net.add_nodes("chip", np.arange(base.node_count - 1), 0)
+    net.add_elements(kind[keep], a[keep], b[keep], value[keep],
+                     np.array(base.labels())[keep])
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    for k in range(int(rng.integers(0, 3))):
+        net.add_elements(CAPACITOR, int(rng.choice(nodes)), GROUND,
+                         log_uniform(-12, -9), "chip_decap_c", k, 1)
+    for k in range(int(rng.integers(0, 3))):
+        node, (mid1, mid2) = int(rng.choice(nodes)), net.add_nodes("internal", [0, 1], k)
+        net.add_elements([RESISTOR, INDUCTOR, CAPACITOR], [node, mid1, mid2],
+                         [mid1, mid2, GROUND],
+                         [log_uniform(-3, 0), log_uniform(-12, -9), log_uniform(-12, -9)],
+                         ["decap_esr", "decap_esl", "decap_c"], k)
+    for k in range(int(rng.integers(0, 3))):
+        i, j = (int(n) for n in rng.choice(nodes, size=2, replace=False))
+        mid = net.add_node("internal", ("rl", k))
+        net.add_elements([RESISTOR, INDUCTOR], [i, mid], [mid, j],
+                         [log_uniform(-3, 0), log_uniform(-12, -9)], ["bump_r", "bump_l"], k)
     return net

@@ -58,12 +58,12 @@ def test_dc_oracle_equivalence_on_random_netlists():
 def _chain(*elems):
     net = Netlist()
     prev = net.add_node("vrm_die")
-    net.add(VOLTAGE_SOURCE, prev, GROUND, 1.0, "vrm_src[0]")
+    net.add_elements(VOLTAGE_SOURCE, prev, GROUND, 1.0, "vrm_src[0]")
     stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
     for k, (kind, val) in enumerate(elems):
         last = k == len(elems) - 1
         nxt = GROUND if last else net.add_node("internal", (k, 0))
-        net.add(kind, prev, nxt, val, f"{stems[kind]}[{k},0]")
+        net.add_elements(kind, prev, nxt, val, f"{stems[kind]}[{k},0]")
         if not last:
             net.probes[f"n{k}"] = nxt
         prev = nxt
@@ -233,9 +233,9 @@ def _edge_fed_max_drop(tiles):
     net = Netlist()
     nodes = build_chip_grid(net, chip, power_map=pm)
     src = net.add_node("vrm_die")
-    net.add(VOLTAGE_SOURCE, src, GROUND, 1.0, "vrm_src[0]")
+    net.add_elements(VOLTAGE_SOURCE, src, GROUND, 1.0, "vrm_src[0]")
     for j in range(tiles):
-        net.add(RESISTOR, src, int(nodes[j, 0]), 1e-3 * tiles, f"pad[0,{j}]")
+        net.add_elements(RESISTOR, src, int(nodes[j, 0]), 1e-3 * tiles, f"pad[0,{j}]")
     dc = dc_solve(net)
     return float((1.0 - dc.voltages[nodes].min()) * 1e3)
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import (dense_dc, random_dc_netlist, rc_step_voltage,
-                    rl_mid_voltage, rlc_cap_voltage)
+from oracle import (dense_dc, dense_transient, random_dc_netlist,
+                    random_transient_netlist, rc_step_voltage, rl_mid_voltage,
+                    rlc_cap_voltage)
 from pdnsim import (Netlist, SolverError, Stimulus, dc_solve, stamp_mna,
                     transient_solve)
 from pdnsim.builder import assemble_netlist
 from pdnsim.config import benchmark_config
-from pdnsim.mna import _check_warm_start, waveform_to_csv
+from pdnsim.mna import INTEGRATION_METHODS, _check_warm_start, waveform_to_csv
 from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
                             RESISTOR, VOLTAGE_SOURCE)
 
@@ -20,12 +21,12 @@ def _series_rlc(*elems, v=1.0):
     """source - elem1 - elem2 - ... - ground chain with probes n0, n1, ..."""
     net = Netlist()
     prev = net.add_node("vrm_die")
-    net.add(VOLTAGE_SOURCE, prev, GROUND, v, "vrm_src[0]")
+    net.add_elements(VOLTAGE_SOURCE, prev, GROUND, v, "vrm_src[0]")
     stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
     for k, (kind, val) in enumerate(elems):
         last = k == len(elems) - 1
         nxt = GROUND if last else net.add_node("internal", (k, 0))
-        net.add(kind, prev, nxt, val, f"{stems[kind]}[{k},0]")
+        net.add_elements(kind, prev, nxt, val, f"{stems[kind]}[{k},0]")
         if not last:
             net.probes[f"n{k}"] = nxt
         prev = nxt
@@ -72,9 +73,9 @@ def test_dc_source_currents_follow_netlist_sources():
     load = net.add_node("chip_grid", (0, 0))
     for k, r in enumerate((3.0, 1.0)):
         src = net.add_node("vrm_die", (k, 0))
-        net.add(VOLTAGE_SOURCE, src, GROUND, 1.0, f"vrm_src[{k}]")
-        net.add(RESISTOR, src, load, r, f"pkg_h[{k},0]")
-    net.add(CURRENT_SOURCE, load, GROUND, 0.4, "load[0,0]")
+        net.add_elements(VOLTAGE_SOURCE, src, GROUND, 1.0, f"vrm_src[{k}]")
+        net.add_elements(RESISTOR, src, load, r, f"pkg_h[{k},0]")
+    net.add_elements(CURRENT_SOURCE, load, GROUND, 0.4, "load[0,0]")
     dc = dc_solve(net)
     assert dc.voltages[load] == pytest.approx(0.7, rel=1e-12)
     assert dc.source_currents.shape == (len(net.sources),) == (2,)
@@ -107,11 +108,10 @@ def test_dc_superposition():
     net = random_dc_netlist(rng)
     v1 = dc_solve(net).voltages
     doubled = Netlist()
-    for n in net.nodes[1:]:
-        doubled.add_node(n.tier, n.position)
-    for e in net.elements:
-        scale = 2.0 if e.kind in (VOLTAGE_SOURCE, CURRENT_SOURCE) else 1.0
-        doubled.add(e.kind, e.a, e.b, e.value * scale, e.label)
+    doubled.add_nodes("chip", np.arange(net.node_count - 1), 0)
+    kind, a, b, value = net.columns()
+    scale = np.where((kind == VOLTAGE_SOURCE) | (kind == CURRENT_SOURCE), 2.0, 1.0)
+    doubled.add_elements(kind, a, b, value * scale, net.labels())
     v2 = dc_solve(doubled).voltages
     assert np.allclose(v2, 2.0 * v1, rtol=1e-9, atol=1e-12)
 
@@ -120,10 +120,10 @@ def test_dc_singular_matrix_raises_with_diagnostic():
     # a node reachable only through a capacitor has no DC equation
     net = Netlist()
     a = net.add_node("vrm_die")
-    net.add(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
+    net.add_elements(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
     b = net.add_node("internal", (0, 0))
-    net.add(CAPACITOR, a, b, 1e-9, "chip_decap_c[0,0]")
-    net.add(RESISTOR, a, GROUND, 1.0, "chip_h[0,0]")
+    net.add_elements(CAPACITOR, a, b, 1e-9, "chip_decap_c[0,0]")
+    net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h[0,0]")
     with pytest.raises(SolverError, match="singular|non-finite"):
         dc_solve(net)
 
@@ -200,9 +200,9 @@ def test_parallel_capacitors_act_as_their_sum(method):
     whole = _series_rlc((RESISTOR, r), (CAPACITOR, c))
     split = _series_rlc((RESISTOR, r), (CAPACITOR, c / 4))
     n0 = split.probes["n0"]
-    split.add(CAPACITOR, n0, GROUND, c / 4, "chip_decap_c[1,0]")
-    split.add(CAPACITOR, GROUND, n0, c / 4, "chip_decap_c[2,0]")
-    split.add(CAPACITOR, GROUND, n0, c / 4, "chip_decap_c[3,0]")
+    split.add_elements(CAPACITOR, n0, GROUND, c / 4, "chip_decap_c[1,0]")
+    split.add_elements(CAPACITOR, GROUND, n0, c / 4, "chip_decap_c[2,0]")
+    split.add_elements(CAPACITOR, GROUND, n0, c / 4, "chip_decap_c[3,0]")
     got, ref = (transient_solve(net, Stimulus(kind="dc"), r * c / 1000, 5 * r * c,
                                 method=method, probes=["n0"]).series["n0"]
                 for net in (split, whole))
@@ -241,6 +241,53 @@ def test_backward_euler_converges_to_same_answer():
     assert np.max(np.abs(wf.series["n0"][1:] - ref[1:])) < 5e-3
 
 
+def _assert_transient_matches_dense_oracle(net, stimulus, dt, t_end, method, init):
+    """Every node voltage at every step agrees with ``dense_transient`` to
+    1e-9 of the largest node voltage (or of 1 V, if that is larger)."""
+    probes = [f"v{k}" for k in range(1, net.node_count)]
+    net.probes.update(zip(probes, range(1, net.node_count)))
+    wf = transient_solve(net, stimulus, dt, t_end, method=method, probes=probes, init=init)
+    _, ref = dense_transient(net, stimulus, dt, t_end, method=method, init=init)
+    got = np.column_stack([wf.series[p] for p in probes])
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(got - ref[:, 1:])) / scale < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(3, 16), reroot=st.booleans(),
+       method=st.sampled_from(INTEGRATION_METHODS), kind=st.sampled_from(["dc", "step"]),
+       dt=st.sampled_from([1e-12, 1e-11, 1e-10]))
+def test_transient_matches_dense_oracle_property(seed, max_nodes, reroot, method, kind, dt):
+    """Cold starts on every draw; warm starts on the rerooted draws, the
+    ones that admit one (``transient_solve`` checks that it does)."""
+    net = random_transient_netlist(np.random.default_rng(seed), max_nodes, reroot)
+    stim = Stimulus(kind=kind, rise_time_s=0.2e-9, load_delay_s=0.3e-9, load_rise_s=0.1e-9)
+    for init in ("cold", "warm") if reroot else ("cold",):
+        _assert_transient_matches_dense_oracle(net, stim, dt, 100 * dt, method, init)
+
+
+@pytest.mark.parametrize("method", INTEGRATION_METHODS)
+@pytest.mark.parametrize("seed", [2, 29])
+def test_transient_runs_networks_that_settle_far_above_their_sources(seed, method):
+    """These draws settle at 136 V and 226 V from a source of about 1 V
+    (their loads drive current into high resistances), so no bound on |v|
+    taken from the sources or the DC point separates them from a diverged
+    run; only a non-finite step does."""
+    net = random_dc_netlist(np.random.default_rng(seed), max_nodes=12)
+    assert np.max(np.abs(dense_dc(net))) > 100 * np.max(np.abs(net.columns()[3][net.sources]))
+    _assert_transient_matches_dense_oracle(net, Stimulus(kind="dc"), 1e-11, 1e-9, method, "cold")
+
+
+def test_transient_raises_on_a_non_finite_step():
+    net = Netlist()
+    node = net.add_node("chip", (0, 0))
+    # 1e300 A into 1e10 ohm overflows to -inf at the first step
+    net.add_elements([RESISTOR, CURRENT_SOURCE], node, GROUND, [1e10, 1e300],
+                     ["chip_h", "load"], 0, 0)
+    with pytest.raises(SolverError, match=r"transient diverged at t=1\.000e-03s \(\|v\|max=inf\)"):
+        transient_solve(net, Stimulus(kind="dc"), 1e-3, 1e-2)
+
+
 def test_transient_settles_to_dc():
     net = _series_rlc((RESISTOR, 2.0), (INDUCTOR, 1e-9), (RESISTOR, 2.0))
     dc = dc_solve(net)
@@ -262,7 +309,7 @@ def test_warm_start_holds_operating_point_without_load():
 def test_warm_start_responds_only_to_the_load_step():
     net = _series_rlc((RESISTOR, 2.0), (CAPACITOR, 1e-9))
     node = net.probes["n0"]
-    net.add(CURRENT_SOURCE, node, GROUND, 0.1, "load[0,0]")
+    net.add_elements(CURRENT_SOURCE, node, GROUND, 0.1, "load[0,0]")
     stim = Stimulus(kind="step", load_delay_s=2e-9, load_rise_s=0.1e-9)
     wf = transient_solve(net, stim, 1e-11, 5e-8, probes=["n0"], init="warm")
     t = wf.time_s
@@ -275,7 +322,7 @@ def test_warm_start_rejects_a_netlist_it_would_not_hold():
     # a divider with a decap on its midpoint and no load settles at 0.5 V,
     # so a warm start at 1 V would simulate a transient nothing drove
     net = _series_rlc((RESISTOR, 2.0), (RESISTOR, 2.0))
-    net.add(CAPACITOR, net.probes["n0"], GROUND, 1e-9, "chip_decap_c[0,0]")
+    net.add_elements(CAPACITOR, net.probes["n0"], GROUND, 1e-9, "chip_decap_c[0,0]")
     with pytest.raises(ValueError, match=r"chip_h\[1,0\] has a terminal on ground"):
         transient_solve(net, Stimulus(kind="step"), 1e-11, 1e-8,
                         probes=["n0"], init="warm")
@@ -285,8 +332,8 @@ def test_warm_start_rejects_a_netlist_it_would_not_hold():
     # a source with its positive terminal on ground drives its node to -v_end
     net = Netlist()
     node = net.add_node("vrm_die")
-    net.add(VOLTAGE_SOURCE, GROUND, node, 1.0, "vrm_src[0]")
-    net.add(CAPACITOR, node, GROUND, 1e-9, "chip_decap_c[0,0]")
+    net.add_elements(VOLTAGE_SOURCE, GROUND, node, 1.0, "vrm_src[0]")
+    net.add_elements(CAPACITOR, node, GROUND, 1e-9, "chip_decap_c[0,0]")
     with pytest.raises(ValueError, match=r"vrm_src\[0\] does not run from a node to ground"):
         transient_solve(net, Stimulus(kind="step"), 1e-11, 1e-8, init="warm")
 

@@ -1,12 +1,13 @@
 """Netlist data model, parasitic formulas, labels and text export."""
 
+import dataclasses
 import math
 from collections import Counter
 
 import pytest
 
 import pdnsim
-from pdnsim import Netlist, NetlistError
+from pdnsim import Element, Netlist, NetlistError
 from pdnsim.builder import assemble_netlist, build_chip_grid, build_package_network
 from pdnsim.config import ChipSpec, PackageSpec, ViaSpec, WireSpec
 from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
@@ -19,14 +20,14 @@ def test_element_rejects_bad_kind():
     net = Netlist()
     a = net.add_node("chip", (0, 0))
     with pytest.raises(NetlistError, match="unknown element kind"):
-        net.add("Q", a, GROUND, 1.0, "chip_h[0,0]")
+        net.add_elements("Q", a, GROUND, 1.0, "chip_h[0,0]")
 
 
 def test_element_rejects_equal_terminals():
     net = Netlist()
     a = net.add_node("chip", (0, 0))
     with pytest.raises(NetlistError, match="terminals must differ"):
-        net.add(RESISTOR, a, a, 1.0, "chip_h[0,0]")
+        net.add_elements(RESISTOR, a, a, 1.0, "chip_h[0,0]")
 
 
 @pytest.mark.parametrize("kind", [RESISTOR, INDUCTOR, CAPACITOR])
@@ -34,7 +35,7 @@ def test_passive_values_must_be_positive(kind):
     net = Netlist()
     a = net.add_node("chip", (0, 0))
     with pytest.raises(NetlistError, match="must be > 0"):
-        net.add(kind, a, GROUND, 0.0, "chip_h[0,0]")
+        net.add_elements(kind, a, GROUND, 0.0, "chip_h[0,0]")
 
 
 @pytest.mark.parametrize("kind,value", [
@@ -51,23 +52,24 @@ def test_element_values_must_be_finite(kind, value):
 
 def test_ground_is_node_zero():
     net = Netlist()
-    assert net.nodes[0].index == GROUND
-    assert net.nodes[0].tier == "ground"
+    assert net.node_count == 1
+    assert net.node_name(GROUND) == "groundlumped"
     assert net.add_node("chip", (0, 0)) == 1
+    assert net.node_count == 2
 
 
 def test_sources_follow_element_kinds_and_views_are_read_only():
     net = Netlist()
     a = net.add_node("vrm_die")
     assert net.sources == []
-    net.add(RESISTOR, a, GROUND, 1.0, "vrm_r[0]")
-    net.add(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
+    net.add_elements(RESISTOR, a, GROUND, 1.0, "vrm_r[0]")
+    net.add_elements(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
     net.add_elements([VOLTAGE_SOURCE, CAPACITOR], a, GROUND, 1.0, ["vrm_src", "chip_decap_c"], 1)
     assert net.sources == [1, 2]
     with pytest.raises(AttributeError):
         net.sources = []
     with pytest.raises(AttributeError):
-        net.nodes = []
+        net.node_count = 5
 
 
 def test_element_and_node_views_behave_as_sequences():
@@ -75,29 +77,31 @@ def test_element_and_node_views_behave_as_sequences():
     a = net.add_node("chip", (0, 0))
     tiles = net.add_nodes("chip", [[1, 2]], [[0, 0]])
     assert tiles.tolist() == [[2, 3]]
-    assert [n.position for n in net.nodes] == ["lumped", (0, 0), (1, 0), (2, 0)]
-    assert net.add(RESISTOR, a, GROUND, 2.0, "chip_h[0,0]") == 0
-    assert net.add_elements(RESISTOR, tiles, a, [1.0, 3.0], "chip_v", [1, 2], 0) == 1
-    assert len(net.elements) == 3
-    assert net.elements[-1].label == "chip_v[2,0]"
-    assert [e.value for e in net.elements[1:]] == [1.0, 3.0]
-    assert net.elements == list(net.elements)
-    # indexing makes only the asked-for row, which must match iteration
-    assert [net.elements[k] for k in range(3)] == list(net.elements)
-    assert [net.nodes[k] for k in range(4)] == list(net.nodes)
-    assert net.nodes[3].index == 3
+    net.add_nodes("internal", [0, 1], prefix=("strap", 3))
+    assert [net.node_name(k) for k in range(net.node_count)] == [
+        "groundlumped", "chip(0, 0)", "chip(1, 0)", "chip(2, 0)",
+        "internal('strap', 3, 0)", "internal('strap', 3, 1)"]
+    assert net.node_name(-1) == "internal('strap', 3, 1)"
     with pytest.raises(IndexError):
-        net.elements[3]
+        net.node_name(net.node_count)
+    assert net.add_elements(RESISTOR, a, GROUND, 2.0, "chip_h[0,0]") == 0
+    assert net.add_elements(RESISTOR, tiles, a, [1.0, 3.0], "chip_v", [1, 2], 0) == 1
+    assert net.labels() == ["chip_h[0,0]", "chip_v[1,0]", "chip_v[2,0]"]
+    assert net.elements == [Element(RESISTOR, 1, GROUND, 2.0, "chip_h[0,0]"),
+                            Element(RESISTOR, 2, 1, 1.0, "chip_v[1,0]"),
+                            Element(RESISTOR, 3, 1, 3.0, "chip_v[2,0]")]
+    # records hold Python scalars, which the text export prints
+    assert [type(v) for v in dataclasses.astuple(net.elements[0])] == [str, int, int, float, str]
     with pytest.raises(NetlistError, match="terminals must differ"):
         net.add_elements(RESISTOR, [a, a], [GROUND, a], 1.0, "chip_h", [0, 1], 0)
-    assert len(net.elements) == 3      # a rejected block adds nothing
+    assert len(net.labels()) == len(net.elements) == 3   # a rejected block adds nothing
 
 
 def test_check_connected_reports_floating_nodes():
     net = Netlist()
     a = net.add_node("chip", (0, 0))
     net.add_node("chip", (1, 0))  # never wired up
-    net.add(RESISTOR, a, GROUND, 1.0, "chip_h[0,0]")
+    net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h[0,0]")
     with pytest.raises(NetlistError, match="not connected to ground"):
         net.check_connected()
 
@@ -254,8 +258,8 @@ def test_netlist_text_round_trip(small_config):
 def test_netlist_text_round_trip_preserves_values_exactly():
     net = Netlist()
     a = net.add_node("chip", (0, 0))
-    net.add(RESISTOR, a, GROUND, 1.0 / 3.0, "chip_h[0,0]")
-    net.add(CAPACITOR, a, GROUND, 5.3e-9 * 0.04, "chip_decap_c[0,0]")
+    net.add_elements(RESISTOR, a, GROUND, 1.0 / 3.0, "chip_h[0,0]")
+    net.add_elements(CAPACITOR, a, GROUND, 5.3e-9 * 0.04, "chip_decap_c[0,0]")
     rows, _ = _text_fields(netlist_to_text(net))
     assert [value for *_, value in rows] == [1.0 / 3.0, 5.3e-9 * 0.04]
     assert rows == list(zip(*(c.tolist() for c in net.columns())))
