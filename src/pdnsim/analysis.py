@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import assemble_netlist
-from .config import (ChipOnVrm3D, OnPackageVrm, PowerMap, ScenarioConfig,
-                     config_hash, normalize_power_map, validate_config)
+from .config import (OnPackageVrm, PowerMap, ScenarioConfig, config_hash,
+                     normalize_power_map, validate_config)
 from .errors import PdnError
 # DEFAULT_RISE_S, the rise of the evaluated power-up, stays importable here
 from .mna import DEFAULT_RISE_S, Stimulus, csv_text, dc_solve, transient_solve
@@ -168,18 +168,14 @@ SWEEP_AXES = ("vrm_count", "vrm_gap", "onchip_decap", "power_scale")
 
 
 def _apply_axis(base: ScenarioConfig, axis, value) -> ScenarioConfig:
-    if axis == "vrm_count":
+    if axis in ("vrm_count", "vrm_gap"):
         if not isinstance(base.placement, OnPackageVrm):
-            raise ValueError("vrm_count axis requires an on-package placement")
+            raise ValueError(f"{axis} axis requires an on-package placement")
         # a fractional count is kept as given, so validation rejects it
         # instead of a truncated count being evaluated
-        count = int(value) if float(value).is_integer() else value
-        plc = dataclasses.replace(base.placement, count=count)
-        return dataclasses.replace(base, placement=plc)
-    if axis == "vrm_gap":
-        if not isinstance(base.placement, OnPackageVrm):
-            raise ValueError("vrm_gap axis requires an on-package placement")
-        plc = dataclasses.replace(base.placement, gap_mm=float(value))
+        change = ({"count": int(value) if float(value).is_integer() else value}
+                  if axis == "vrm_count" else {"gap_mm": float(value)})
+        plc = dataclasses.replace(base.placement, **change)
         return dataclasses.replace(base, placement=plc)
     if axis == "onchip_decap":
         dec = dataclasses.replace(base.decaps, onchip_density_nf_per_mm2=float(value))
@@ -286,9 +282,7 @@ def config_label(config: ScenarioConfig) -> str:
     plc = config.placement
     if isinstance(plc, OnPackageVrm):
         return f"on_package_{plc.count}"
-    if isinstance(plc, ChipOnVrm3D):
-        return "chip_on_vrm_3d"
-    return "backside"
+    return plc.variant
 
 
 def compare_configurations(configs, transient=True, dt=DEFAULT_DT_S,

@@ -24,7 +24,7 @@ from .config import (BENCHMARK_NAMES, MIN_TILE_COUNT, POWER_MAP_KINDS,
                      ScenarioConfig, benchmark_config, builtin_power_map,
                      config_to_dict, config_to_json, load_config,
                      validate_config)
-from .errors import SolverError, ValidationError
+from .errors import NetlistError, SolverError, ValidationError
 from .heatmap import heatmap_svg
 from .mna import INTEGRATION_METHODS, waveform_to_csv
 from .netlist import netlist_to_text
@@ -259,6 +259,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         for v in exc.violations:
             print(f"validation error: {v}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except NetlistError as exc:
+        print(f"netlist error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

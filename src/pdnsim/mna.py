@@ -82,7 +82,8 @@ class Stimulus:
 
 
 class MnaSystem:
-    """Stamped sparse MNA system plus the index arrays for RHS assembly."""
+    """Stamped sparse MNA system plus the index arrays and full-load
+    vector the solvers assemble each right-hand side from."""
 
     def __init__(self, netlist: Netlist, mode="dc", dt=None, method="trap"):
         if mode not in ("dc", "transient"):
@@ -115,7 +116,8 @@ class MnaSystem:
         factor = 2.0 if method == "trap" else 1.0
         g = np.divide(1.0, value, out=np.zeros(len(kind)), where=kind == RESISTOR)
         g[is_c] = factor * value[is_c] / dt
-        z = np.zeros(len(kind)) if mode == "dc" else factor * value / dt
+        z = np.zeros(len(kind))
+        z[is_l] = factor * value[is_l] / dt if mode == "transient" else 0.0
         # per-element stamp blocks, -1 marking ground or an unused slot:
         # conductance (a,a) (b,b) (a,b) (b,a); branch (a,br) (b,br) (br,a)
         # (br,b) and, for inductors, (br,br).  Flattened in element order,
@@ -134,8 +136,12 @@ class MnaSystem:
         self.ind_rows, self.ind_a, self.ind_b, self.ind_z = br[is_l], a[is_l], b[is_l], z[is_l]
         self.vsrc_rows, self.vsrc_vals = br[is_v], value[is_v]
         self.cap_a, self.cap_b, self.cap_g = a[is_c], b[is_c], g[is_c]
+        # current-source injections at full load, with one trailing entry
+        # for ground: row -1 soaks up the ground-side injections
         is_i = kind == CURRENT_SOURCE
-        self.isrc_a, self.isrc_b, self.isrc_vals = a[is_i], b[is_i], value[is_i]
+        self.load_rhs = np.zeros(self.dim + 1)
+        np.add.at(self.load_rhs, a[is_i], -value[is_i])
+        np.add.at(self.load_rhs, b[is_i], value[is_i])
 
     def factorize(self):
         import scipy.sparse.linalg as spla
@@ -152,14 +158,6 @@ class MnaSystem:
         names = [self.netlist.node_name(int(r) + 1) for r in worst]
         return (f"singular MNA matrix ({detail}); smallest-diagonal node "
                 f"cluster: {', '.join(names)}")
-
-    def static_rhs(self):
-        """Current-source injections, with one trailing entry for ground:
-        row -1 soaks up the ground-side injections, so no masks are needed."""
-        rhs = np.zeros(self.dim + 1)
-        np.add.at(rhs, self.isrc_a, -self.isrc_vals)
-        np.add.at(rhs, self.isrc_b, self.isrc_vals)
-        return rhs
 
 
 def stamp_mna(netlist: Netlist, mode="dc", dt=None, method="trap") -> MnaSystem:
@@ -182,7 +180,7 @@ def dc_solve(netlist: Netlist) -> DcSolution:
     """Sparse-LU DC operating point with a KCL residual check."""
     sys_ = stamp_mna(netlist, mode="dc")
     lu = sys_.factorize()
-    rhs = sys_.static_rhs()[:-1]
+    rhs = sys_.load_rhs[:-1].copy()
     rhs[sys_.vsrc_rows] = sys_.vsrc_vals
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
@@ -238,7 +236,7 @@ def _check_warm_start(netlist: Netlist):
 
 
 def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
-                    method="trap", probes=None, init="cold") -> TransientWaveform:
+                    method="trap", probes=(), init="cold") -> TransientWaveform:
     """Fixed-step transient simulation.
 
     ``init="cold"`` starts with all states at zero and ramps the VRM
@@ -251,9 +249,9 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     from a node to ground; a warm start of any other netlist raises
     ``ValueError`` naming the first element that breaks this.
 
-    Records voltage series for ``probes`` (netlist probe names; defaults to
-    the named chip probes) and running post-ramp minima for every chip tile
-    when the netlist carries tile metadata.
+    Records voltage series for ``probes`` (netlist probe names; none by
+    default) and running post-ramp minima for every chip tile when the
+    netlist carries tile metadata.
     """
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be finite and > 0 (got {dt})")
@@ -269,59 +267,52 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
         _check_warm_start(netlist)
     sys_ = stamp_mna(netlist, mode="transient", dt=dt, method=method)
     lu = sys_.factorize()
-    trap = method == "trap"
 
     times = dt * np.arange(n_steps + 1)
 
-    if probes is None:
-        probes = [p for p in ("chip_center", "chip_corner") if p in netlist.probes]
-    probe_rows = {}
     for name in probes:
         if name not in netlist.probes:
             raise KeyError(f"unknown probe {name!r}")
-        probe_rows[name] = netlist.probes[name] - 1
-    probe_rows_arr = np.array(list(probe_rows.values()), dtype=np.int64)
-
-    tiles = netlist.meta.get("chip_tile_nodes") if netlist.meta else None
-    tile_rows = None if tiles is None else (np.asarray(tiles).ravel() - 1)
+    n_probes = len(probes)
+    tiles = netlist.meta.get("chip_tile_nodes")
+    # the probe rows, then the chip tile rows: one gather from x per step
+    rows = np.array([*(netlist.probes[p] for p in probes),
+                     *np.ravel(() if tiles is None else tiles)], dtype=np.int64) - 1
 
     # x and rhs carry one trailing entry that stands for ground: row -1
     # reads 0.0 from x and soaks up ground injections in rhs, so the step
     # loop needs no ground masks
     x = np.zeros(sys_.dim + 1)
-    static = sys_.static_rhs()
+    if warm:
+        # zero-load operating point: every non-ground node at v_end, all
+        # branch currents zero
+        x[: sys_.n_nodes] = stimulus.v_end
 
     cap_a, cap_b, cap_g = sys_.cap_a, sys_.cap_b, sys_.cap_g
-    cap_ieq = np.zeros(len(cap_g))
+    # capacitor companions carry the standing voltage of the start, so a
+    # warm start injects no spurious transient at t=0
+    cap_ieq = cap_g * (x[cap_a] - x[cap_b])
     ind_rows, ind_a, ind_b, ind_z = sys_.ind_rows, sys_.ind_a, sys_.ind_b, sys_.ind_z
     ind_e = np.zeros(len(ind_rows))
 
-    if warm:
-        # zero-load operating point: every non-ground node at v_end, all
-        # branch currents zero; capacitor companions carry their standing
-        # voltage so no spurious transient is injected at t=0
-        x[: sys_.n_nodes] = stimulus.v_end
-        cap_ieq = cap_g * (x[cap_a] - x[cap_b])
-
-    vsrc_rows, dc_vals = sys_.vsrc_rows, sys_.vsrc_vals
     # the drive at every step, looked up by row in the loop
     load = np.broadcast_to(stimulus.load_factor(times), times.shape)
-    drive = stimulus.v_end if warm else stimulus.voltage(times[:, None], dc_vals)
-    drive = np.broadcast_to(drive, (len(times), len(vsrc_rows)))
+    drive = stimulus.v_end if warm else stimulus.voltage(times[:, None], sys_.vsrc_vals)
+    drive = np.broadcast_to(drive, (len(times), len(sys_.vsrc_rows)))
 
-    recorded = np.empty((n_steps + 1, len(probe_rows)))
-    recorded[0] = x[probe_rows_arr]
+    recorded = np.empty((n_steps + 1, n_probes))
+    recorded[0] = x[rows[:n_probes]]
 
     ramp_end = 0.0 if warm else stimulus.ramp_end_s
-    tile_min = None if tile_rows is None else np.full(tile_rows.shape, np.inf)
+    tile_min = np.full(len(rows) - n_probes, np.inf)
 
     for step in range(1, n_steps + 1):
         t = times[step]
-        rhs = static * load[step]
+        rhs = sys_.load_rhs * load[step]
         np.add.at(rhs, cap_a, cap_ieq)
         np.subtract.at(rhs, cap_b, cap_ieq)
         rhs[ind_rows] += ind_e
-        rhs[vsrc_rows] = drive[step]
+        rhs[sys_.vsrc_rows] = drive[step]
 
         x[:-1] = lu.solve(rhs[:-1])
 
@@ -332,23 +323,23 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
                 f"method={method}, dt={dt:.3e} — reduce dt or switch method")
 
         # history updates
-        if trap:
+        if method == "trap":
             cap_ieq = 2.0 * cap_g * (x[cap_a] - x[cap_b]) - cap_ieq
             ind_e = -(x[ind_a] - x[ind_b]) - ind_z * x[ind_rows]
         else:
             cap_ieq = cap_g * (x[cap_a] - x[cap_b])
             ind_e = -ind_z * x[ind_rows]
 
-        recorded[step] = x[probe_rows_arr]
-        if tile_min is not None and t >= ramp_end:
-            np.minimum(tile_min, x[tile_rows], out=tile_min)
+        seen = x[rows]
+        recorded[step] = seen[:n_probes]
+        if t >= ramp_end:
+            np.minimum(tile_min, seen[n_probes:], out=tile_min)
 
-    series = {name: recorded[:, k].copy() for k, name in enumerate(probe_rows)}
+    series = {name: recorded[:, k].copy() for k, name in enumerate(probes)}
     wf = TransientWaveform(time_s=times, series=series, dt=dt, ramp_end_s=ramp_end)
-    if tile_min is not None:
-        shape = np.asarray(tiles).shape
-        wf.tile_min = tile_min.reshape(shape)
-        wf.tile_final = x[tile_rows].reshape(shape)
+    if tiles is not None:
+        wf.tile_min = tile_min.reshape(np.shape(tiles))
+        wf.tile_final = seen[n_probes:].reshape(np.shape(tiles))
     return wf
 
 

@@ -173,6 +173,23 @@ def test_builtin_power_map_with_zero_supply_is_validation_error(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+def test_netlist_error_is_exit_1_without_traceback(tmp_path, small_config, capsys):
+    """A config that validates but whose VRM pads the builder cannot lay out
+    on the package is reported in one line, like a validation error."""
+    d = json.loads(config_to_json(small_config("on_package_1")))
+    d["package"]["package_height_mm"] = 29.0
+    d["package"]["vrm_pad_width_mm"] = 0.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(bad)]) == 0
+    assert main(["dc", "--config", str(bad), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("netlist error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # netlist / dc / tran
 

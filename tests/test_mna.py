@@ -1,5 +1,7 @@
 """MNA solver: DC oracle parity, closed-form transients, solver properties."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 from oracle import (dense_dc, dense_transient, random_dc_netlist,
                     random_transient_netlist, rc_step_voltage, rl_mid_voltage,
                     rlc_cap_voltage)
-from pdnsim import (Netlist, SolverError, Stimulus, dc_solve, stamp_mna,
+from pdnsim import (Netlist, SolverError, Stimulus, dc_solve, evaluate, stamp_mna,
                     transient_solve)
+from pdnsim.analysis import _apply_axis
 from pdnsim.builder import assemble_netlist
-from pdnsim.config import benchmark_config
+from pdnsim.config import benchmark_config, builtin_power_map, validate_config
 from pdnsim.mna import INTEGRATION_METHODS, _check_warm_start, waveform_to_csv
 from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
                             RESISTOR, VOLTAGE_SOURCE)
@@ -278,14 +281,18 @@ def test_transient_runs_networks_that_settle_far_above_their_sources(seed, metho
     _assert_transient_matches_dense_oracle(net, Stimulus(kind="dc"), 1e-11, 1e-9, method, "cold")
 
 
-def test_transient_raises_on_a_non_finite_step():
+@pytest.mark.parametrize("dt, t", [(1e-3, r"1\.000e-03"), (1e-11, r"1\.000e-11")],
+                         ids=["1ms", "10ps"])
+def test_transient_raises_on_a_non_finite_step(dt, t):
+    """At 10 ps, 2 * 1e300 / dt overflows: the stamp must give companion
+    impedances to inductors only, so the source value reaches the step."""
     net = Netlist()
     node = net.add_node("chip", (0, 0))
     # 1e300 A into 1e10 ohm overflows to -inf at the first step
     net.add_elements([RESISTOR, CURRENT_SOURCE], node, GROUND, [1e10, 1e300],
                      ["chip_h", "load"], 0, 0)
-    with pytest.raises(SolverError, match=r"transient diverged at t=1\.000e-03s \(\|v\|max=inf\)"):
-        transient_solve(net, Stimulus(kind="dc"), 1e-3, 1e-2)
+    with pytest.raises(SolverError, match=rf"transient diverged at t={t}s \(\|v\|max=inf\)"):
+        transient_solve(net, Stimulus(kind="dc"), dt, 10 * dt)
 
 
 def test_transient_settles_to_dc():
@@ -359,7 +366,10 @@ def test_transient_argument_checks():
     for dt, t_end in ((1e-9, 0.4e-9), (1e-9, 0.5e-9)):
         with pytest.raises(ValueError, match="at least one step"):
             transient_solve(net, stim, dt, t_end, method="rk4")
-    assert len(transient_solve(net, stim, 1e-9, 0.6e-9).time_s) == 2
+    # a named chip probe is recorded only when asked for
+    net.probes["chip_center"] = 1
+    wf = transient_solve(net, stim, 1e-9, 0.6e-9)
+    assert len(wf.time_s) == 2 and wf.series == {}
     with pytest.raises(ValueError, match="unknown init"):
         transient_solve(net, stim, 1e-12, 1e-9, init="tepid")
     with pytest.raises(KeyError, match="unknown probe"):
@@ -375,3 +385,47 @@ def test_waveform_csv_format_and_determinism():
     assert len(lines) == 12  # header + 11 samples
     wf2 = transient_solve(net, Stimulus(kind="dc"), 1e-8, 1e-7, probes=["n0"])
     assert waveform_to_csv(wf2) == csv1
+
+
+# ---------------------------------------------------------------------------
+# metamorphic checks at full size: they must hold for any solver change
+
+
+@pytest.mark.parametrize("mode, dt", [("dc", None), ("transient", 25e-12)],
+                         ids=["dc", "transient"])
+def test_tile_transfer_impedances_are_reciprocal(mode, dt):
+    """The MNA matrix is symmetric, so the voltage at tile i from a unit
+    injection at tile j equals the voltage at j from one at i."""
+    net = assemble_netlist(benchmark_config("on_package_1"))
+    lu = stamp_mna(net, mode=mode, dt=dt).factorize()
+    tile_rows = net.meta["chip_tile_nodes"].ravel() - 1
+    rng = np.random.default_rng(12)
+    for i, j in rng.choice(tile_rows, size=(10, 2), replace=False):
+        e_i, e_j = np.zeros(lu.shape[0]), np.zeros(lu.shape[0])
+        e_i[i] = e_j[j] = 1.0
+        z_ij, z_ji = lu.solve(e_j)[i], lu.solve(e_i)[j]
+        assert abs(z_ij - z_ji) <= 1e-9 * max(abs(z_ij), abs(z_ji))
+
+
+def test_load_step_deficits_scale_with_power():
+    """A warm start holds every node at v_end until the load steps in, so
+    every deficit below v_end is linear in the load current: scaling the
+    chip power by s scales the probe and tile deficits and the IR map by s.
+    The worst-tile probe is left out; roundoff among near-equal tiles
+    picks it."""
+    cfg = benchmark_config("chip_on_vrm_3d", "uniform")
+    chip = dataclasses.replace(cfg.chip, tile_count_x=20, tile_count_y=20)
+    cfg = validate_config(dataclasses.replace(
+        cfg, chip=chip, power_map=builtin_power_map("uniform", chip)))
+
+    def deficits(c):
+        res = evaluate(c, dt=25e-12, t_end=60e-9, init="warm")
+        v_end = c.vrm.output_voltage_v
+        return [v_end - res.waveform.series["chip_center"],
+                v_end - res.waveform.series["chip_corner"],
+                v_end - res.waveform.tile_min, res.ir_map.drop_mv]
+
+    base = deficits(cfg)
+    for s in (0.5, 2.0):
+        for got, ref in zip(deficits(_apply_axis(cfg, "power_scale", s)), base):
+            assert np.max(np.abs(got - s * ref)) <= 1e-9 * np.max(np.abs(s * ref))
