@@ -15,9 +15,7 @@ import dataclasses
 import time
 
 import pdnsim
-
-BENCHMARKS = ("on_package_1", "on_package_2", "on_package_4",
-              "backside", "chip_on_vrm_3d")
+from pdnsim.config import BENCHMARK_NAMES
 
 
 def main():
@@ -36,7 +34,7 @@ def main():
           f"{'1st droop (mV)':>15} {'settle (mV)':>12}")
     print("-" * 72)
     t0 = time.perf_counter()
-    for name in BENCHMARKS:
+    for name in BENCHMARK_NAMES:
         cfg = pdnsim.benchmark_config(name)
         chip = dataclasses.replace(cfg.chip, tile_count_x=args.tiles,
                                    tile_count_y=args.tiles)

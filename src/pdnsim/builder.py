@@ -67,7 +67,7 @@ def build_chip_grid(net, chip, power_map=None, decaps=DecapPolicy()):
     wire = chip.onchip_wire
 
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
-    tile_nodes = net.add_nodes("chip", ii, jj)
+    tile_nodes = net.add_nodes(ii.shape)
 
     # boundary resistors: n parallel wires cross each tile boundary
     n_x = max(1, int(ty_mm * 1000.0 // wire.pitch_um))   # wires along x
@@ -84,7 +84,7 @@ def build_chip_grid(net, chip, power_map=None, decaps=DecapPolicy()):
     cap_f = decaps.onchip_density_nf_per_mm2 * 1e-9 * tile_area_mm2
     esr = decaps.onchip_esr_ohm_mm2 / tile_area_mm2
     if cap_f > 0.0:
-        mid = net.add_nodes("internal", ii, jj)
+        mid = net.add_nodes(ii.shape)
         net.add_elements([CURRENT_SOURCE, RESISTOR, CAPACITOR],
                          _stack(tile_nodes, tile_nodes, mid), _stack(GROUND, mid, GROUND),
                          _stack(amps, _r(esr), cap_f),
@@ -113,7 +113,7 @@ def build_package_network(net, pkg):
     l_sq = pkg.segment_inductance_ph_per_square * 1e-12
 
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
-    nodes = net.add_nodes("package_top", ii, jj)
+    nodes = net.add_nodes(ii.shape)
     _rl_branches(net, nodes[:, :-1], nodes[:, 1:], r_sq, l_sq, ("pkg_h", "pkg_lh"),
                  ii[:, :-1], jj[:, :-1])
     _rl_branches(net, nodes[:-1], nodes[1:], r_sq, l_sq, ("pkg_v", "pkg_lv"),
@@ -130,17 +130,16 @@ def _bumps_per_tile(tx_mm, ty_mm, pitch_um):
     return max(1, int(tx_mm * 1000.0 // pitch_um) * int(ty_mm * 1000.0 // pitch_um))
 
 
-def _rl_branches(net, src, dst, r, l, stems, *index, prefix=()):
+def _rl_branches(net, src, dst, r, l, stems, *index):
     """A series R-L branch from each ``src`` to its ``dst`` node through a
-    new internal node at ``prefix + index``; elements go R, L per branch."""
-    mid = net.add_nodes("internal", *index, prefix=prefix)
+    new internal node, one per ``index`` entry; elements go R, L per branch."""
+    mid = net.add_nodes(index[0].shape)
     net.add_elements([RESISTOR, INDUCTOR], _stack(src, mid), _stack(mid, dst),
                      [_r(r), _l(l)], stems, *(ix[..., None] for ix in index))
 
 
 def _decap_branch(net, node, cap, stem_prefix, idx):
-    mid1 = net.add_node("internal")
-    mid2 = net.add_node("internal")
+    mid1, mid2 = net.add_nodes(2)
     net.add_elements([RESISTOR, INDUCTOR, CAPACITOR], [node, mid1, mid2], [mid1, mid2, GROUND],
                      [_r(cap.esr_mohm * 1e-3), _l(cap.esl_nh * 1e-9), cap.capacitance_uf * 1e-6],
                      [f"{stem_prefix}_esr", f"{stem_prefix}_esl", f"{stem_prefix}_c"], idx)
@@ -148,7 +147,7 @@ def _decap_branch(net, node, cap, stem_prefix, idx):
 
 def _vrm_chain(net, k, vrm):
     """Ideal source + series R/L; returns the output node of the chain."""
-    n_src, n1, n2 = (net.add_node("vrm_die", (p, k)) for p in ("src", "r", "l"))
+    n_src, n1, n2 = net.add_nodes(3)
     net.add_elements([VOLTAGE_SOURCE, RESISTOR, INDUCTOR], [n_src, n_src, n1], [GROUND, n1, n2],
                      [vrm.output_voltage_v, _r(vrm.series_resistance_mohm * 1e-3),
                       _l(vrm.series_inductance_nh * 1e-9)], ["vrm_src", "vrm_r", "vrm_l"], k)
@@ -170,14 +169,14 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     nx, ny = chip.tile_count_x, chip.tile_count_y
     tx_mm = chip.width_mm / nx
     ty_mm = chip.height_mm / ny
-    tile_cx = -chip.width_mm / 2.0 + tx_mm * (np.arange(nx) + 0.5)
-    tile_cy = -chip.height_mm / 2.0 + ty_mm * (np.arange(ny) + 0.5)
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
 
     plc = config.placement
-
-    # chip-to-carrier attach: C4 per tile (2.5-D) or TSV+microbump per tile (3-D)
+    c4 = pkg.c4_bump
     if isinstance(plc, ChipOnVrm3D):
+        # 3-D: TSV+microbump per tile from the VRM die, which still sits on
+        # the package under the chip through the C4 array so the
+        # package/board decap paths stay connected
         die = _vrm_chain(net, 0, config.vrm)  # VRM die distribution node
         if plc.die_decap is not None:
             _decap_branch(net, die, plc.die_decap, "die_decap", 0)
@@ -187,17 +186,23 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         l_site = (via_inductance(plc.vrm_tsv)
                   + plc.microbump.inductance_per_bump_ph * 1e-12) / n_ub
         _rl_branches(net, die, tiles, r_site, l_site, ("tsv_r", "ubump_l"), ii, jj)
+        under_i = np.flatnonzero(np.abs(pxs) <= chip.width_mm / 2.0 + 1e-9)
+        under_j = np.flatnonzero(np.abs(pys) <= chip.height_mm / 2.0 + 1e-9)
+        sites = pnodes[np.ix_(under_j, under_i)]
+        total_c4 = _bumps_per_tile(chip.width_mm, chip.height_mm, c4.pitch_um)
+        share = max(1.0, total_c4 / sites.size)
+        _rl_branches(net, die, sites, c4.resistance_per_bump_mohm * 1e-3 / share,
+                     c4.inductance_per_bump_ph * 1e-12 / share, ("die_c4_r", "die_c4_l"),
+                     np.arange(sites.size).reshape(sites.shape))
     else:
-        c4 = pkg.c4_bump
+        # 2.5-D: C4 per tile to the package node under its centre
+        tile_cx = -chip.width_mm / 2.0 + tx_mm * (np.arange(nx) + 0.5)
+        tile_cy = -chip.height_mm / 2.0 + ty_mm * (np.arange(ny) + 0.5)
         n_c4 = _bumps_per_tile(tx_mm, ty_mm, c4.pitch_um)
         r_tile = c4.resistance_per_bump_mohm * 1e-3 / n_c4
         l_tile = c4.inductance_per_bump_ph * 1e-12 / n_c4
         landing = pnodes[np.ix_(_nearest(pys, tile_cy), _nearest(pxs, tile_cx))]
         _rl_branches(net, tiles, landing, r_tile, l_tile, ("c4_r", "c4_l"), ii, jj)
-
-    # under-chip package node set (used by 3-D die attach and backside vias)
-    under_i = np.flatnonzero(np.abs(pxs) <= chip.width_mm / 2.0 + 1e-9)
-    under_j = np.flatnonzero(np.abs(pys) <= chip.height_mm / 2.0 + 1e-9)
 
     if isinstance(plc, OnPackageVrm):
         sides = {1: ["west"], 2: ["west", "east"],
@@ -208,8 +213,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         squares = plc.gap_mm / padw
         for k, side in enumerate(sides):
             out = _vrm_chain(net, k, config.vrm)
-            n3 = net.add_node("vrm_die", ("strap_r", k))
-            n_pad = net.add_node("vrm_die", ("pad", k))
+            n3, n_pad = net.add_nodes(2)
             net.add_elements([RESISTOR, INDUCTOR], [out, n3], [n3, n_pad],
                              [_r(r_sq * squares), _l(l_sq * squares)],
                              ["strap_r", "strap_l"], k)
@@ -224,18 +228,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         site_y = -chip.height_mm / 2.0 + (np.arange(n_side) + 0.5) * chip.height_mm / n_side
         sites = pnodes[np.ix_(_nearest(pys, site_y), _nearest(pxs, site_x))]
         _rl_branches(net, out, sites, via_resistance(tpv), via_inductance(tpv),
-                     ("tpv_r", "tpv_l"), np.arange(sites.size).reshape(sites.shape),
-                     prefix=("tpv",))
-    else:
-        # 3-D: VRM die still sits on the package through the C4 array so the
-        # package/board decap paths stay connected
-        c4 = pkg.c4_bump
-        total_c4 = _bumps_per_tile(chip.width_mm, chip.height_mm, c4.pitch_um)
-        sites = pnodes[np.ix_(under_j, under_i)]
-        share = max(1.0, total_c4 / sites.size)
-        _rl_branches(net, die, sites, c4.resistance_per_bump_mohm * 1e-3 / share,
-                     c4.inductance_per_bump_ph * 1e-12 / share, ("die_c4_r", "die_c4_l"),
-                     np.arange(sites.size).reshape(sites.shape), prefix=("die_c4",))
+                     ("tpv_r", "tpv_l"), np.arange(sites.size).reshape(sites.shape))
 
     # package discrete decaps
     for m, cap in enumerate(config.decaps.package_decaps):
@@ -247,12 +240,11 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     sb = pkg.solder_bump
     r_sb = sb.resistance_per_bump_mohm * 1e-3 / pkg.solder_bump_count
     l_sb = sb.inductance_per_bump_ph * 1e-12 / pkg.solder_bump_count
-    board_a = net.add_node("board", "solder")
+    board_a = net.add_node()
     corners = pnodes[[0, 0, -1, -1], [0, -1, 0, -1]]
     _rl_branches(net, corners, board_a, r_sb * len(corners), l_sb * len(corners),
-                 ("solder_r", "solder_l"), np.arange(len(corners)), prefix=("solder",))
-    board_mid = net.add_node("board", "lump")
-    board_b = net.add_node("board", "far")
+                 ("solder_r", "solder_l"), np.arange(len(corners)))
+    board_mid, board_b = net.add_nodes(2)
     net.add_elements([RESISTOR, INDUCTOR], [board_a, board_mid], [board_mid, board_b],
                      [_r(config.board.lumped_resistance_mohm * 1e-3),
                       _l(config.board.lumped_inductance_nh * 1e-9)], ["board_r", "board_l"])

@@ -423,22 +423,22 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # benchmark configurations
 
-BENCHMARK_NAMES = ("on_package_1", "on_package_2", "on_package_4", "backside", "chip_on_vrm_3d")
+_BENCHMARKS = {
+    "on_package_1": OnPackageVrm(count=1),
+    "on_package_2": OnPackageVrm(count=2),
+    "on_package_4": OnPackageVrm(count=4),
+    "backside": BacksideVrm(),
+    "chip_on_vrm_3d": ChipOnVrm3D(),
+}
+BENCHMARK_NAMES = tuple(_BENCHMARKS)
 
 
 def benchmark_config(name, power_map_kind="hotspot") -> ScenarioConfig:
     """One of the five studied VRM placement benchmarks, validated:
     ``on_package_{1,2,4}``, ``backside``, ``chip_on_vrm_3d``."""
-    placements = {
-        "on_package_1": OnPackageVrm(count=1),
-        "on_package_2": OnPackageVrm(count=2),
-        "on_package_4": OnPackageVrm(count=4),
-        "backside": BacksideVrm(),
-        "chip_on_vrm_3d": ChipOnVrm3D(),
-    }
-    if name not in placements:
+    if name not in _BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {BENCHMARK_NAMES}")
-    cfg = ScenarioConfig(placement=placements[name])
+    cfg = ScenarioConfig(placement=_BENCHMARKS[name])
     cfg = dataclasses.replace(cfg, power_map=builtin_power_map(power_map_kind, cfg.chip))
     return validate_config(cfg)
 
@@ -466,11 +466,23 @@ _JSON_SCALARS = {float: (int, float), int: int, bool: bool}
 
 def _decode(tp, val, path):
     """``val`` checked against the field annotation ``tp``: a spec from an
-    object, a tuple from a list, ``None`` for an optional field."""
-    if typing.get_origin(tp) in (typing.Union, types.UnionType):   # Spec | None
-        if val is None:
-            return None
-        (tp,) = [t for t in typing.get_args(tp) if t is not type(None)]
+    object, a tuple from a list, ``None`` for an optional field and a
+    ``VrmPlacement`` by its ``variant`` tag (default ``"on_package"``)."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        specs = typing.get_args(tp)
+        if type(None) in specs:                  # Spec | None
+            if val is None:
+                return None
+            (tp,) = [t for t in specs if t is not type(None)]
+        else:                                    # VrmPlacement
+            if not isinstance(val, dict):
+                raise ValidationError([f"{path}: expected an object, got {val!r}"])
+            val = dict(val)
+            variant = val.pop("variant", "on_package")
+            tagged = [t for t in specs if t.variant == variant]
+            if not tagged:
+                raise ValidationError([f"{path}.variant: unknown variant {variant!r}"])
+            (tp,) = tagged
     if typing.get_origin(tp) is tuple:           # tuple[Spec, ...]
         if not isinstance(val, (list, tuple)):
             raise ValidationError([f"{path}: expected a list, got {val!r}"])
@@ -527,9 +539,6 @@ def _power_map(pmd, chip) -> PowerMap:
     )
 
 
-_PLACEMENTS = {cls.variant: cls for cls in typing.get_args(VrmPlacement)}
-
-
 def config_from_dict(d: dict) -> ScenarioConfig:
     """Inverse of config_to_dict.  Checks the shape of ``d`` (known keys,
     field types) but not the physics, save the chip bounds a builtin map
@@ -537,20 +546,10 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     if not isinstance(d, dict):
         raise ValidationError([f"config: expected an object, got {d!r}"])
     specs = dict(d)
-    pd = specs.pop("placement", {})
     pmd = specs.pop("power_map", None)
     cfg = _nested(ScenarioConfig, specs, "")
-
-    if not isinstance(pd, dict):
-        raise ValidationError([f"placement: expected an object, got {pd!r}"])
-    pd = dict(pd)
-    variant = pd.pop("variant", "on_package")
-    if not isinstance(variant, str) or variant not in _PLACEMENTS:
-        raise ValidationError([f"placement.variant: unknown variant {variant!r}"])
-    plc = _nested(_PLACEMENTS[variant], pd, "placement")
-
     pm = None if pmd is None else _power_map(pmd, cfg.chip)
-    return dataclasses.replace(cfg, placement=plc, power_map=pm)
+    return dataclasses.replace(cfg, power_map=pm)
 
 
 def config_to_json(config: ScenarioConfig) -> str:

@@ -1,21 +1,21 @@
 """Flat RLC netlist representation.
 
-Nodes are dense integer ids with ground reserved at 0; each node carries
-its tier and position.  Elements are two-terminal; every element carries a
-provenance label of its stem and grid position (``chip_h[12,7]``) for
-people reading the text export.  Labels are provenance only: nothing parses
-them back, and the tier of an element is the tier of its nodes.  The
-line-oriented text export is bit-exact, diffable and write-only.
+Nodes are bare integer ids, dense from ground at 0.  Elements are
+two-terminal; every element carries a provenance label of its stem and grid
+position (``chip_h[12,7]``) for people reading the text export.  Labels are
+the netlist's only provenance: a message names node ``k`` by its id and the
+label of the first element on it (``node 2854 (c4_r[0,0])``), and the text
+export prints both on that element's line.  Nothing parses labels back.
+The line-oriented text export is bit-exact, diffable and write-only.
 
-Both are stored as plain lists of array blocks: a builder adds a whole
-grid in one call, and labels, node names and ``Element`` records are made
-only when they are asked for.
+Elements are stored as a plain list of array blocks: a builder adds a whole
+grid in one call, and labels and ``Element`` records are made only when
+they are asked for.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +50,8 @@ class Netlist:
     def __init__(self):
         self.probes: dict[str, int] = {}
         self.meta: dict = {}
-        self._nodes = []      # blocks (first node id, tier, position or prefix, index rows)
         self._elements = []   # blocks (kind, a, b, value, stem, index rows)
-        self._node_count = 0
-        self.add_node("ground")
+        self._node_count = 1  # ground
 
     @property
     def elements(self) -> list[Element]:
@@ -71,30 +69,23 @@ class Netlist:
     def node_count(self):
         return self._node_count
 
-    def add_node(self, tier, position="lumped") -> int:
-        self._nodes.append((self._node_count, tier, position, None))
+    def add_node(self) -> int:
         self._node_count += 1
         return self._node_count - 1
 
-    def add_nodes(self, tier, *index, prefix=()):
-        """One node per entry of the broadcast ``index`` arrays, at position
-        ``prefix + (index[0][k], index[1][k], ...)``; returns the node ids in
-        the broadcast shape."""
-        index = np.broadcast_arrays(*index)
-        rows = np.stack([ix.ravel() for ix in index], axis=1).astype(np.int64)
-        first = self._node_count
-        self._nodes.append((first, tier, prefix, rows))
-        self._node_count += len(rows)
-        return first + np.arange(len(rows)).reshape(index[0].shape)
+    def add_nodes(self, shape):
+        """New node ids, row-major in an array of ``shape``."""
+        ids = np.arange(self._node_count, self._node_count + np.prod(shape, dtype=int))
+        self._node_count += ids.size
+        return ids.reshape(shape)
 
     def node_name(self, k) -> str:
-        """``tier`` and position of node ``k``, as messages name a node."""
+        """Node ``k`` as messages name it: its id, and the label of the
+        first element on it when there is one."""
         k = range(self._node_count)[k]
-        first, tier, position, index = self._nodes[
-            bisect_right(self._nodes, k, key=lambda blk: blk[0]) - 1]
-        if index is not None:
-            position = position + tuple(index[k - first].tolist())
-        return f"{tier}{position}"
+        _, a, b, _ = self.columns()
+        on = np.flatnonzero((a == k) | (b == k))
+        return f"node {k} ({self.labels()[on[0]]})" if len(on) else f"node {k}"
 
     def add_elements(self, kind, a, b, value, stem, *index) -> int:
         """Append the elements of broadcast column arrays in row-major order;

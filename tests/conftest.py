@@ -12,13 +12,11 @@ import pytest
 from hypothesis import settings
 
 import pdnsim
+from pdnsim.config import BENCHMARK_NAMES
 
 # CI runs pass --hypothesis-profile=ci: examples are drawn from a fixed seed
 # and a failure prints the blob that replays it; local runs stay random
 settings.register_profile("ci", derandomize=True, print_blob=True)
-
-BENCHMARKS = ("on_package_1", "on_package_2", "on_package_4",
-              "backside", "chip_on_vrm_3d")
 
 # Acceptance runs use a 25 ps step: benchmark time constants sit well above
 # 1 ns, trapezoidal error at 25 ps is far below the metric tolerances, and
@@ -35,7 +33,7 @@ def bench_results():
     """
     results = {}
     t0 = time.perf_counter()
-    for name in BENCHMARKS:
+    for name in BENCHMARK_NAMES:
         cfg = pdnsim.benchmark_config(name)
         results[name] = pdnsim.evaluate(cfg, dt=ACCEPT_DT_S, t_end=ACCEPT_T_END_S)
     wall = time.perf_counter() - t0

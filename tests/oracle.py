@@ -144,7 +144,7 @@ def random_dc_netlist(rng, max_nodes=10):
 
     net = Netlist()
     n_extra = int(rng.integers(2, max_nodes))   # nodes beyond ground
-    nodes = [GROUND] + [net.add_node("chip", (k, 0)) for k in range(n_extra)]
+    nodes = [GROUND] + [net.add_node() for _ in range(n_extra)]
 
     def rnd_r():
         return float(10.0 ** rng.uniform(-3, 3))
@@ -219,7 +219,7 @@ def random_transient_netlist(rng, max_nodes=10, reroot=False):
         a, b = (np.where(rl & (t == GROUND), vn, t) for t in (a, b))
     keep = a != b
     net = Netlist()
-    nodes = net.add_nodes("chip", np.arange(base.node_count - 1), 0)
+    nodes = net.add_nodes(base.node_count - 1)
     net.add_elements(kind[keep], a[keep], b[keep], value[keep],
                      np.array(base.labels())[keep])
 
@@ -230,14 +230,14 @@ def random_transient_netlist(rng, max_nodes=10, reroot=False):
         net.add_elements(CAPACITOR, int(rng.choice(nodes)), GROUND,
                          log_uniform(-12, -9), "chip_decap_c", k, 1)
     for k in range(int(rng.integers(0, 3))):
-        node, (mid1, mid2) = int(rng.choice(nodes)), net.add_nodes("internal", [0, 1], k)
+        node, (mid1, mid2) = int(rng.choice(nodes)), net.add_nodes(2)
         net.add_elements([RESISTOR, INDUCTOR, CAPACITOR], [node, mid1, mid2],
                          [mid1, mid2, GROUND],
                          [log_uniform(-3, 0), log_uniform(-12, -9), log_uniform(-12, -9)],
                          ["decap_esr", "decap_esl", "decap_c"], k)
     for k in range(int(rng.integers(0, 3))):
         i, j = (int(n) for n in rng.choice(nodes, size=2, replace=False))
-        mid = net.add_node("internal", ("rl", k))
+        mid = net.add_node()
         net.add_elements([RESISTOR, INDUCTOR], [i, mid], [mid, j],
                          [log_uniform(-3, 0), log_uniform(-12, -9)], ["bump_r", "bump_l"], k)
     return net

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import pdnsim
-from conftest import ACCEPT_DT_S, ACCEPT_T_END_S, BENCHMARKS
+from conftest import ACCEPT_DT_S, ACCEPT_T_END_S
 from oracle import (dense_dc, random_dc_netlist, rc_step_voltage,
                     rl_mid_voltage, rlc_cap_voltage)
 from pdnsim import (Netlist, Stimulus, builtin_power_map, config_from_json,
@@ -30,6 +30,7 @@ from pdnsim import (Netlist, Stimulus, builtin_power_map, config_from_json,
 from pdnsim.analysis import run_sweep
 from pdnsim.builder import build_chip_grid
 from pdnsim.cli import main
+from pdnsim.config import BENCHMARK_NAMES
 from pdnsim.netlist import (CAPACITOR, GROUND, INDUCTOR, RESISTOR,
                             VOLTAGE_SOURCE)
 
@@ -57,12 +58,12 @@ def test_dc_oracle_equivalence_on_random_netlists():
 
 def _chain(*elems):
     net = Netlist()
-    prev = net.add_node("vrm_die")
+    prev = net.add_node()
     net.add_elements(VOLTAGE_SOURCE, prev, GROUND, 1.0, "vrm_src[0]")
     stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
     for k, (kind, val) in enumerate(elems):
         last = k == len(elems) - 1
-        nxt = GROUND if last else net.add_node("internal", (k, 0))
+        nxt = GROUND if last else net.add_node()
         net.add_elements(kind, prev, nxt, val, f"{stems[kind]}[{k},0]")
         if not last:
             net.probes[f"n{k}"] = nxt
@@ -110,7 +111,7 @@ def test_transient_closed_form_oracles():
 
 def test_transient_settles_to_dc_ir_drop(bench_results):
     results, _ = bench_results
-    for name in BENCHMARKS:
+    for name in BENCHMARK_NAMES:
         res = results[name]
         assert res.psn.settling_mv == pytest.approx(res.ir_map.max_mv,
                                                     abs=0.1), name
@@ -122,8 +123,8 @@ def test_transient_settles_to_dc_ir_drop(bench_results):
 
 def test_placement_ordering_and_runtime(bench_results):
     results, wall = bench_results
-    ir = {n: results[n].ir_map.max_mv for n in BENCHMARKS}
-    psn = {n: results[n].psn.max_psn_mv for n in BENCHMARKS}
+    ir = {n: results[n].ir_map.max_mv for n in BENCHMARK_NAMES}
+    psn = {n: results[n].psn.max_psn_mv for n in BENCHMARK_NAMES}
     order = ("chip_on_vrm_3d", "backside", "on_package_4",
              "on_package_2", "on_package_1")
     for worse, better in zip(order[1:], order[:-1]):
@@ -145,8 +146,8 @@ def test_default_power_map_is_hotspot():
 
 def test_calibrated_magnitude_targets(bench_results):
     results, _ = bench_results
-    ir = {n: results[n].ir_map.max_mv for n in BENCHMARKS}
-    psn = {n: results[n].psn.max_psn_mv for n in BENCHMARKS}
+    ir = {n: results[n].ir_map.max_mv for n in BENCHMARK_NAMES}
+    psn = {n: results[n].psn.max_psn_mv for n in BENCHMARK_NAMES}
 
     imp_3d_vs_4 = 1.0 - ir["chip_on_vrm_3d"] / ir["on_package_4"]
     assert abs(imp_3d_vs_4 - 0.24) < 0.10
@@ -232,7 +233,7 @@ def _edge_fed_max_drop(tiles):
     pm = builtin_power_map("uniform", chip)
     net = Netlist()
     nodes = build_chip_grid(net, chip, power_map=pm)
-    src = net.add_node("vrm_die")
+    src = net.add_node()
     net.add_elements(VOLTAGE_SOURCE, src, GROUND, 1.0, "vrm_src[0]")
     for j in range(tiles):
         net.add_elements(RESISTOR, src, int(nodes[j, 0]), 1e-3 * tiles, f"pad[0,{j}]")

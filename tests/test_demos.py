@@ -6,9 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from pdnsim.config import BENCHMARK_NAMES
+
 ROOT = Path(__file__).resolve().parents[1]
-BENCHMARKS = ("on_package_1", "on_package_2", "on_package_4",
-              "backside", "chip_on_vrm_3d")
 
 
 def _run_demo(script, *args):
@@ -26,7 +26,7 @@ def test_benchmark_comparison_dc_table():
     lines = _run_demo("benchmark_comparison.py", "--tiles", "6", "--no-transient")
     assert lines[0].split()[:2] == ["placement", "max"]
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:7]}
-    assert list(rows) == list(BENCHMARKS)
+    assert list(rows) == list(BENCHMARK_NAMES)
     for cells in rows.values():
         assert float(cells[0]) > 0.0 and cells[1:] == ["-", "-", "-"]
     assert lines[-1].startswith("total wall time:")

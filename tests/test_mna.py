@@ -23,12 +23,12 @@ from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
 def _series_rlc(*elems, v=1.0):
     """source - elem1 - elem2 - ... - ground chain with probes n0, n1, ..."""
     net = Netlist()
-    prev = net.add_node("vrm_die")
+    prev = net.add_node()
     net.add_elements(VOLTAGE_SOURCE, prev, GROUND, v, "vrm_src[0]")
     stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
     for k, (kind, val) in enumerate(elems):
         last = k == len(elems) - 1
-        nxt = GROUND if last else net.add_node("internal", (k, 0))
+        nxt = GROUND if last else net.add_node()
         net.add_elements(kind, prev, nxt, val, f"{stems[kind]}[{k},0]")
         if not last:
             net.probes[f"n{k}"] = nxt
@@ -73,9 +73,9 @@ def test_dc_source_currents_follow_netlist_sources():
     node sits at 1 - 0.4 * (3 || 1) = 0.7 V, so the 3 ohm feed carries
     0.1 A and the 1 ohm feed 0.3 A."""
     net = Netlist()
-    load = net.add_node("chip_grid", (0, 0))
+    load = net.add_node()
     for k, r in enumerate((3.0, 1.0)):
-        src = net.add_node("vrm_die", (k, 0))
+        src = net.add_node()
         net.add_elements(VOLTAGE_SOURCE, src, GROUND, 1.0, f"vrm_src[{k}]")
         net.add_elements(RESISTOR, src, load, r, f"pkg_h[{k},0]")
     net.add_elements(CURRENT_SOURCE, load, GROUND, 0.4, "load[0,0]")
@@ -111,7 +111,7 @@ def test_dc_superposition():
     net = random_dc_netlist(rng)
     v1 = dc_solve(net).voltages
     doubled = Netlist()
-    doubled.add_nodes("chip", np.arange(net.node_count - 1), 0)
+    doubled.add_nodes(net.node_count - 1)
     kind, a, b, value = net.columns()
     scale = np.where((kind == VOLTAGE_SOURCE) | (kind == CURRENT_SOURCE), 2.0, 1.0)
     doubled.add_elements(kind, a, b, value * scale, net.labels())
@@ -122,9 +122,9 @@ def test_dc_superposition():
 def test_dc_singular_matrix_raises_with_diagnostic():
     # a node reachable only through a capacitor has no DC equation
     net = Netlist()
-    a = net.add_node("vrm_die")
+    a = net.add_node()
     net.add_elements(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
-    b = net.add_node("internal", (0, 0))
+    b = net.add_node()
     net.add_elements(CAPACITOR, a, b, 1e-9, "chip_decap_c[0,0]")
     net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h[0,0]")
     with pytest.raises(SolverError, match="singular|non-finite"):
@@ -287,7 +287,7 @@ def test_transient_raises_on_a_non_finite_step(dt, t):
     """At 10 ps, 2 * 1e300 / dt overflows: the stamp must give companion
     impedances to inductors only, so the source value reaches the step."""
     net = Netlist()
-    node = net.add_node("chip", (0, 0))
+    node = net.add_node()
     # 1e300 A into 1e10 ohm overflows to -inf at the first step
     net.add_elements([RESISTOR, CURRENT_SOURCE], node, GROUND, [1e10, 1e300],
                      ["chip_h", "load"], 0, 0)
@@ -338,7 +338,7 @@ def test_warm_start_rejects_a_netlist_it_would_not_hold():
         transient_solve(net, Stimulus(kind="step"), 1e-11, 1e-8, init="warm")
     # a source with its positive terminal on ground drives its node to -v_end
     net = Netlist()
-    node = net.add_node("vrm_die")
+    node = net.add_node()
     net.add_elements(VOLTAGE_SOURCE, GROUND, node, 1.0, "vrm_src[0]")
     net.add_elements(CAPACITOR, node, GROUND, 1e-9, "chip_decap_c[0,0]")
     with pytest.raises(ValueError, match=r"vrm_src\[0\] does not run from a node to ground"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -18,14 +19,14 @@ from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
 
 def test_element_rejects_bad_kind():
     net = Netlist()
-    a = net.add_node("chip", (0, 0))
+    a = net.add_node()
     with pytest.raises(NetlistError, match="unknown element kind"):
         net.add_elements("Q", a, GROUND, 1.0, "chip_h[0,0]")
 
 
 def test_element_rejects_equal_terminals():
     net = Netlist()
-    a = net.add_node("chip", (0, 0))
+    a = net.add_node()
     with pytest.raises(NetlistError, match="terminals must differ"):
         net.add_elements(RESISTOR, a, a, 1.0, "chip_h[0,0]")
 
@@ -33,7 +34,7 @@ def test_element_rejects_equal_terminals():
 @pytest.mark.parametrize("kind", [RESISTOR, INDUCTOR, CAPACITOR])
 def test_passive_values_must_be_positive(kind):
     net = Netlist()
-    a = net.add_node("chip", (0, 0))
+    a = net.add_node()
     with pytest.raises(NetlistError, match="must be > 0"):
         net.add_elements(kind, a, GROUND, 0.0, "chip_h[0,0]")
 
@@ -44,7 +45,7 @@ def test_passive_values_must_be_positive(kind):
 ])
 def test_element_values_must_be_finite(kind, value):
     net = Netlist()
-    a = net.add_node("chip", (0, 0))
+    a = net.add_node()
     with pytest.raises(NetlistError, match=r"must be finite \(chip_x\[0,3\]: "):
         net.add_elements(kind, [a, a], GROUND, [1.0, value], "chip_x", 0, [2, 3])
     assert len(net.elements) == 0
@@ -53,14 +54,14 @@ def test_element_values_must_be_finite(kind, value):
 def test_ground_is_node_zero():
     net = Netlist()
     assert net.node_count == 1
-    assert net.node_name(GROUND) == "groundlumped"
-    assert net.add_node("chip", (0, 0)) == 1
+    assert net.node_name(GROUND) == "node 0"
+    assert net.add_node() == 1
     assert net.node_count == 2
 
 
 def test_sources_follow_element_kinds_and_views_are_read_only():
     net = Netlist()
-    a = net.add_node("vrm_die")
+    a = net.add_node()
     assert net.sources == []
     net.add_elements(RESISTOR, a, GROUND, 1.0, "vrm_r[0]")
     net.add_elements(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
@@ -74,18 +75,23 @@ def test_sources_follow_element_kinds_and_views_are_read_only():
 
 def test_element_and_node_views_behave_as_sequences():
     net = Netlist()
-    a = net.add_node("chip", (0, 0))
-    tiles = net.add_nodes("chip", [[1, 2]], [[0, 0]])
+    a = net.add_node()
+    tiles = net.add_nodes((1, 2))
     assert tiles.tolist() == [[2, 3]]
-    net.add_nodes("internal", [0, 1], prefix=("strap", 3))
+    assert net.add_nodes(2).tolist() == [4, 5]
+    assert net.node_count == 6
+    # a node with no element on it is named by its id alone
     assert [net.node_name(k) for k in range(net.node_count)] == [
-        "groundlumped", "chip(0, 0)", "chip(1, 0)", "chip(2, 0)",
-        "internal('strap', 3, 0)", "internal('strap', 3, 1)"]
-    assert net.node_name(-1) == "internal('strap', 3, 1)"
+        "node 0", "node 1", "node 2", "node 3", "node 4", "node 5"]
+    assert net.node_name(-1) == "node 5"
     with pytest.raises(IndexError):
         net.node_name(net.node_count)
     assert net.add_elements(RESISTOR, a, GROUND, 2.0, "chip_h[0,0]") == 0
     assert net.add_elements(RESISTOR, tiles, a, [1.0, 3.0], "chip_v", [1, 2], 0) == 1
+    # ...and otherwise also by the label of the first element on it
+    assert [net.node_name(k) for k in range(net.node_count)] == [
+        "node 0 (chip_h[0,0])", "node 1 (chip_h[0,0])", "node 2 (chip_v[1,0])",
+        "node 3 (chip_v[2,0])", "node 4", "node 5"]
     assert net.labels() == ["chip_h[0,0]", "chip_v[1,0]", "chip_v[2,0]"]
     assert net.elements == [Element(RESISTOR, 1, GROUND, 2.0, "chip_h[0,0]"),
                             Element(RESISTOR, 2, 1, 1.0, "chip_v[1,0]"),
@@ -99,10 +105,10 @@ def test_element_and_node_views_behave_as_sequences():
 
 def test_check_connected_reports_floating_nodes():
     net = Netlist()
-    a = net.add_node("chip", (0, 0))
-    net.add_node("chip", (1, 0))  # never wired up
+    a = net.add_node()
+    net.add_node()  # never wired up
     net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h[0,0]")
-    with pytest.raises(NetlistError, match="not connected to ground"):
+    with pytest.raises(NetlistError, match=r"1 node\(s\) not connected to ground \(first: node 2\)"):
         net.check_connected()
 
 
@@ -148,7 +154,7 @@ def test_label_round_trip():
     assert make_label("chip_h", 12, 7) == "chip_h[12,7]"
     assert make_label("board_r") == "board_r"
     net = Netlist()
-    a = net.add_node("chip", (0, 0))
+    a = net.add_node()
     net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h", 12, 7)
     assert net.elements[0].label == "chip_h[12,7]"
     assert netlist_to_text(net).splitlines()[1].endswith(" chip_h[12,7]")
@@ -233,6 +239,28 @@ def test_assembled_netlist_is_connected_with_meta(small_config, name):
 
 
 # ---------------------------------------------------------------------------
+# node names
+
+
+def test_node_names_tell_nodes_apart_and_appear_in_the_export(small_config):
+    """Each series-branch midpoint is named by its id and its first element,
+    and the text export prints that id and label on one line."""
+    net = assemble_netlist(small_config("on_package_1", tiles=4))
+    labels = net.labels()
+    _, _, b, _ = net.columns()
+    stems = ["chip_decap_esr[0,0]", "c4_r[0,0]", "pkg_h[0,0]", "pkg_v[0,0]",
+             "pkg_decap_esr[0]", "board_decap_esr[0]"]
+    names = {stem: net.node_name(int(b[labels.index(stem)])) for stem in stems}
+    assert len(set(names.values())) == len(stems)
+    assert names["c4_r[0,0]"] == "node 2854 (c4_r[0,0])"
+    lines = netlist_to_text(net).splitlines()
+    for name in names.values():
+        node, label = re.fullmatch(r"node (\d+) \((\S+)\)", name).groups()
+        assert any(label == line.split()[-1] and node in line.split()[1:3]
+                   for line in lines)
+
+
+# ---------------------------------------------------------------------------
 # text export: one "kind a b value label" line per element, then the probes
 
 
@@ -257,7 +285,7 @@ def test_netlist_text_round_trip(small_config):
 
 def test_netlist_text_round_trip_preserves_values_exactly():
     net = Netlist()
-    a = net.add_node("chip", (0, 0))
+    a = net.add_node()
     net.add_elements(RESISTOR, a, GROUND, 1.0 / 3.0, "chip_h[0,0]")
     net.add_elements(CAPACITOR, a, GROUND, 5.3e-9 * 0.04, "chip_decap_c[0,0]")
     rows, _ = _text_fields(netlist_to_text(net))
