@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import assemble_netlist
-from .config import (OnPackageVrm, PowerMap, ScenarioConfig, config_hash,
-                     normalize_power_map, validate_config)
+from .config import (OnPackageVrm, ScenarioConfig, config_hash, normalize_power_map,
+                     validate_config)
 from .errors import PdnError
 # DEFAULT_RISE_S, the rise of the evaluated power-up, stays importable here
 from .mna import DEFAULT_RISE_S, Stimulus, csv_text, dc_solve, transient_solve
@@ -184,7 +184,7 @@ def _apply_axis(base: ScenarioConfig, axis, value) -> ScenarioConfig:
         chip = dataclasses.replace(base.chip, total_power_w=base.chip.total_power_w * float(value))
         pm = base.power_map
         if pm is not None:
-            pm = normalize_power_map(PowerMap(pm.densities, chip.total_power_w), chip)
+            pm = normalize_power_map(pm, chip)
         return dataclasses.replace(base, chip=chip, power_map=pm)
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 

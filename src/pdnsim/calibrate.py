@@ -35,17 +35,13 @@ DEFAULT_GRID = {
 
 
 def _with_knobs(cfg, knobs):
-    vrm = dataclasses.replace(
-        cfg.vrm,
-        series_resistance_mohm=knobs["vrm_series_resistance_mohm"],
-        series_inductance_nh=knobs["vrm_series_inductance_nh"])
-    pkg = dataclasses.replace(
-        cfg.package,
-        segment_inductance_ph_per_square=knobs["package_segment_inductance_ph_per_square"])
-    board = dataclasses.replace(
-        cfg.board,
-        lumped_inductance_nh=knobs["board_lumped_inductance_nh"])
-    return dataclasses.replace(cfg, vrm=vrm, package=pkg, board=board)
+    """``cfg`` with each knob set; a knob is named ``<section>_<field>``,
+    so ``vrm_series_resistance_mohm`` is ``vrm.series_resistance_mohm``."""
+    for name, value in knobs.items():
+        section, key = name.split("_", 1)
+        spec = dataclasses.replace(getattr(cfg, section), **{key: value})
+        cfg = dataclasses.replace(cfg, **{section: spec})
+    return cfg
 
 
 def anchor_errors(knobs, tile_count=CAL_TILE_COUNT, dt=CAL_DT_S, t_end=CAL_T_END_S):

@@ -120,7 +120,7 @@ def _load(path, power_map) -> ScenarioConfig:
         cfg = load_config(path)
     except OSError as exc:
         raise _IoFail(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
     if power_map:
         cfg = dataclasses.replace(cfg, power_map=builtin_power_map(power_map, cfg.chip))

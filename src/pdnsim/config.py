@@ -19,7 +19,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,21 +57,21 @@ class WireSpec:
 class ViaSpec:
     """Vertical via array (TSV or through-package via) at one attach site."""
 
-    resistivity_ohm_m: Positive = 80e-9
-    height_um: Positive = 50.0
-    diameter_um: Positive = 10.0
-    inductance_per_via_ph: Positive = 20.0
-    count_per_site: Count = 4
+    resistivity_ohm_m: Positive
+    height_um: Positive
+    diameter_um: Positive
+    inductance_per_via_ph: Positive
+    count_per_site: Count
 
 
 @dataclass(frozen=True)
 class BumpSpec:
     """Solder/micro bump array parameters (per-bump lumped values)."""
 
-    diameter_um: Positive = 40.0
-    pitch_um: Positive = 100.0
-    resistance_per_bump_mohm: Positive = 5.0
-    inductance_per_bump_ph: Positive = 20.0
+    diameter_um: Positive
+    pitch_um: Positive
+    resistance_per_bump_mohm: Positive
+    inductance_per_bump_ph: Positive
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class ChipSpec:
     height_mm: Positive = 10.0
     supply_voltage_v: Positive = 1.0
     total_power_w: Positive = 100.0
-    onchip_wire: WireSpec = field(default_factory=WireSpec)
+    onchip_wire: WireSpec = WireSpec()
     tile_count_x: TileCount = 50
     tile_count_y: TileCount = 50
 
@@ -103,34 +103,28 @@ class PackageSpec:
     # Lateral attach pad width for on-package VRMs (pad spans the facing chip
     # edge by default).
     vrm_pad_width_mm: Positive = 10.0
-    solder_bump: BumpSpec = field(
-        default_factory=lambda: BumpSpec(
-            diameter_um=500.0,
-            pitch_um=1000.0,
-            resistance_per_bump_mohm=0.5,
-            inductance_per_bump_ph=100.0,
-        )
+    solder_bump: BumpSpec = BumpSpec(
+        diameter_um=500.0,
+        pitch_um=1000.0,
+        resistance_per_bump_mohm=0.5,
+        inductance_per_bump_ph=100.0,
     )
     solder_bump_count: Count = 100
     # C4 values are effective per-bump figures for the whole chip attach
     # path (bump + package redistribution + on-chip grid entry), calibrated
     # against the benchmark noise targets rather than bare bump parasitics.
-    c4_bump: BumpSpec = field(
-        default_factory=lambda: BumpSpec(
-            diameter_um=80.0,
-            pitch_um=100.0,
-            resistance_per_bump_mohm=400.0,
-            inductance_per_bump_ph=1000.0,
-        )
+    c4_bump: BumpSpec = BumpSpec(
+        diameter_um=80.0,
+        pitch_um=100.0,
+        resistance_per_bump_mohm=400.0,
+        inductance_per_bump_ph=1000.0,
     )
-    through_package_via: ViaSpec | None = field(
-        default_factory=lambda: ViaSpec(
-            resistivity_ohm_m=17.1e-9,
-            height_um=1000.0,
-            diameter_um=200.0,
-            inductance_per_via_ph=0.05,
-            count_per_site=1,
-        )
+    through_package_via: ViaSpec | None = ViaSpec(
+        resistivity_ohm_m=17.1e-9,
+        height_um=1000.0,
+        diameter_um=200.0,
+        inductance_per_via_ph=0.05,
+        count_per_site=1,
     )
     # Backside VRM feeds the package through a grid of via attach sites
     # spread over the chip footprint projection (n x n sites).
@@ -164,39 +158,6 @@ class BacksideVrm:
 
 
 @dataclass(frozen=True)
-class ChipOnVrm3D:
-    """Processor die stacked on the regulator die (TSV + microbump path)."""
-
-    microbump: BumpSpec = field(
-        default_factory=lambda: BumpSpec(
-            diameter_um=20.0,
-            pitch_um=100.0,
-            resistance_per_bump_mohm=120.0,
-            inductance_per_bump_ph=770.0,
-        )
-    )
-    vrm_tsv: ViaSpec = field(
-        default_factory=lambda: ViaSpec(
-            resistivity_ohm_m=80e-9,
-            height_um=50.0,
-            diameter_um=5.0,
-            inductance_per_via_ph=20.0,
-            count_per_site=1,
-        )
-    )
-    # Output capacitance of the regulator die itself; its ESR damps the
-    # power-on surge at the die distribution node.
-    die_decap: DiscreteDecap | None = field(
-        default_factory=lambda: DiscreteDecap(capacitance_uf=2.0, esr_mohm=0.2, esl_nh=0.00001)
-    )
-
-    variant = "chip_on_vrm_3d"
-
-
-VrmPlacement = OnPackageVrm | BacksideVrm | ChipOnVrm3D
-
-
-@dataclass(frozen=True)
 class DiscreteDecap:
     capacitance_uf: Positive
     esr_mohm: NonNegative
@@ -205,30 +166,32 @@ class DiscreteDecap:
     y: Fraction = 0.5
 
 
-def _default_package_decaps():
-    # 4x4 grid under the chip footprint projection (chip is centered and
-    # spans the middle third of a 30 mm package).
-    caps = []
-    lo, hi = 0.38, 0.62
-    for i in range(4):
-        for j in range(4):
-            caps.append(
-                DiscreteDecap(
-                    capacitance_uf=0.005,
-                    esr_mohm=10.0,
-                    esl_nh=0.0001,
-                    x=lo + (hi - lo) * i / 3.0,
-                    y=lo + (hi - lo) * j / 3.0,
-                )
-            )
-    return tuple(caps)
+@dataclass(frozen=True)
+class ChipOnVrm3D:
+    """Processor die stacked on the regulator die (TSV + microbump path)."""
 
-
-def _default_board_decaps():
-    return tuple(
-        DiscreteDecap(capacitance_uf=100.0, esr_mohm=1.0, esl_nh=1.0, x=0.5, y=0.5)
-        for _ in range(10)
+    microbump: BumpSpec = BumpSpec(
+        diameter_um=20.0,
+        pitch_um=100.0,
+        resistance_per_bump_mohm=120.0,
+        inductance_per_bump_ph=770.0,
     )
+    vrm_tsv: ViaSpec = ViaSpec(
+        resistivity_ohm_m=80e-9,
+        height_um=50.0,
+        diameter_um=5.0,
+        inductance_per_via_ph=20.0,
+        count_per_site=1,
+    )
+    # Output capacitance of the regulator die itself; its ESR damps the
+    # power-on surge at the die distribution node.
+    die_decap: DiscreteDecap | None = DiscreteDecap(capacitance_uf=2.0, esr_mohm=0.2,
+                                                    esl_nh=0.00001)
+
+    variant = "chip_on_vrm_3d"
+
+
+VrmPlacement = OnPackageVrm | BacksideVrm | ChipOnVrm3D
 
 
 @dataclass(frozen=True)
@@ -237,8 +200,22 @@ class DecapPolicy:
     # On-chip decap ESR scales inversely with decap area; specified as an
     # ohm*mm^2 product so tiling does not change the chip-total ESR.
     onchip_esr_ohm_mm2: Positive = 0.02
-    package_decaps: tuple[DiscreteDecap, ...] = field(default_factory=_default_package_decaps)
-    board_decaps: tuple[DiscreteDecap, ...] = field(default_factory=_default_board_decaps)
+    # 4x4 grid under the chip footprint projection (chip is centered and
+    # spans the middle third of a 30 mm package).
+    package_decaps: tuple[DiscreteDecap, ...] = tuple(
+        DiscreteDecap(
+            capacitance_uf=0.005,
+            esr_mohm=10.0,
+            esl_nh=0.0001,
+            x=0.38 + 0.24 * i / 3.0,
+            y=0.38 + 0.24 * j / 3.0,
+        )
+        for i in range(4)
+        for j in range(4)
+    )
+    board_decaps: tuple[DiscreteDecap, ...] = (
+        DiscreteDecap(capacitance_uf=100.0, esr_mohm=1.0, esl_nh=1.0, x=0.5, y=0.5),
+    ) * 10
 
 
 @dataclass(frozen=True)
@@ -287,12 +264,12 @@ class PowerMap:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    chip: ChipSpec = field(default_factory=ChipSpec)
-    package: PackageSpec = field(default_factory=PackageSpec)
-    board: BoardSpec = field(default_factory=BoardSpec)
-    vrm: VrmSpec = field(default_factory=VrmSpec)
-    placement: VrmPlacement = field(default_factory=OnPackageVrm)
-    decaps: DecapPolicy = field(default_factory=DecapPolicy)
+    chip: ChipSpec = ChipSpec()
+    package: PackageSpec = PackageSpec()
+    board: BoardSpec = BoardSpec()
+    vrm: VrmSpec = VrmSpec()
+    placement: VrmPlacement = OnPackageVrm()
+    decaps: DecapPolicy = DecapPolicy()
     power_map: PowerMap | None = None
 
 
@@ -416,7 +393,7 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     if pm is None:
         pm = builtin_power_map("hotspot", chip)
     elif not pm.normalized or pm.total_power_w != chip.total_power_w:
-        pm = normalize_power_map(PowerMap(pm.densities, chip.total_power_w), chip)
+        pm = normalize_power_map(pm, chip)
     return dataclasses.replace(config, power_map=pm)
 
 
@@ -508,8 +485,8 @@ def _nested(cls, data, path):
         if key not in hints:
             raise ValidationError([f"{prefix}{key}: unknown field for {cls.__name__}"])
         kwargs[key] = _decode(hints[key], val, prefix + key)
-    missing = [f.name for f in dataclasses.fields(cls) if f.name not in kwargs
-               and f.default is f.default_factory is dataclasses.MISSING]
+    missing = [f.name for f in dataclasses.fields(cls)
+               if f.name not in kwargs and f.default is dataclasses.MISSING]
     if missing:
         raise ValidationError([f"{prefix}{name}: missing required field" for name in missing])
     return cls(**kwargs)

@@ -1,6 +1,8 @@
 """Calibration harness plumbing (the grid search itself runs for minutes
 and is exercised through its CLI entry point with a stubbed search)."""
 
+import dataclasses
+
 import pdnsim
 from pdnsim.calibrate import (ANCHOR_3D_PSN_MV, ANCHOR_4V1_IMPROVEMENT,
                               ANCHOR_BACKSIDE_PSN_MV, DEFAULT_GRID, _with_knobs,
@@ -13,16 +15,14 @@ def _mid_knobs():
 
 def test_default_grid_brackets_the_shipped_defaults():
     cfg = pdnsim.benchmark_config("on_package_4")
-    shipped = {
-        "vrm_series_resistance_mohm": cfg.vrm.series_resistance_mohm,
-        "vrm_series_inductance_nh": cfg.vrm.series_inductance_nh,
-        "package_segment_inductance_ph_per_square":
-            cfg.package.segment_inductance_ph_per_square,
-        "board_lumped_inductance_nh": cfg.board.lumped_inductance_nh,
-    }
     for name, values in DEFAULT_GRID.items():
-        assert min(values) <= shipped[name] <= max(values), name
-        assert shipped[name] in values, name
+        # each knob is named <section>_<field> of an existing config field
+        section, key = name.split("_", 1)
+        spec = getattr(cfg, section)
+        assert key in {f.name for f in dataclasses.fields(spec)}, name
+        shipped = getattr(spec, key)
+        assert min(values) <= shipped <= max(values), name
+        assert shipped in values, name
 
 
 def test_with_knobs_applies_every_knob():

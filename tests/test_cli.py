@@ -97,6 +97,21 @@ def test_validate_malformed_json_is_validation_error(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "dc", "tran"])
+def test_non_utf8_config_is_validation_error(tmp_path, capsys, command):
+    bad = tmp_path / "bin.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    out.mkdir()
+    flags = [] if command == "validate" else ["--out-dir", str(out)]
+    assert main([command, "--config", str(bad), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: config is not valid JSON: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_validate_bad_values_lists_all_violations(tmp_path, small_config, capsys):
     cfg = small_config()
     d = json.loads(config_to_json(cfg))

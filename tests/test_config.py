@@ -18,7 +18,7 @@ from pdnsim import (BacksideVrm, ChipOnVrm3D, ChipSpec, OnPackageVrm, PowerMap,
                     builtin_power_map, config_from_json, config_hash,
                     config_to_json, validate_config)
 from pdnsim.builder import assemble_netlist
-from pdnsim.config import (BENCHMARK_NAMES, DecapPolicy, DiscreteDecap,
+from pdnsim.config import (BENCHMARK_NAMES, DecapPolicy, DiscreteDecap, VrmPlacement,
                            normalize_power_map)
 from pdnsim.netlist import CAPACITOR
 
@@ -266,6 +266,12 @@ MALFORMED = [
      "power_map.densities_a_per_mm2: expected a grid of numbers"),
     (("power_map",), "normalized", 1, "power_map.normalized: expected bool"),
     ((), "power_map", {"kind": "striped"}, "power_map.kind: unknown kind 'striped'"),
+    ((), "power_map", 5, "power_map: expected an object, got 5"),
+    (("power_map",), "bogus", 1, "power_map.bogus: unknown field"),
+    (("package",), "c4_bump", {"resistance_per_bump_mohm": 300.0},
+     "package.c4_bump.diameter_um: missing required field"),
+    (("placement",), "vrm_tsv", {"height_um": 60.0},
+     "placement.vrm_tsv.resistivity_ohm_m: missing required field"),
     ((), "placement", 3, "placement: expected an object"),
     ((), "bogus", 1, "bogus: unknown field for ScenarioConfig"),
 ]
@@ -285,6 +291,38 @@ def test_malformed_config_shapes_rejected(where, key, value, message):
     with pytest.raises(ValidationError) as exc:
         config_from_json(_malformed(where, key, value))
     assert exc.value.violations[0].startswith(message)
+
+
+def test_non_object_config_rejected():
+    with pytest.raises(ValidationError, match=r"^config: expected an object, got \[\]$"):
+        config_from_json("[]")
+
+
+def _spec_defaults(spec, path):
+    """(path, value) of each field of ``spec`` that holds a spec, walked."""
+    for f in dataclasses.fields(spec):
+        val = getattr(spec, f.name)
+        if dataclasses.is_dataclass(val):
+            yield path + f.name, val
+            yield from _spec_defaults(val, f"{path}{f.name}.")
+
+
+def test_each_spec_default_is_stated_once():
+    """A spec default equals its class's no-argument instance, or the class
+    has none; so no object in a config file can fill its missing keys from
+    numbers that no field default uses."""
+    defaults = {}
+    for plc in typing.get_args(VrmPlacement):
+        defaults.update(_spec_defaults(ScenarioConfig(placement=plc()), ""))
+    second_defaults = []
+    for path, default in defaults.items():
+        try:
+            bare = type(default)()
+        except TypeError:
+            continue
+        if bare != default:
+            second_defaults.append(path)
+    assert second_defaults == []
 
 
 def test_integers_in_float_fields_are_kept_as_given():

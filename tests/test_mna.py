@@ -175,6 +175,8 @@ def test_stimulus_rejects_bad_arguments():
         Stimulus(kind="pulse")
     with pytest.raises(ValueError, match="rise_time_s > 0"):
         Stimulus(kind="step", rise_time_s=0.0)
+    with pytest.raises(ValueError, match="load_rise_s > 0"):
+        Stimulus(kind="step", load_rise_s=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import pdnsim
@@ -189,6 +190,20 @@ def test_chip_grid_shape_and_probes():
     assert decap["chip_decap_esr"] == policy.onchip_esr_ohm_mm2 / tile_area
     assert net.probes["tile[0,0]"] == int(tiles[0, 0])
     assert net.probes["tile[3,2]"] == int(tiles[2, 3])
+
+
+def test_chip_without_onchip_decap_builds_and_solves(small_config):
+    base = small_config("on_package_4")
+    decaps = dataclasses.replace(base.decaps, onchip_density_nf_per_mm2=0.0)
+    bare = assemble_netlist(dataclasses.replace(base, decaps=decaps))
+    assert not any(lbl.startswith("chip_decap_") for lbl in bare.labels())
+    # the decap branch carries no DC current, so the tile voltages agree
+    with_decap, without = (pdnsim.dc_solve(net).voltages[net.meta["chip_tile_nodes"]]
+                           for net in (assemble_netlist(base), bare))
+    np.testing.assert_allclose(without, with_decap, rtol=1e-12, atol=0)
+    wf = pdnsim.transient_solve(bare, pdnsim.Stimulus(), dt=0.25e-9, t_end=30e-9)
+    assert wf.time_s[-1] == pytest.approx(30e-9)
+    assert np.all(np.isfinite(wf.tile_final))
 
 
 def test_chip_grid_load_currents_sum_to_total():
