@@ -266,14 +266,14 @@ MALFORMED = [
      "power_map.densities_a_per_mm2: expected a grid of numbers"),
     (("power_map",), "normalized", 1, "power_map.normalized: expected bool"),
     ((), "power_map", {"kind": "striped"}, "power_map.kind: unknown kind 'striped'"),
+    ((), "placement", 3, "placement: expected an object"),
+    ((), "bogus", 1, "bogus: unknown field for ScenarioConfig"),
     ((), "power_map", 5, "power_map: expected an object, got 5"),
     (("power_map",), "bogus", 1, "power_map.bogus: unknown field"),
     (("package",), "c4_bump", {"resistance_per_bump_mohm": 300.0},
      "package.c4_bump.diameter_um: missing required field"),
     (("placement",), "vrm_tsv", {"height_um": 60.0},
      "placement.vrm_tsv.resistivity_ohm_m: missing required field"),
-    ((), "placement", 3, "placement: expected an object"),
-    ((), "bogus", 1, "bogus: unknown field for ScenarioConfig"),
 ]
 
 
