@@ -91,8 +91,9 @@ def first_prominent_min(s, prominence):
 def extract_psn(waveform, config: ScenarioConfig, probe) -> PsnMetrics:
     """PSN metrics from a step-response waveform.
 
-    max_psn uses the per-tile running minima when the solver recorded them,
-    otherwise the probed series.  The first droop is detected on ``probe``
+    max_psn and settling come from the solver's per-tile post-ramp minima
+    and final values, so they cover every chip tile; a waveform without
+    them raises ``ValueError``.  The first droop is detected on ``probe``
     as the first local minimum after the ramp with at least
     ``PSN_PROMINENCE_V`` of prominence.
     """
@@ -101,16 +102,12 @@ def extract_psn(waveform, config: ScenarioConfig, probe) -> PsnMetrics:
     ramp_end = waveform.ramp_end_s
     if t[-1] < ramp_end + 5 * max(ramp_end, waveform.dt):
         raise ValueError("waveform too short: need >= 5x rise time past the ramp")
+    if waveform.tile_min is None:
+        raise ValueError("waveform has no chip tile minima: its netlist has no chip_tile_nodes")
+    max_psn = (v_final - float(np.min(waveform.tile_min))) * 1e3
+    settle = (v_final - float(np.min(waveform.tile_final))) * 1e3
 
     mask = t >= ramp_end
-    if waveform.tile_min is not None:
-        max_psn = (v_final - float(np.min(waveform.tile_min))) * 1e3
-        settle = (v_final - float(np.min(waveform.tile_final))) * 1e3
-    else:
-        max_psn = max((v_final - float(np.min(s[mask]))) * 1e3
-                      for s in waveform.series.values())
-        settle = max((v_final - s[-1]) * 1e3 for s in waveform.series.values())
-
     s = waveform.series[probe]
     seg = s[mask]
     seg_t = t[mask]

@@ -186,9 +186,9 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         l_site = (via_inductance(plc.vrm_tsv)
                   + plc.microbump.inductance_per_bump_ph * 1e-12) / n_ub
         _rl_branches(net, die, tiles, r_site, l_site, ("tsv_r", "ubump_l"), ii, jj)
-        under_i = np.flatnonzero(np.abs(pxs) <= chip.width_mm / 2.0 + 1e-9)
-        under_j = np.flatnonzero(np.abs(pys) <= chip.height_mm / 2.0 + 1e-9)
-        sites = pnodes[np.ix_(under_j, under_i)]
+        c4_array = "the die C4 array"
+        sites = pnodes[np.ix_(_within(pys, chip.height_mm / 2.0, c4_array),
+                              _within(pxs, chip.width_mm / 2.0, c4_array))]
         total_c4 = _bumps_per_tile(chip.width_mm, chip.height_mm, c4.pitch_um)
         share = max(1.0, total_c4 / sites.size)
         _rl_branches(net, die, sites, c4.resistance_per_bump_mohm * 1e-3 / share,
@@ -257,20 +257,24 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
 
     net.meta = {"chip_tile_nodes": tiles}
     net.check_connected()
-    if not net.sources:
-        raise NetlistError("netlist has no VRM voltage source")
     return net
+
+
+def _within(coords, half, what):
+    """Indices of the package grid coordinates within ``half`` mm of the
+    centre; raises ``NetlistError`` naming ``what`` when there are none."""
+    out = np.flatnonzero(np.abs(coords) <= half + 1e-9)
+    if not len(out):
+        raise NetlistError(f"no package nodes available for {what}")
+    return out
 
 
 def _pad_line(pnodes, pxs, pys, chip, side, pad_width_mm):
     """Package nodes forming the VRM attach pad just outside one chip edge."""
     half_w, half_h = chip.width_mm / 2.0, chip.height_mm / 2.0
+    pad = f"VRM pad on side {side}"
     if side in ("west", "east"):
         column = pnodes[:, _nearest(pxs, -half_w if side == "west" else half_w)]
-        out = column[np.abs(pys) <= pad_width_mm / 2.0 + 1e-9]
-    else:
-        row = pnodes[_nearest(pys, -half_h if side == "south" else half_h)]
-        out = row[np.abs(pxs) <= pad_width_mm / 2.0 + 1e-9]
-    if not len(out):
-        raise NetlistError(f"no package nodes available for VRM pad on side {side}")
-    return out
+        return column[_within(pys, pad_width_mm / 2.0, pad)]
+    row = pnodes[_nearest(pys, -half_h if side == "south" else half_h)]
+    return row[_within(pxs, pad_width_mm / 2.0, pad)]

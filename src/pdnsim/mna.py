@@ -5,12 +5,12 @@ followed by one branch current per inductor and per voltage source.  The
 matrix is structurally symmetric; branch rows carry the element equation
 ``v_a - v_b - z*j = e`` with ``z`` the companion impedance (0 in DC).
 
-Companion models (fixed step dt):
+Companion models (fixed step dt) in θ form, θ = 1 for trapezoidal and
+θ = 0 for backward Euler, from the previous step's branch voltage v and
+current j:
 
-* capacitor, trapezoidal: conductance 2C/dt with history current
-  ``I_eq <- 2*(2C/dt)*v - I_eq``; backward Euler: C/dt and ``I_eq = (C/dt)*v``.
-* inductor, trapezoidal: z = 2L/dt, ``e = -v_prev - z*j_prev``; backward
-  Euler: z = L/dt, ``e = -z*j_prev``.
+* capacitor: ``g = (1+θ)C/dt``, history current ``I_eq <- (1+θ)·g·v - θ·I_eq``.
+* inductor: ``z = (1+θ)L/dt``, ``e = -θ·v - z·j``.
 
 The system matrix is constant over a transient run (linear network, fixed
 step), so it is factorized once and each step is a single backsolve.  Solves
@@ -99,6 +99,7 @@ class MnaSystem:
         import scipy.sparse as sp
 
         self.netlist = netlist
+        self.theta = 1.0 if method == "trap" else 0.0
 
         self.n_nodes = n_nodes = netlist.node_count - 1  # ground eliminated
 
@@ -113,7 +114,7 @@ class MnaSystem:
         br[branch_elems] = n_nodes + np.arange(len(branch_elems))
         self.dim = n_nodes + len(branch_elems)
 
-        factor = 2.0 if method == "trap" else 1.0
+        factor = 1.0 + self.theta
         g = np.divide(1.0, value, out=np.zeros(len(kind)), where=kind == RESISTOR)
         g[is_c] = factor * value[is_c] / dt
         z = np.zeros(len(kind))
@@ -288,7 +289,8 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
         # branch currents zero
         x[: sys_.n_nodes] = stimulus.v_end
 
-    cap_a, cap_b, cap_g = sys_.cap_a, sys_.cap_b, sys_.cap_g
+    theta, cap_a, cap_b, cap_g = sys_.theta, sys_.cap_a, sys_.cap_b, sys_.cap_g
+    cap_w = (1.0 + theta) * cap_g
     # capacitor companions carry the standing voltage of the start, so a
     # warm start injects no spurious transient at t=0
     cap_ieq = cap_g * (x[cap_a] - x[cap_b])
@@ -322,13 +324,8 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
                 f"transient diverged at t={t:.3e}s (|v|max={vmax:.3e}); "
                 f"method={method}, dt={dt:.3e} — reduce dt or switch method")
 
-        # history updates
-        if method == "trap":
-            cap_ieq = 2.0 * cap_g * (x[cap_a] - x[cap_b]) - cap_ieq
-            ind_e = -(x[ind_a] - x[ind_b]) - ind_z * x[ind_rows]
-        else:
-            cap_ieq = cap_g * (x[cap_a] - x[cap_b])
-            ind_e = -ind_z * x[ind_rows]
+        cap_ieq = cap_w * (x[cap_a] - x[cap_b]) - theta * cap_ieq
+        ind_e = -theta * (x[ind_a] - x[ind_b]) - ind_z * x[ind_rows]
 
         seen = x[rows]
         recorded[step] = seen[:n_probes]

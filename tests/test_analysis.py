@@ -49,8 +49,14 @@ def _damped_cosine_waveform(amp=0.1, tau=10e-9, period=10e-9,
     t = dt * np.arange(int(round(t_end / dt)) + 1)
     w = 2 * np.pi / period
     v = 1.0 - amp * np.exp(-t / tau) * np.cos(w * t)
-    return TransientWaveform(time_s=t, series={"probe": v}, dt=dt,
-                             ramp_end_s=ramp_end)
+    return _one_tile_waveform(t, "probe", v, ramp_end)
+
+
+def _one_tile_waveform(t, name, v, ramp_end):
+    """Waveform of one probed series that is also the only chip tile, with
+    the tile minima and final values the solver would record for it."""
+    return TransientWaveform(time_s=t, series={name: v}, dt=t[1] - t[0], ramp_end_s=ramp_end,
+                             tile_min=np.min(v[t >= ramp_end], keepdims=True), tile_final=v[-1:])
 
 
 def test_extract_psn_on_synthetic_waveform():
@@ -75,7 +81,7 @@ def test_extract_psn_on_synthetic_waveform():
 def test_extract_psn_monotone_settle_uses_worst_point():
     t = 1e-11 * np.arange(2001)
     v = 1.0 - 0.05 * (1.0 - np.exp(-t / 5e-9))     # monotone sag, no peaks
-    wf = TransientWaveform(time_s=t, series={"p": v}, dt=1e-11, ramp_end_s=1e-9)
+    wf = _one_tile_waveform(t, "p", v, 1e-9)
     psn = extract_psn(wf, validate_config(ScenarioConfig()), probe="p")
     assert psn.first_droop_time_s == pytest.approx(t[-1])
     assert psn.first_droop_mv == pytest.approx((1.0 - v[-1]) * 1e3)
@@ -111,6 +117,12 @@ def test_first_prominent_min_matches_scipy_find_peaks(kind, values, seed,
 def test_extract_psn_rejects_too_short_waveform():
     wf = _damped_cosine_waveform(t_end=3e-9)
     with pytest.raises(ValueError, match="too short"):
+        extract_psn(wf, validate_config(ScenarioConfig()), probe="probe")
+
+
+def test_extract_psn_rejects_waveform_without_tile_minima():
+    wf = dataclasses.replace(_damped_cosine_waveform(), tile_min=None, tile_final=None)
+    with pytest.raises(ValueError, match="no chip tile minima"):
         extract_psn(wf, validate_config(ScenarioConfig()), probe="probe")
 
 

@@ -205,6 +205,20 @@ def test_netlist_error_is_exit_1_without_traceback(tmp_path, small_config, capsy
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("pitch_mm", [30.0, 100.0])
+def test_3d_stack_without_c4_sites_is_netlist_error(tmp_path, small_config, capsys, pitch_mm):
+    """No package node under the chip of a 3-D stack: one line, exit 1."""
+    d = json.loads(config_to_json(small_config("chip_on_vrm_3d")))
+    d["package"]["grid_pitch_mm"] = pitch_mm
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    assert main(["dc", "--config", str(bad), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "netlist error: no package nodes available for the die C4 array\n"
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # netlist / dc / tran
 

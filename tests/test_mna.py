@@ -131,6 +131,16 @@ def test_dc_singular_matrix_raises_with_diagnostic():
         dc_solve(net)
 
 
+def test_dc_non_finite_solution_raises():
+    # 1e300 V across 1e-10 ohm: the source current overflows to inf
+    net = Netlist()
+    a = net.add_node()
+    net.add_elements(VOLTAGE_SOURCE, a, GROUND, 1e300, "vrm_src[0]")
+    net.add_elements(RESISTOR, a, GROUND, 1e-10, "chip_h[0,0]")
+    with pytest.raises(SolverError, match="non-finite solution"):
+        dc_solve(net)
+
+
 def test_stamp_mna_argument_checks():
     net = _series_rlc((RESISTOR, 1.0))
     with pytest.raises(ValueError, match="unknown mode"):

@@ -253,6 +253,16 @@ def test_assembled_netlist_is_connected_with_meta(small_config, name):
     assert "chip_center" in net.probes and "chip_corner" in net.probes
 
 
+@pytest.mark.parametrize("pitch_mm", [30.0, 100.0])
+def test_3d_stack_without_package_node_under_the_chip_raises(small_config, pitch_mm):
+    """A package grid too coarse to put a node under the 10 mm chip leaves
+    the die C4 array nowhere to land; the builder says so."""
+    cfg = small_config("chip_on_vrm_3d")
+    cfg = dataclasses.replace(cfg, package=dataclasses.replace(cfg.package, grid_pitch_mm=pitch_mm))
+    with pytest.raises(NetlistError, match="^no package nodes available for the die C4 array$"):
+        pdnsim.evaluate(cfg, transient=False)
+
+
 # ---------------------------------------------------------------------------
 # node names
 
