@@ -19,8 +19,9 @@ from pdnsim.config import BENCHMARK_NAMES
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
 # Acceptance runs use a 25 ps step: benchmark time constants sit well above
-# 1 ns, trapezoidal error at 25 ps is far below the metric tolerances, and
-# the full five-benchmark evaluation stays around a minute.
+# 1 ns, trapezoidal error at 25 ps is far below the metric tolerances
+# (test_mna.py::test_trapezoidal_error_is_second_order bounds it under 1% of
+# max PSN), and the full five-benchmark evaluation stays around a minute.
 ACCEPT_DT_S = 25e-12
 ACCEPT_T_END_S = 200e-9
 
