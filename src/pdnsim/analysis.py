@@ -134,7 +134,7 @@ class BenchmarkResult:
 
 
 def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
-             t_end=DEFAULT_T_END_S, method="trap", init="cold") -> BenchmarkResult:
+             t_end=DEFAULT_T_END_S, init="cold") -> BenchmarkResult:
     """Build, DC-solve and (optionally) step-response-solve one scenario.
 
     The transient probes the worst DC tile, chip center and corner; PSN
@@ -151,7 +151,7 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
         wi, wj = ir.argmax
         net.probes["chip_worst_tile"] = int(net.meta["chip_tile_nodes"][wj, wi])
         stim = Stimulus(kind="step", v_start=0.0, v_end=config.vrm.output_voltage_v)
-        wf = transient_solve(net, stim, dt, t_end, method=method, init=init,
+        wf = transient_solve(net, stim, dt, t_end, init=init,
                              probes=["chip_worst_tile", "chip_center", "chip_corner"])
         psn = extract_psn(wf, config, probe="chip_worst_tile")
     return BenchmarkResult(config=config, netlist=net, dc=dc, ir_map=ir,
@@ -211,8 +211,7 @@ class SweepResult:
 
 
 def run_sweep(base: ScenarioConfig, axis, values, transient=True,
-              dt=DEFAULT_DT_S, t_end=DEFAULT_T_END_S, method="trap",
-              init="warm") -> SweepResult:
+              dt=DEFAULT_DT_S, t_end=DEFAULT_T_END_S, init="warm") -> SweepResult:
     """One netlist-build + solve per axis value; per-point failures are
     recorded and the sweep continues.
 
@@ -227,8 +226,7 @@ def run_sweep(base: ScenarioConfig, axis, values, transient=True,
         cfg = _apply_axis(base, axis, value)
         h = config_hash(cfg)
         try:
-            res = evaluate(cfg, transient=transient, dt=dt, t_end=t_end,
-                           method=method, init=init)
+            res = evaluate(cfg, transient=transient, dt=dt, t_end=t_end, init=init)
             points.append(SweepPoint(
                 value=float(value),
                 max_ir_drop_mv=res.ir_map.max_mv,
@@ -283,7 +281,7 @@ def config_label(config: ScenarioConfig) -> str:
 
 
 def compare_configurations(configs, transient=True, dt=DEFAULT_DT_S,
-                           t_end=DEFAULT_T_END_S, method="trap") -> ComparisonReport:
+                           t_end=DEFAULT_T_END_S) -> ComparisonReport:
     """Solve each config and tabulate metrics plus improvement relative to
     the first entry.  All configs must share the chip spec."""
     configs = [validate_config(c) for c in configs]
@@ -297,7 +295,7 @@ def compare_configurations(configs, transient=True, dt=DEFAULT_DT_S,
     rows = []
     ir_ref = psn_ref = None
     for cfg in configs:
-        res = evaluate(cfg, transient=transient, dt=dt, t_end=t_end, method=method)
+        res = evaluate(cfg, transient=transient, dt=dt, t_end=t_end)
         ir = res.ir_map.max_mv
         psn = None if res.psn is None else res.psn.max_psn_mv
         if ir_ref is None:

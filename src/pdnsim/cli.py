@@ -26,7 +26,7 @@ from .config import (BENCHMARK_NAMES, MIN_TILE_COUNT, POWER_MAP_KINDS,
                      validate_config)
 from .errors import NetlistError, SolverError, ValidationError
 from .heatmap import heatmap_svg
-from .mna import INTEGRATION_METHODS, waveform_to_csv
+from .mna import waveform_to_csv
 from .netlist import netlist_to_text
 
 EXIT_OK = 0
@@ -59,8 +59,6 @@ def _build_parser():
         sp.add_argument("--dt", type=float, default=DEFAULT_DT_S, help="time step [s]")
         sp.add_argument("--t-end", type=float, default=DEFAULT_T_END_S,
                         help="simulation window [s]")
-        sp.add_argument("--method", choices=INTEGRATION_METHODS, default="trap",
-                        help="integration method")
 
     def tile_count(text):
         n = int(text)
@@ -204,7 +202,7 @@ def _run(args) -> int:
 
     if args.command == "tran":
         res = evaluate(_load(args.config, args.power_map), transient=True,
-                       dt=args.dt, t_end=args.t_end, method=args.method)
+                       dt=args.dt, t_end=args.t_end)
         psn = res.psn
         csv_path, = _emit(args, t0, {"waveform.csv": waveform_to_csv(res.waveform)},
                           res.config, max_psn_mv=psn.max_psn_mv,
@@ -218,7 +216,7 @@ def _run(args) -> int:
         values = [float(v) for v in args.values.split(",") if v]
         sweep = run_sweep(cfg, args.axis, values,
                           transient=not args.no_transient,
-                          dt=args.dt, t_end=args.t_end, method=args.method)
+                          dt=args.dt, t_end=args.t_end)
         _emit(args, t0, {"sweep.csv": sweep.to_csv()}, cfg,
               failures=[p.error for p in sweep.failures])
         for p in sweep.points:
@@ -229,8 +227,7 @@ def _run(args) -> int:
     if args.command == "compare":
         cfgs = [_load(path, args.power_map) for path in args.config]
         report = compare_configurations(cfgs, transient=not args.no_transient,
-                                        dt=args.dt, t_end=args.t_end,
-                                        method=args.method)
+                                        dt=args.dt, t_end=args.t_end)
         txt = report.to_text()
         _emit(args, t0, {"compare.csv": report.to_csv(), "compare.txt": txt},
               config_snapshots=[config_to_dict(c) for c in cfgs])

@@ -5,12 +5,11 @@ followed by one branch current per inductor and per voltage source.  The
 matrix is structurally symmetric; branch rows carry the element equation
 ``v_a - v_b - z*j = e`` with ``z`` the companion impedance (0 in DC).
 
-Companion models (fixed step dt) in θ form, θ = 1 for trapezoidal and
-θ = 0 for backward Euler, from the previous step's branch voltage v and
-current j:
+Trapezoidal companion models (fixed step dt, second order; Nagel, SPICE2,
+UCB/ERL M520, 1975), from the previous step's branch voltage v and current j:
 
-* capacitor: ``g = (1+θ)C/dt``, history current ``I_eq <- (1+θ)·g·v - θ·I_eq``.
-* inductor: ``z = (1+θ)L/dt``, ``e = -θ·v - z·j``.
+* capacitor: ``g = 2C/dt``, history current ``I_eq <- 2g·v - I_eq``.
+* inductor: ``z = 2L/dt``, ``e = -v - z·j``.
 
 The system matrix is constant over a transient run (linear network, fixed
 step), so it is factorized once and each step is a single backsolve.  Solves
@@ -28,7 +27,6 @@ from .errors import SolverError
 from .netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR, RESISTOR,
                       VOLTAGE_SOURCE, Netlist)
 
-INTEGRATION_METHODS = ("trap", "be")
 DEFAULT_RISE_S = 1e-9
 
 
@@ -85,21 +83,17 @@ class MnaSystem:
     """Stamped sparse MNA system plus the index arrays and full-load
     vector the solvers assemble each right-hand side from."""
 
-    def __init__(self, netlist: Netlist, mode="dc", dt=None, method="trap"):
+    def __init__(self, netlist: Netlist, mode="dc", dt=None):
         if mode not in ("dc", "transient"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "transient":
-            if dt is None or not dt > 0:
-                raise ValueError("transient mode requires dt > 0")
-            if method not in INTEGRATION_METHODS:
-                raise ValueError(f"unknown integration method {method!r}")
+        if mode == "transient" and (dt is None or not dt > 0):
+            raise ValueError("transient mode requires dt > 0")
         # scipy is imported on first use, here and in factorize, not with
         # the module: it costs about 0.3 s, and importing pdnsim, building
         # configs and `validate` need only numpy
         import scipy.sparse as sp
 
         self.netlist = netlist
-        self.theta = 1.0 if method == "trap" else 0.0
 
         self.n_nodes = n_nodes = netlist.node_count - 1  # ground eliminated
 
@@ -114,11 +108,10 @@ class MnaSystem:
         br[branch_elems] = n_nodes + np.arange(len(branch_elems))
         self.dim = n_nodes + len(branch_elems)
 
-        factor = 1.0 + self.theta
         g = np.divide(1.0, value, out=np.zeros(len(kind)), where=kind == RESISTOR)
-        g[is_c] = factor * value[is_c] / dt
+        g[is_c] = 2.0 * value[is_c] / dt
         z = np.zeros(len(kind))
-        z[is_l] = factor * value[is_l] / dt if mode == "transient" else 0.0
+        z[is_l] = 2.0 * value[is_l] / dt if mode == "transient" else 0.0
         # per-element stamp blocks, -1 marking ground or an unused slot:
         # conductance (a,a) (b,b) (a,b) (b,a); branch (a,br) (b,br) (br,a)
         # (br,b) and, for inductors, (br,br).  Flattened in element order,
@@ -161,9 +154,9 @@ class MnaSystem:
                 f"cluster: {', '.join(names)}")
 
 
-def stamp_mna(netlist: Netlist, mode="dc", dt=None, method="trap") -> MnaSystem:
+def stamp_mna(netlist: Netlist, mode="dc", dt=None) -> MnaSystem:
     """Stamp a netlist into an MNA system (see module docstring)."""
-    return MnaSystem(netlist, mode=mode, dt=dt, method=method)
+    return MnaSystem(netlist, mode=mode, dt=dt)
 
 
 @dataclass
@@ -238,7 +231,8 @@ def _check_warm_start(netlist: Netlist):
 
 def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
                     method="trap", probes=(), init="cold") -> TransientWaveform:
-    """Fixed-step transient simulation.
+    """Fixed-step trapezoidal transient simulation.  ``method`` accepts
+    only ``"trap"``, the one integration rule.
 
     ``init="cold"`` starts with all states at zero and ramps the VRM
     sources per the stimulus (power-up experiment).  ``init="warm"``
@@ -261,12 +255,14 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ValueError(f"t_end must span at least one step (got t_end={t_end}, dt={dt})")
+    if method != "trap":
+        raise ValueError(f"unknown integration method {method!r}")
     if init not in ("cold", "warm"):
         raise ValueError(f"unknown init {init!r}")
     warm = init == "warm"
     if warm:
         _check_warm_start(netlist)
-    sys_ = stamp_mna(netlist, mode="transient", dt=dt, method=method)
+    sys_ = stamp_mna(netlist, mode="transient", dt=dt)
     lu = sys_.factorize()
 
     times = dt * np.arange(n_steps + 1)
@@ -289,8 +285,8 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
         # branch currents zero
         x[: sys_.n_nodes] = stimulus.v_end
 
-    theta, cap_a, cap_b, cap_g = sys_.theta, sys_.cap_a, sys_.cap_b, sys_.cap_g
-    cap_w = (1.0 + theta) * cap_g
+    cap_a, cap_b, cap_g = sys_.cap_a, sys_.cap_b, sys_.cap_g
+    cap_w = 2.0 * cap_g
     # capacitor companions carry the standing voltage of the start, so a
     # warm start injects no spurious transient at t=0
     cap_ieq = cap_g * (x[cap_a] - x[cap_b])
@@ -322,10 +318,10 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
         if not np.isfinite(vmax):
             raise SolverError(
                 f"transient diverged at t={t:.3e}s (|v|max={vmax:.3e}); "
-                f"method={method}, dt={dt:.3e} — reduce dt or switch method")
+                f"dt={dt:.3e} — reduce dt")
 
-        cap_ieq = cap_w * (x[cap_a] - x[cap_b]) - theta * cap_ieq
-        ind_e = -theta * (x[ind_a] - x[ind_b]) - ind_z * x[ind_rows]
+        cap_ieq = cap_w * (x[cap_a] - x[cap_b]) - cap_ieq
+        ind_e = -(x[ind_a] - x[ind_b]) - ind_z * x[ind_rows]
 
         seen = x[rows]
         recorded[step] = seen[:n_probes]

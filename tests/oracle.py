@@ -74,12 +74,11 @@ def dense_dc(netlist):
     return x[:netlist.node_count]
 
 
-def dense_transient(netlist, stimulus, dt, t_end, method="trap", init="cold"):
-    """Fixed-step transient of the dense descriptor form ``G x + C x' =
-    b(t)``, one ``numpy.linalg.solve`` per step.
+def dense_transient(netlist, stimulus, dt, t_end, init="cold"):
+    """Fixed-step trapezoidal transient of the dense descriptor form
+    ``G x + C x' = b(t)``, one ``numpy.linalg.solve`` per step.
 
-    Backward Euler solves ``(G + C/dt) x1 = b(t1) + (C/dt) x0``.  The
-    trapezoidal rule is applied to ``y = C x'`` alone, so the algebraic
+    The trapezoidal rule is applied to ``y = C x'`` alone, so the algebraic
     rows hold exactly at every step, cold start included:
     ``(G + 2C/dt) x1 = b(t1) + (2C/dt) x0 + y0`` and then
     ``y1 = (2C/dt)(x1 - x0) - y0``, starting from ``y = 0``.
@@ -93,7 +92,7 @@ def dense_transient(netlist, stimulus, dt, t_end, method="trap", init="cold"):
     G, C, load, v_rows, v_vals = _descriptor(netlist)
     n = netlist.node_count
     times = dt * np.arange(int(round(t_end / dt)) + 1)
-    c_dt = C / dt if method == "be" else 2.0 * C / dt
+    c_dt = 2.0 * C / dt
     M = G + c_dt
     x, y = np.zeros(len(load)), np.zeros(len(load))
     if init == "warm":
@@ -104,8 +103,7 @@ def dense_transient(netlist, stimulus, dt, t_end, method="trap", init="cold"):
         rhs = load * stimulus.load_factor(t)
         rhs[v_rows] = stimulus.v_end if init == "warm" else stimulus.voltage(t, np.array(v_vals))
         x_new = np.linalg.solve(M, rhs + c_dt @ x + y)
-        if method == "trap":
-            y = c_dt @ (x_new - x) - y
+        y = c_dt @ (x_new - x) - y
         x = x_new
         v[step] = x[:n]
     return times, v

@@ -40,7 +40,16 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 
 def test_bad_choice_is_usage_error(capsys):
-    assert main(["tran", "--config", "x.json", "--method", "rk4"]) == 64
+    assert main(["tran", "--config", "x.json", "--power-map", "plaid"]) == 64
+
+
+def test_method_flag_is_gone(capsys):
+    # trapezoidal is the one integration rule, so there is nothing to choose
+    for argv in (["tran", "--config", "x.json"],
+                 ["sweep", "--config", "x.json", "--axis", "vrm_gap", "--values", "1"],
+                 ["compare", "--config", "x.json", "--config", "y.json"]):
+        assert main([*argv, "--method", "be"]) == 64
+        assert "unrecognized arguments: --method be" in capsys.readouterr().err
 
 
 def test_version(capsys):
@@ -369,8 +378,7 @@ def test_calibrate_writes_report(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv,expected", [
     (["dc"], {}),
-    (["tran", "--dt", "1e-10", "--t-end", "2e-8", "--method", "be"],
-     {"dt": 1e-10, "t_end": 2e-8, "method": "be"}),
+    (["tran", "--dt", "1e-10", "--t-end", "2e-8"], {"dt": 1e-10, "t_end": 2e-8}),
     (["sweep", "--axis", "vrm_gap", "--values", "0.5,1", "--no-transient",
       "--power-map", "uniform"],
      {"axis": "vrm_gap", "values": "0.5,1", "no_transient": True, "power_map": "uniform"}),
