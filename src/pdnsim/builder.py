@@ -9,8 +9,9 @@ Discretization scheme:
   one square of sheet resistance in series with the effective loop
   inductance per square.
 * bump/via arrays are aggregated into one R-L branch per tile (or per
-  attach site); per-branch values are the parallel combination of the bumps
-  or vias whose centers fall in the tile footprint.
+  attach site); per-branch values are the parallel combination of the
+  tile footprint's share of the array, a fractional bump count, so every
+  tiling keeps the whole array.
 
 The chip is centered on the package; coordinates are in mm with the origin
 at the common center.
@@ -127,7 +128,9 @@ def _nearest(coords, values):
 
 
 def _bumps_per_tile(tx_mm, ty_mm, pitch_um):
-    return max(1, int(tx_mm * 1000.0 // pitch_um) * int(ty_mm * 1000.0 // pitch_um))
+    """Bumps on a ``tx_mm`` x ``ty_mm`` footprint at ``pitch_um``, as a
+    fraction, so the tiles of a chip always share its whole array."""
+    return (tx_mm * 1000.0 / pitch_um) * (ty_mm * 1000.0 / pitch_um)
 
 
 def _rl_branches(net, src, dst, r, l, stems, *index):

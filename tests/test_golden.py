@@ -1,9 +1,11 @@
 """Byte-identity of the assembled netlists and the stamped MNA matrices.
 
-The digests below were recorded before the netlist store and the stampers
-became array-native; any change to node numbering, element order, a value's
-last bit, or the order in which duplicate matrix entries are summed shows up
-here.  Re-record them only with a change that means to alter the numbers,
+The 50-tile digests were recorded before the netlist store and the stampers
+became array-native; the 8-tile ones were re-recorded when bump arrays
+became fractional per tile (12.5 x 12.5 C4 bumps per 1.25 mm tile, where 12
+x 12 were kept before).  Any change to node numbering, element order, a
+value's last bit, or the order in which duplicate matrix entries are summed
+shows up here.  Re-record them only with a change that means to alter the numbers,
 and say so where the change is described.
 """
 
@@ -19,9 +21,9 @@ from pdnsim.netlist import netlist_to_text
 
 GOLDEN = {  # (benchmark, tiles per side): (text, DC matrix, transient matrix)
     ("on_package_1", 8): (
-        "8955d6c4b974db3c919eadd8431c43e66a327f1a26cafac850533d86ca249d6c",
-        "4f8ffbd8035ea1c86d56f00a22798ebf86078f0bae45f2c6addfacaa2721a41c",
-        "f1c0d38c8135c508102b8cd2fa5a079edb42ac628343ed4607fc15f78438ea5b",
+        "4c7746e20e86f1d9a031cf5822bc3b7e0388b918732a3e9f8008395e17edbb6e",
+        "8ef39f941a5a86822a356d851049ab21a9a0f97b3062ab09762661f1cd14716d",
+        "35005140c44e4b9513724baf7280ce392567e3a326a3e5265648e0767e055d2c",
     ),
     ("on_package_1", 50): (
         "c7e5e8a57709305f6b124612c79fa56345bdb2d580f48cf39082bb21b7160ec6",
@@ -29,9 +31,9 @@ GOLDEN = {  # (benchmark, tiles per side): (text, DC matrix, transient matrix)
         "66d89d6e1f9a599e2c77cacc666f6cc8f17d58a5f932cf2895e48233a7d93aed",
     ),
     ("on_package_2", 8): (
-        "1ebdb34040f30df9dbcbd8dfdaf5a874b15cd70e0ae514023ca7694a5cb9a45f",
-        "3a623aacf2b779a2318b17296da0f070ae65a385e13d606763d7b845b6b59404",
-        "9fdc25fa85ff48d4ab621c4199d6b77c5ce906d3b7757fc6c861a111289adbea",
+        "9d593aa59f232d1e83d46d6879bb8521539d011138a38f0bd333a4b68181fd8c",
+        "9f61eef9271c04a7f9c05cd0162c9f61e3bcf3a111a1141882d6d6a6e3d85175",
+        "09d2829763cabe59214347b3be6a707d7d3feba7b7631f28c55227d87c1e188f",
     ),
     ("on_package_2", 50): (
         "f78e5ff26f3ab77fac8988975a49fdd6beb0d28e49f37387a7819e5d1409c7ea",
@@ -39,9 +41,9 @@ GOLDEN = {  # (benchmark, tiles per side): (text, DC matrix, transient matrix)
         "dab2b4dc8f1d5fcea1b952314c2eff290427def6a63e0c90ef4a39ca3be968b5",
     ),
     ("on_package_4", 8): (
-        "3daa7e4a9bc8100a6b1597cf25da603cbf9c8c2b8b8336346ed687f456a25cf2",
-        "b5f913cbeaf4d3833d2ffb462ae1f3203784742a1a9d460b4233cde7b0485e10",
-        "6ee48afc8d368ffe9864153c460390dbabb6d3a1257e90b85e26bc0347412590",
+        "195b4a457b8d80591d4a1ad5b824f24a9709dfe9f48be669b80c824e6eae3d4b",
+        "a3368a67dfdeb83aa9b028f8befe9ef430ccb61f781195befe09394fb8970c72",
+        "49a7683b571d804046b938d1f5aa8fb54e324d3fd5722e5b0cecd3dd79450441",
     ),
     ("on_package_4", 50): (
         "239dfe44eb9a7ac9ae04a84762074276dc3e5bbf665ad72e6d0b561f884c6c2c",
@@ -49,9 +51,9 @@ GOLDEN = {  # (benchmark, tiles per side): (text, DC matrix, transient matrix)
         "9945dfe3245a8149c040fb7b30ea9a8c78f7d7bee5090c200a6cf7e571ce1eca",
     ),
     ("backside", 8): (
-        "4630d4915b8c55f99d08d3b710f42016afa94d143104d5d393a07a8e3f1a7baa",
-        "8d1c66ba544f77791167ea04a5f820a9d7a835500eb4c04b869eb31c0d144ae6",
-        "1ef0c45df31b488623f059d9cd27ea19a31ef7e04ae4f8457962a7932353b210",
+        "cd07e59abf5ee2206b08be88f5b77abf9ac9fb6edb9f7a847f35465704468dc7",
+        "e10a15f16ae1d0887fe5dfc2eda8845258c508849f74e2c837591a3ba57f169a",
+        "7dfb6f840f790f1ef81efe8f73bbb67849dccdaaf550485c761410377519ec75",
     ),
     ("backside", 50): (
         "a4de802402b00cb93c7899bb96a5f842c21ac916471613f4418f028711adb827",
@@ -59,9 +61,9 @@ GOLDEN = {  # (benchmark, tiles per side): (text, DC matrix, transient matrix)
         "e3bb08f53b402dc316278db6098c146a9864f181b4b2ef392e382149905244ef",
     ),
     ("chip_on_vrm_3d", 8): (
-        "be93aeb5626c4148c137fd72ec31f8b61c852c7e50ba5f10010d93325834dc02",
-        "e16d4b00be3fdbf1e349d4db7a9c5e19d518e47feeae0f1c151a660ef26fc4d1",
-        "909a2cd8249604df1c257adf314f6a0aedb2639121f9081289b50d54f00ca470",
+        "3eac37ec5ac88169d4234179d176f0cac8f64e632f6753e73ad5f416e0a17a50",
+        "f11495151bd3e617cd2cd75fc272267ee9f14fe0123bb66cb74d0fafc1f01625",
+        "785993eae46245283bc358a3ada9cdb9733ba85fa0c7a1f4c975f01d7d43628c",
     ),
     ("chip_on_vrm_3d", 50): (
         "4d1534819d44881613a230f773c9b5be70fe5064cf9c8abf1d38d599cc00dd6a",

@@ -215,6 +215,31 @@ def test_chip_grid_load_currents_sum_to_total():
     assert total == pytest.approx(100.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("tiles", [8, 30, 40, 60])
+@pytest.mark.parametrize("name", ["on_package_1", "chip_on_vrm_3d"])
+def test_bump_count_is_conserved_across_tilings(small_config, name, tiles):
+    """The 10 mm chip on a 100 um pitch sits on 10,000 C4 bumps (stacked
+    on its VRM, on 10,000 microbumps with their TSVs).  The tile branches
+    share the whole array, also where the pitch does not divide the tile,
+    so their conductances and inverse inductances sum to 10,000 bumps'."""
+    cfg = small_config(name, tiles=tiles)
+    plc, c4 = cfg.placement, cfg.package.c4_bump
+    if name == "chip_on_vrm_3d":
+        stems = ("tsv_r", "ubump_l")
+        r_bump = via_resistance(plc.vrm_tsv) + plc.microbump.resistance_per_bump_mohm * 1e-3
+        l_bump = via_inductance(plc.vrm_tsv) + plc.microbump.inductance_per_bump_ph * 1e-12
+    else:
+        stems = ("c4_r", "c4_l")
+        r_bump = c4.resistance_per_bump_mohm * 1e-3
+        l_bump = c4.inductance_per_bump_ph * 1e-12
+    net = assemble_netlist(cfg)
+    value = net.columns()[3]
+    stem = np.array([label.partition("[")[0] for label in net.labels()])
+    for s, per_bump in zip(stems, (r_bump, l_bump)):
+        assert np.count_nonzero(stem == s) == tiles * tiles
+        assert np.sum(1.0 / value[stem == s]) == pytest.approx(10_000 / per_bump, rel=1e-12)
+
+
 def test_chip_grid_rejects_degenerate_grid():
     chip = ChipSpec(tile_count_x=1, tile_count_y=5)
     with pytest.raises(NetlistError, match="at least 2x2"):
