@@ -192,8 +192,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         c4_array = "the die C4 array"
         sites = pnodes[np.ix_(_within(pys, chip.height_mm / 2.0, c4_array),
                               _within(pxs, chip.width_mm / 2.0, c4_array))]
-        total_c4 = _bumps_per_tile(chip.width_mm, chip.height_mm, c4.pitch_um)
-        share = max(1.0, total_c4 / sites.size)
+        share = _bumps_per_tile(chip.width_mm, chip.height_mm, c4.pitch_um) / sites.size
         _rl_branches(net, die, sites, c4.resistance_per_bump_mohm * 1e-3 / share,
                      c4.inductance_per_bump_ph * 1e-12 / share, ("die_c4_r", "die_c4_l"),
                      np.arange(sites.size).reshape(sites.shape))

@@ -240,6 +240,23 @@ def test_bump_count_is_conserved_across_tilings(small_config, name, tiles):
         assert np.sum(1.0 / value[stem == s]) == pytest.approx(10_000 / per_bump, rel=1e-12)
 
 
+@pytest.mark.parametrize("pitch_mm", [1.0, 0.1])
+def test_die_c4_count_is_conserved_on_any_package_grid(small_config, pitch_mm):
+    """The 3-D stack's die C4 array (10,000 bumps under the 10 mm chip) is
+    shared among the package nodes under the chip, also when there are
+    more nodes than bumps (101 x 101 at a 0.1 mm grid)."""
+    cfg = small_config("chip_on_vrm_3d", tiles=8)
+    cfg = dataclasses.replace(cfg, package=dataclasses.replace(cfg.package,
+                                                               grid_pitch_mm=pitch_mm))
+    net = assemble_netlist(cfg)
+    value = net.columns()[3]
+    stem = np.array([label.partition("[")[0] for label in net.labels()])
+    c4 = cfg.package.c4_bump
+    for s, per_bump in (("die_c4_r", c4.resistance_per_bump_mohm * 1e-3),
+                        ("die_c4_l", c4.inductance_per_bump_ph * 1e-12)):
+        assert np.sum(1.0 / value[stem == s]) == pytest.approx(10_000 / per_bump, rel=1e-12)
+
+
 def test_chip_grid_rejects_degenerate_grid():
     chip = ChipSpec(tile_count_x=1, tile_count_y=5)
     with pytest.raises(NetlistError, match="at least 2x2"):
