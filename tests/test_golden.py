@@ -1,11 +1,10 @@
 """Byte-identity of the assembled netlists and the stamped MNA matrices.
 
 The 50-tile digests were recorded before the netlist store and the stampers
-became array-native; the 8-tile ones were re-recorded when bump arrays
-became fractional per tile (12.5 x 12.5 C4 bumps per 1.25 mm tile, where 12
-x 12 were kept before).  Any change to node numbering, element order, a
-value's last bit, or the order in which duplicate matrix entries are summed
-shows up here.  Re-record them only with a change that means to alter the numbers,
+became array-native, the 8-tile ones when a tile's bump count became
+fractional.  Any change to node numbering, element order, a value's last
+bit, or the order in which duplicate matrix entries are summed shows up
+here.  Re-record them only with a change that means to alter the numbers,
 and say so where the change is described.
 """
 
