@@ -32,8 +32,8 @@ def main():
     cfg = pdnsim.benchmark_config("chip_on_vrm_3d", power_map_kind="uniform")
     chip = dataclasses.replace(cfg.chip, tile_count_x=args.tiles,
                                tile_count_y=args.tiles)
-    cfg = pdnsim.validate_config(
-        dataclasses.replace(cfg, chip=chip, power_map=None))
+    cfg = pdnsim.validate_config(dataclasses.replace(
+        cfg, chip=chip, power_map=pdnsim.builtin_power_map("uniform", chip)))
 
     sweep = run_sweep(cfg, "onchip_decap", values,
                       dt=args.dt, t_end=args.t_end)

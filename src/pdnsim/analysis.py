@@ -287,9 +287,8 @@ def compare_configurations(configs, transient=True, dt=DEFAULT_DT_S,
     configs = [validate_config(c) for c in configs]
     if len(configs) < 2:
         raise ValueError("comparison needs at least two configurations")
-    chip0 = dataclasses.replace(configs[0].chip)
     for c in configs[1:]:
-        if c.chip != chip0:
+        if c.chip != configs[0].chip:
             raise ValueError("all compared configurations must share the chip spec")
 
     rows = []

@@ -49,10 +49,11 @@ def _stack(*columns):
     return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
-def build_chip_grid(net, chip, power_map=None, decaps=DecapPolicy()):
+def build_chip_grid(net, chip, rail_v, power_map=None, decaps=DecapPolicy()):
     """Add the discretized on-chip PDN to ``net``: tile node grid,
-    aggregated boundary resistors, per-tile load current sources and decap
-    branches (density and ESR from the ``decaps`` policy).
+    aggregated boundary resistors, per-tile load current sources (tile
+    power drawn from the ``rail_v`` volt rail) and decap branches (density
+    and ESR from the ``decaps`` policy).
 
     Returns ``tile_nodes`` with ``tile_nodes[j, i]`` the node index of tile
     (i, j).
@@ -81,7 +82,7 @@ def build_chip_grid(net, chip, power_map=None, decaps=DecapPolicy()):
                      ii[:-1], jj[:-1])
 
     # per-tile load and decap
-    amps = 0.0 if power_map is None else power_map.densities * tile_area_mm2
+    amps = 0.0 if power_map is None else power_map.densities * tile_area_mm2 / rail_v
     cap_f = decaps.onchip_density_nf_per_mm2 * 1e-9 * tile_area_mm2
     esr = decaps.onchip_esr_ohm_mm2 / tile_area_mm2
     if cap_f > 0.0:
@@ -166,7 +167,8 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     chip, pkg = config.chip, config.package
     net = Netlist()
 
-    tiles = build_chip_grid(net, chip, power_map=config.power_map, decaps=config.decaps)
+    tiles = build_chip_grid(net, chip, config.vrm.output_voltage_v,
+                            power_map=config.power_map, decaps=config.decaps)
     pnodes, pxs, pys = build_package_network(net, pkg)
 
     nx, ny = chip.tile_count_x, chip.tile_count_y
@@ -223,9 +225,9 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
             net.add_elements(RESISTOR, n_pad, pad_nodes, _PAD_CONTACT_OHM * len(pad_nodes),
                              "pad", k, np.arange(len(pad_nodes)))
     elif isinstance(plc, BacksideVrm):
-        tpv = pkg.through_package_via
+        tpv = plc.through_package_via
         out = _vrm_chain(net, 0, config.vrm)
-        n_side = pkg.tpv_sites_per_side
+        n_side = plc.sites_per_side
         site_x = -chip.width_mm / 2.0 + (np.arange(n_side) + 0.5) * chip.width_mm / n_side
         site_y = -chip.height_mm / 2.0 + (np.arange(n_side) + 0.5) * chip.height_mm / n_side
         sites = pnodes[np.ix_(_nearest(pys, site_y), _nearest(pxs, site_x))]

@@ -35,6 +35,7 @@ Positive = typing.Annotated[float, "> 0", lambda x: 0 < x < math.inf]
 NonNegative = typing.Annotated[float, ">= 0", lambda x: 0 <= x < math.inf]
 Fraction = typing.Annotated[float, "in [0, 1]", lambda x: 0 <= x <= 1]
 Count = typing.Annotated[int, ">= 1", lambda n: 1 <= n < math.inf]
+VrmCount = typing.Annotated[int, "one of 1, 2, 4", lambda n: n in (1, 2, 4)]
 MIN_TILE_COUNT = 2  # tiles per side of the smallest chip grid
 TileCount = typing.Annotated[int, f">= {MIN_TILE_COUNT}",
                              lambda n: MIN_TILE_COUNT <= n < math.inf]
@@ -78,7 +79,6 @@ class BumpSpec:
 class ChipSpec:
     width_mm: Positive = 10.0
     height_mm: Positive = 10.0
-    supply_voltage_v: Positive = 1.0
     total_power_w: Positive = 100.0
     onchip_wire: WireSpec = WireSpec()
     tile_count_x: TileCount = 50
@@ -119,21 +119,12 @@ class PackageSpec:
         resistance_per_bump_mohm=400.0,
         inductance_per_bump_ph=1000.0,
     )
-    through_package_via: ViaSpec | None = ViaSpec(
-        resistivity_ohm_m=17.1e-9,
-        height_um=1000.0,
-        diameter_um=200.0,
-        inductance_per_via_ph=0.05,
-        count_per_site=1,
-    )
-    # Backside VRM feeds the package through a grid of via attach sites
-    # spread over the chip footprint projection (n x n sites).
-    tpv_sites_per_side: Count = 8
 
 
 @dataclass(frozen=True)
 class VrmSpec:
-    """Regulator modeled as an ideal source with series parasitics."""
+    """Regulator modeled as an ideal source with series parasitics; its
+    output voltage is the rail the chip loads draw their current from."""
 
     series_resistance_mohm: NonNegative = 0.01
     series_inductance_nh: NonNegative = 0.00001
@@ -144,7 +135,7 @@ class VrmSpec:
 class OnPackageVrm:
     """1/2/4 regulator dies beside the chip on the package top."""
 
-    count: Count = 4
+    count: VrmCount = 4
     gap_mm: Positive = 1.0
 
     variant = "on_package"
@@ -153,6 +144,17 @@ class OnPackageVrm:
 @dataclass(frozen=True)
 class BacksideVrm:
     """One regulator die on the backside of the package, feeding through vias."""
+
+    through_package_via: ViaSpec = ViaSpec(
+        resistivity_ohm_m=17.1e-9,
+        height_um=1000.0,
+        diameter_um=200.0,
+        inductance_per_via_ph=0.05,
+        count_per_site=1,
+    )
+    # The vias land on a grid of attach sites spread over the chip
+    # footprint projection (n x n sites).
+    sites_per_side: Count = 8
 
     variant = "backside"
 
@@ -227,7 +229,7 @@ class BoardSpec:
 
 
 class PowerMap:
-    """Per-tile load current density grid in A/mm^2 at nominal supply.
+    """Per-tile load power density grid in W/mm^2.
 
     Immutable; ``densities`` is a read-only (ny, nx) array indexed [j, i]
     with i along x.
@@ -285,7 +287,7 @@ HOTSPOT_DENSITY_RATIO = 3.0
 def builtin_power_map(kind, chip, hotspot_ratio=HOTSPOT_DENSITY_RATIO,
                       block_fraction=HOTSPOT_BLOCK_FRACTION,
                       block_centers=HOTSPOT_BLOCK_CENTERS):
-    """Generate a uniform or hotspot current-density map for ``chip``.
+    """Generate a uniform or hotspot power-density map for ``chip``.
 
     ``hotspot``: background density plus rectangular blocks (each
     ``block_fraction`` of the chip edge in each direction, centered at the
@@ -312,16 +314,16 @@ def builtin_power_map(kind, chip, hotspot_ratio=HOTSPOT_DENSITY_RATIO,
 
 
 def normalize_power_map(pm, chip):
-    """Rescale densities so the implied total power equals the chip target."""
+    """Rescale densities so the tile powers sum to the chip's total power."""
     nx, ny = chip.tile_count_x, chip.tile_count_y
     tile_area = (chip.width_mm / nx) * (chip.height_mm / ny)
-    target_current = chip.total_power_w / chip.supply_voltage_v
     total = float(pm.densities.sum()) * tile_area
     if total <= 0.0:
         raise ValidationError(
             ["power_map: all-zero density map cannot be normalized to nonzero total power"]
         )
-    return PowerMap(pm.densities * (target_current / total), chip.total_power_w, normalized=True)
+    return PowerMap(pm.densities * (chip.total_power_w / total), chip.total_power_w,
+                    normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +362,7 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     Idempotent: re-validating the result returns an equal config.
     """
     v = list(_out_of_bounds(config, ""))
-    chip, pkg, vrm, plc = config.chip, config.package, config.vrm, config.placement
+    chip, pkg, plc = config.chip, config.package, config.placement
     if chip.onchip_wire.width_um >= chip.onchip_wire.pitch_um:
         v.append("chip.onchip_wire.width_um must be < pitch_um")
     bumps = {"package.solder_bump": pkg.solder_bump, "package.c4_bump": pkg.c4_bump,
@@ -370,15 +372,6 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
             v.append(f"{path}.diameter_um must be < pitch_um")
     if pkg.package_width_mm < chip.width_mm or pkg.package_height_mm < chip.height_mm:
         v.append("package must be at least as large as the chip footprint")
-    # the chip supply sets the load current, the VRM output the drop
-    # reference and the stimulus; both describe one rail
-    if chip.supply_voltage_v != vrm.output_voltage_v:
-        v.append(f"chip.supply_voltage_v ({chip.supply_voltage_v}) must equal "
-                 f"vrm.output_voltage_v ({vrm.output_voltage_v})")
-    if isinstance(plc, OnPackageVrm) and plc.count not in (1, 2, 4):
-        v.append("placement.count must be one of 1, 2, 4")
-    if isinstance(plc, BacksideVrm) and pkg.through_package_via is None:
-        v.append("placement backside requires package.through_package_via")
 
     pm = config.power_map
     if pm is not None:
@@ -429,7 +422,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     d["placement"]["variant"] = config.placement.variant
     if config.power_map is not None:
         d["power_map"] = {
-            "densities_a_per_mm2": config.power_map.densities.tolist(),
+            "densities_w_per_mm2": config.power_map.densities.tolist(),
             "total_power_w": config.power_map.total_power_w,
             "normalized": config.power_map.normalized,
         }
@@ -495,7 +488,7 @@ def _nested(cls, data, path):
 def _power_map(pmd, chip) -> PowerMap:
     if not isinstance(pmd, dict):
         raise ValidationError([f"power_map: expected an object, got {pmd!r}"])
-    known = ("kind",) if "kind" in pmd else ("densities_a_per_mm2", "total_power_w", "normalized")
+    known = ("kind",) if "kind" in pmd else ("densities_w_per_mm2", "total_power_w", "normalized")
     for key in pmd:
         if key not in known:
             raise ValidationError([f"power_map.{key}: unknown field"])
@@ -504,11 +497,11 @@ def _power_map(pmd, chip) -> PowerMap:
             raise ValidationError([f"power_map.kind: unknown kind {pmd['kind']!r}"])
         return builtin_power_map(pmd["kind"], chip)
     try:
-        dens = np.array(pmd.get("densities_a_per_mm2"))
+        dens = np.array(pmd.get("densities_w_per_mm2"))
     except ValueError:                           # ragged rows
         dens = None
     if dens is None or dens.dtype.kind not in "iuf":
-        raise ValidationError(["power_map.densities_a_per_mm2: expected a grid of numbers"])
+        raise ValidationError(["power_map.densities_w_per_mm2: expected a grid of numbers"])
     return PowerMap(
         dens,
         _decode(float, pmd.get("total_power_w", chip.total_power_w), "power_map.total_power_w"),

@@ -182,9 +182,7 @@ def merged_sheet_resistance(pkg) -> float:
 
 
 def make_label(stem, *indices) -> str:
-    if indices:
-        return f"{stem}[{','.join(str(i) for i in indices)}]"
-    return stem
+    return f"{stem}[{','.join(str(i) for i in indices)}]"
 
 
 def netlist_to_text(net: Netlist) -> str:

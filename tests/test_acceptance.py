@@ -232,7 +232,7 @@ def _edge_fed_max_drop(tiles):
                                tile_count_x=tiles, tile_count_y=tiles)
     pm = builtin_power_map("uniform", chip)
     net = Netlist()
-    nodes = build_chip_grid(net, chip, power_map=pm)
+    nodes = build_chip_grid(net, chip, 1.0, power_map=pm)
     src = net.add_node()
     net.add_elements(VOLTAGE_SOURCE, src, GROUND, 1.0, "vrm_src[0]")
     for j in range(tiles):

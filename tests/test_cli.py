@@ -133,32 +133,28 @@ def test_validate_bad_values_lists_all_violations(tmp_path, small_config, capsys
     assert "total_power_w" in err and "output_voltage_v" in err
 
 
-def test_validate_mismatched_supply_is_validation_error(tmp_path, small_config, capsys):
-    d = json.loads(config_to_json(small_config()))
-    d["chip"]["supply_voltage_v"] = 0.8
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(d))
-    assert main(["validate", "--config", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert "chip.supply_voltage_v (0.8) must equal vrm.output_voltage_v (1.0)" in err
-
-
 @pytest.mark.parametrize("where,key,value,message", [
     (("placement", "die_decap"), "capacitance_uf", 0,
      "placement.die_decap.capacitance_uf must be > 0"),
     ((), "chip", 5, "chip: expected an object"),
     (("chip",), "tile_count_x", "50", "chip.tile_count_x: expected int"),
     (("decaps",), "package_decaps", [{}], "decaps.package_decaps[0].capacitance_uf"),
-    (("power_map",), "densities_a_per_mm2", "abc", "power_map.densities_a_per_mm2"),
+    (("power_map",), "densities_w_per_mm2", "abc", "power_map.densities_w_per_mm2"),
     ((), "bogus", 1, "bogus: unknown field"),
     (("package",), "solder_bump_count", 0, "package.solder_bump_count must be >= 1 (got 0)"),
-    (("package",), "tpv_sites_per_side", 0, "package.tpv_sites_per_side must be >= 1 (got 0)"),
+    ((), "placement", {"variant": "backside", "sites_per_side": 0},
+     "placement.sites_per_side must be >= 1 (got 0)"),
     (("package",), "package_width_mm", math.inf, "package.package_width_mm must be > 0 (got inf)"),
     (("package",), "solder_bump_count", -3, "package.solder_bump_count must be >= 1 (got -3)"),
     (("decaps",), "onchip_density_nf_per_mm2", math.inf,
      "decaps.onchip_density_nf_per_mm2 must be >= 0 (got inf)"),
-    (("power_map",), "densities_a_per_mm2", [[math.nan] * 50] * 50,
+    (("power_map",), "densities_w_per_mm2", [[math.nan] * 50] * 50,
      "power_map densities must all be finite and >= 0"),
+    ((), "placement", {"variant": "on_package", "count": 3},
+     "placement.count must be one of 1, 2, 4 (got 3)"),
+    (("chip",), "supply_voltage_v", 0.8, "chip.supply_voltage_v: unknown field for ChipSpec"),
+    (("package",), "through_package_via", None,
+     "package.through_package_via: unknown field for PackageSpec"),
 ])
 def test_validate_malformed_config_is_validation_error(tmp_path, capsys, where, key,
                                                        value, message):
@@ -181,7 +177,7 @@ def test_validate_malformed_config_is_validation_error(tmp_path, capsys, where, 
 @pytest.mark.parametrize("via", ["flag", "kind_key"])
 def test_builtin_power_map_with_zero_supply_is_validation_error(tmp_path, capsys, via):
     d = json.loads(config_to_json(pdnsim.benchmark_config("on_package_1")))
-    d["chip"]["supply_voltage_v"] = 0
+    d["chip"]["total_power_w"] = 0
     d["vrm"]["output_voltage_v"] = 0
     flags = ["--power-map", "uniform"] if via == "flag" else []
     if via == "kind_key":
@@ -192,7 +188,7 @@ def test_builtin_power_map_with_zero_supply_is_validation_error(tmp_path, capsys
     assert main(["validate", "--config", str(bad), *flags]) == 1
     assert main(["dc", "--config", str(bad), "--out-dir", str(out), *flags]) == 1
     err = capsys.readouterr().err
-    assert err.count("validation error: chip.supply_voltage_v must be > 0 (got 0)") == 2
+    assert err.count("validation error: chip.total_power_w must be > 0 (got 0)") == 2
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
 

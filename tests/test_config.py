@@ -47,17 +47,6 @@ def test_validation_collects_all_violations():
     assert any("vrm.output_voltage_v" in m for m in msgs)
 
 
-@pytest.mark.parametrize("chip_v,vrm_v", [(0.8, 1.0), (1.0, 1.2)])
-def test_supply_voltage_must_match_vrm_output(chip_v, vrm_v):
-    chip = dataclasses.replace(ChipSpec(), supply_voltage_v=chip_v)
-    vrm = dataclasses.replace(pdnsim.VrmSpec(), output_voltage_v=vrm_v)
-    with pytest.raises(ValidationError) as exc:
-        validate_config(ScenarioConfig(chip=chip, vrm=vrm))
-    (msg,) = exc.value.violations
-    assert "chip.supply_voltage_v" in msg and "vrm.output_voltage_v" in msg
-    assert str(chip_v) in msg and str(vrm_v) in msg
-
-
 def test_chip_larger_than_package_rejected():
     chip = dataclasses.replace(ChipSpec(), width_mm=40.0)
     with pytest.raises(ValidationError, match="at least as large"):
@@ -67,12 +56,6 @@ def test_chip_larger_than_package_rejected():
 def test_on_package_count_must_be_1_2_or_4():
     with pytest.raises(ValidationError, match="count"):
         validate_config(ScenarioConfig(placement=OnPackageVrm(count=3)))
-
-
-def test_backside_requires_through_package_via():
-    pkg = dataclasses.replace(pdnsim.PackageSpec(), through_package_via=None)
-    with pytest.raises(ValidationError, match="through_package_via"):
-        validate_config(ScenarioConfig(package=pkg, placement=BacksideVrm()))
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -187,15 +170,15 @@ def test_non_finite_power_map_rejected(value):
 
 
 def test_builtin_power_map_needs_a_chip_within_bounds():
-    chip = dataclasses.replace(ChipSpec(), supply_voltage_v=0.0, tile_count_x=-1)
+    chip = dataclasses.replace(ChipSpec(), total_power_w=0.0, tile_count_x=-1)
     with pytest.raises(ValidationError) as exc:
         builtin_power_map("uniform", chip)
-    assert exc.value.violations == ["chip.supply_voltage_v must be > 0 (got 0.0)",
+    assert exc.value.violations == ["chip.total_power_w must be > 0 (got 0.0)",
                                     "chip.tile_count_x must be >= 2 (got -1)"]
     d = json.loads(config_to_json(benchmark_config("on_package_1")))
-    d["chip"]["supply_voltage_v"] = 0
+    d["chip"]["total_power_w"] = 0
     d["power_map"] = {"kind": "hotspot"}
-    with pytest.raises(ValidationError, match=r"chip.supply_voltage_v must be > 0 \(got 0\)"):
+    with pytest.raises(ValidationError, match=r"chip.total_power_w must be > 0 \(got 0\)"):
         config_from_json(json.dumps(d))
 
 
@@ -239,6 +222,10 @@ def test_unknown_field_rejected():
     (("decaps", "package_decaps", 0), "tier"),
     (("decaps", "board_decaps", 0), "tier"),
     (("placement", "die_decap"), "tier"),
+    (("chip",), "supply_voltage_v"),
+    (("package",), "through_package_via"),
+    (("package",), "tpv_sites_per_side"),
+    (("power_map",), "densities_a_per_mm2"),
 ])
 def test_removed_keys_rejected_as_unknown(section, key):
     d = json.loads(config_to_json(benchmark_config("chip_on_vrm_3d")))
@@ -260,10 +247,10 @@ MALFORMED = [
     (("decaps",), "package_decaps", [{}],
      "decaps.package_decaps[0].capacitance_uf: missing required field"),
     (("decaps",), "board_decaps", 5, "decaps.board_decaps: expected a list"),
-    (("power_map",), "densities_a_per_mm2", "abc",
-     "power_map.densities_a_per_mm2: expected a grid of numbers"),
-    (("power_map",), "densities_a_per_mm2", [[1.0], [1.0, 2.0]],
-     "power_map.densities_a_per_mm2: expected a grid of numbers"),
+    (("power_map",), "densities_w_per_mm2", "abc",
+     "power_map.densities_w_per_mm2: expected a grid of numbers"),
+    (("power_map",), "densities_w_per_mm2", [[1.0], [1.0, 2.0]],
+     "power_map.densities_w_per_mm2: expected a grid of numbers"),
     (("power_map",), "normalized", 1, "power_map.normalized: expected bool"),
     ((), "power_map", {"kind": "striped"}, "power_map.kind: unknown kind 'striped'"),
     ((), "placement", 3, "placement: expected an object"),
@@ -274,6 +261,10 @@ MALFORMED = [
      "package.c4_bump.diameter_um: missing required field"),
     (("placement",), "vrm_tsv", {"height_um": 60.0},
      "placement.vrm_tsv.resistivity_ohm_m: missing required field"),
+    ((), "placement", {"variant": "backside", "through_package_via": None},
+     "placement.through_package_via: expected an object, got None"),
+    ((), "placement", {"variant": "backside", "through_package_via": {"height_um": 900.0}},
+     "placement.through_package_via.resistivity_ohm_m: missing required field"),
 ]
 
 
@@ -379,16 +370,15 @@ _decaps = st.builds(DiscreteDecap, capacitance_uf=_floats(1e-3, 100.0),
 @st.composite
 def scenario_configs(draw):
     nx, ny = draw(st.integers(2, 6)), draw(st.integers(2, 6))
-    volts = draw(_floats(0.5, 1.5))
     chip = ChipSpec(width_mm=draw(_floats(2.0, 20.0)), height_mm=draw(_floats(2.0, 20.0)),
-                    supply_voltage_v=volts, total_power_w=draw(_floats(0.1, 300.0)),
+                    total_power_w=draw(_floats(0.1, 300.0)),
                     tile_count_x=nx, tile_count_y=ny)
     vrm = pdnsim.VrmSpec(series_resistance_mohm=draw(_floats(0.0, 1.0)),
                          series_inductance_nh=draw(_floats(0.0, 1.0)),
-                         output_voltage_v=volts)
+                         output_voltage_v=draw(_floats(0.5, 1.5)))
     placement = draw(st.one_of(
         st.builds(OnPackageVrm, count=st.sampled_from([1, 2, 4]), gap_mm=_floats(0.1, 5.0)),
-        st.just(BacksideVrm()),
+        st.builds(BacksideVrm, sites_per_side=st.integers(1, 10)),
         st.builds(ChipOnVrm3D, die_decap=st.none() | _decaps)))
     decaps = DecapPolicy(onchip_density_nf_per_mm2=draw(_floats(0.0, 20.0)),
                          onchip_esr_ohm_mm2=draw(_floats(1e-3, 1.0)),
@@ -440,7 +430,7 @@ def _numeric_leaves(tp, path):
 
 def test_every_numeric_field_carries_a_bound():
     leaves = dict(_numeric_leaves(ScenarioConfig, ""))
-    assert {"package.solder_bump_count", "package.tpv_sites_per_side",
+    assert {"package.solder_bump_count", "placement.sites_per_side", "placement.count",
             "decaps.board_decaps[k].x", "placement.die_decap.esl_nh"} <= leaves.keys()
     assert [path for path, tp in leaves.items()
             if typing.get_origin(tp) is not typing.Annotated] == []
@@ -480,6 +470,7 @@ _OUT_OF_BOUNDS = {
     "in [0, 1]": st.floats(max_value=-math.ulp(0.0)) | st.floats(min_value=1.0 + math.ulp(1.0)),
     ">= 1": st.integers(max_value=0),
     ">= 2": st.integers(max_value=1),
+    "one of 1, 2, 4": st.integers().filter(lambda n: n not in (1, 2, 4)),
 }
 
 

@@ -1,11 +1,14 @@
 """The scripts in demos/ run end to end at desk scale and print what they
 document."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pdnsim
+from pdnsim.analysis import run_sweep
 from pdnsim.config import BENCHMARK_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,6 +42,13 @@ def test_decap_sweep_noise_falls_with_density():
     assert [float(r[0]) for r in rows] == [1.0, 5.0, 10.0, 15.0]
     psn = [float(r[1]) for r in rows]
     assert psn == sorted(psn, reverse=True) and psn[-1] > 0.0
+    # the demo sweeps the uniform map it asks for, at its own tile count
+    cfg = pdnsim.benchmark_config("chip_on_vrm_3d", power_map_kind="uniform")
+    chip = dataclasses.replace(cfg.chip, tile_count_x=6, tile_count_y=6)
+    cfg = dataclasses.replace(cfg, chip=chip,
+                              power_map=pdnsim.builtin_power_map("uniform", chip))
+    sweep = run_sweep(cfg, "onchip_decap", [1.0, 5.0, 10.0, 15.0], dt=2.5e-10, t_end=20e-9)
+    assert [r[1] for r in rows] == [f"{p.max_psn_mv:.2f}" for p in sweep.points]
     assert lines[-1].startswith("endpoint ratio PSN(min)/PSN(max density):")
 
 

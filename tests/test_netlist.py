@@ -153,7 +153,6 @@ def test_merged_sheet_resistance_hand_value():
 
 def test_label_round_trip():
     assert make_label("chip_h", 12, 7) == "chip_h[12,7]"
-    assert make_label("board_r") == "board_r"
     net = Netlist()
     a = net.add_node()
     net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h", 12, 7)
@@ -176,7 +175,7 @@ def test_chip_grid_shape_and_probes():
     chip = ChipSpec(tile_count_x=4, tile_count_y=3)
     pm = pdnsim.builtin_power_map("uniform", chip)
     net = Netlist()
-    tiles = build_chip_grid(net, chip, power_map=pm)
+    tiles = build_chip_grid(net, chip, 1.0, power_map=pm)
     assert tiles.shape == (3, 4)
     counts = Counter(e.kind for e in net.elements)
     # boundary resistors + one decap ESR per tile
@@ -210,9 +209,30 @@ def test_chip_grid_load_currents_sum_to_total():
     chip = ChipSpec(tile_count_x=5, tile_count_y=5)
     pm = pdnsim.builtin_power_map("hotspot", chip)
     net = Netlist()
-    build_chip_grid(net, chip, power_map=pm)
+    build_chip_grid(net, chip, 1.0, power_map=pm)
     total = sum(e.value for e in net.elements if e.kind == CURRENT_SOURCE)
     assert total == pytest.approx(100.0, rel=1e-9)
+
+
+def test_load_currents_draw_the_chip_power_from_the_vrm_rail(small_config):
+    """On a 0.8 V rail the tiles draw total_power_w / 0.8 amperes."""
+    base = small_config("on_package_1", tiles=5)
+    cfg = pdnsim.validate_config(dataclasses.replace(
+        base, vrm=dataclasses.replace(base.vrm, output_voltage_v=0.8)))
+    kind, _, _, value = assemble_netlist(cfg).columns()
+    assert value[kind == VOLTAGE_SOURCE].tolist() == [0.8]
+    assert value[kind == CURRENT_SOURCE].sum() == \
+        pytest.approx(cfg.chip.total_power_w / 0.8, rel=1e-12)
+
+
+def test_backside_vias_come_from_the_placement(small_config):
+    base = small_config("backside")
+    tpv = dataclasses.replace(base.placement.through_package_via, count_per_site=4)
+    plc = dataclasses.replace(base.placement, through_package_via=tpv, sites_per_side=3)
+    net = assemble_netlist(pdnsim.validate_config(dataclasses.replace(base, placement=plc)))
+    stems = [label.partition("[")[0] for label in net.labels()]
+    tpv_r = [v for stem, v in zip(stems, net.columns()[3]) if stem == "tpv_r"]
+    assert tpv_r == [via_resistance(tpv)] * 9
 
 
 def _bumps_in(net, stem, per_bump):
@@ -262,7 +282,7 @@ def test_die_c4_count_is_conserved_on_any_package_grid(small_config, pitch_mm):
 def test_chip_grid_rejects_degenerate_grid():
     chip = ChipSpec(tile_count_x=1, tile_count_y=5)
     with pytest.raises(NetlistError, match="at least 2x2"):
-        build_chip_grid(Netlist(), chip)
+        build_chip_grid(Netlist(), chip, 1.0)
 
 
 def test_package_network_dimensions():
