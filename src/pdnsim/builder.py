@@ -49,11 +49,11 @@ def _stack(*columns):
     return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
-def build_chip_grid(net, chip, rail_v, power_map=None, decaps=DecapPolicy()):
+def build_chip_grid(net, chip, rail_v, power_map, decaps=DecapPolicy()):
     """Add the discretized on-chip PDN to ``net``: tile node grid,
-    aggregated boundary resistors, per-tile load current sources (tile
-    power drawn from the ``rail_v`` volt rail) and decap branches (density
-    and ESR from the ``decaps`` policy).
+    aggregated boundary resistors, per-tile load current sources (the
+    ``power_map`` tile power drawn from the ``rail_v`` volt rail) and decap
+    branches (density and ESR from the ``decaps`` policy).
 
     Returns ``tile_nodes`` with ``tile_nodes[j, i]`` the node index of tile
     (i, j).
@@ -82,7 +82,7 @@ def build_chip_grid(net, chip, rail_v, power_map=None, decaps=DecapPolicy()):
                      ii[:-1], jj[:-1])
 
     # per-tile load and decap
-    amps = 0.0 if power_map is None else power_map.densities * tile_area_mm2 / rail_v
+    amps = power_map.densities * tile_area_mm2 / rail_v
     cap_f = decaps.onchip_density_nf_per_mm2 * 1e-9 * tile_area_mm2
     esr = decaps.onchip_esr_ohm_mm2 / tile_area_mm2
     if cap_f > 0.0:
@@ -162,9 +162,12 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     """Full benchmark netlist for one scenario (topology per VRM placement).
 
     The returned netlist carries ``meta["chip_tile_nodes"]``, the 2-D array
-    of tile node ids used downstream.
+    of tile node ids used downstream.  Raises ValueError for a config with
+    no power map; validate_config supplies one.
     """
     chip, pkg = config.chip, config.package
+    if config.power_map is None:
+        raise ValueError("config has no power map; pass it through validate_config first")
     net = Netlist()
 
     tiles = build_chip_grid(net, chip, config.vrm.output_voltage_v,

@@ -235,12 +235,11 @@ class PowerMap:
     with i along x.
     """
 
-    def __init__(self, densities, total_power_w, normalized=False):
+    def __init__(self, densities, total_power_w):
         arr = np.array(densities, dtype=float)
         arr.setflags(write=False)
         self.densities = arr
         self.total_power_w = float(total_power_w)
-        self.normalized = bool(normalized)
 
     def __eq__(self, other):
         if not isinstance(other, PowerMap):
@@ -249,19 +248,15 @@ class PowerMap:
             self.densities.shape == other.densities.shape
             and np.array_equal(self.densities, other.densities)
             and self.total_power_w == other.total_power_w
-            and self.normalized == other.normalized
         )
 
     def __hash__(self):
         # + 0.0 turns -0.0 into 0.0, which __eq__ counts as equal
         return hash((self.densities.shape, (self.densities + 0.0).tobytes(),
-                     self.total_power_w, self.normalized))
+                     self.total_power_w))
 
     def __repr__(self):
-        return (
-            f"PowerMap(shape={self.densities.shape}, total_power_w={self.total_power_w}, "
-            f"normalized={self.normalized})"
-        )
+        return f"PowerMap(shape={self.densities.shape}, total_power_w={self.total_power_w})"
 
 
 @dataclass(frozen=True)
@@ -313,17 +308,20 @@ def builtin_power_map(kind, chip, hotspot_ratio=HOTSPOT_DENSITY_RATIO,
     return normalize_power_map(PowerMap(dens, chip.total_power_w), chip)
 
 
+def _tile_power_w(pm, chip):
+    """Sum of the tile powers of ``pm`` on ``chip``'s tile grid."""
+    tile_area = (chip.width_mm / chip.tile_count_x) * (chip.height_mm / chip.tile_count_y)
+    return float(pm.densities.sum()) * tile_area
+
+
 def normalize_power_map(pm, chip):
     """Rescale densities so the tile powers sum to the chip's total power."""
-    nx, ny = chip.tile_count_x, chip.tile_count_y
-    tile_area = (chip.width_mm / nx) * (chip.height_mm / ny)
-    total = float(pm.densities.sum()) * tile_area
+    total = _tile_power_w(pm, chip)
     if total <= 0.0:
         raise ValidationError(
             ["power_map: all-zero density map cannot be normalized to nonzero total power"]
         )
-    return PowerMap(pm.densities * (chip.total_power_w / total), chip.total_power_w,
-                    normalized=True)
+    return PowerMap(pm.densities * (chip.total_power_w / total), chip.total_power_w)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +356,8 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
 
     Collects all violations before raising, field bounds first.  Only the
     power map is rewritten: a missing map defaults to the hotspot map, and
-    the map is renormalized to the chip's total power.
+    a map whose tile powers miss ``chip.total_power_w`` by more than 1e-12
+    relative is rescaled to it; a map that carries it is kept as given.
     Idempotent: re-validating the result returns an equal config.
     """
     v = list(_out_of_bounds(config, ""))
@@ -375,6 +374,9 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
 
     pm = config.power_map
     if pm is not None:
+        if pm.total_power_w != chip.total_power_w:
+            v.append(f"power_map.total_power_w ({pm.total_power_w}) must equal "
+                     f"chip.total_power_w ({chip.total_power_w})")
         if pm.densities.shape != (chip.tile_count_y, chip.tile_count_x):
             v.append(f"power_map shape {pm.densities.shape} does not match tile grid "
                      f"({chip.tile_count_y}, {chip.tile_count_x})")
@@ -385,7 +387,7 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
 
     if pm is None:
         pm = builtin_power_map("hotspot", chip)
-    elif not pm.normalized or pm.total_power_w != chip.total_power_w:
+    elif abs(_tile_power_w(pm, chip) - chip.total_power_w) > 1e-12 * chip.total_power_w:
         pm = normalize_power_map(pm, chip)
     return dataclasses.replace(config, power_map=pm)
 
@@ -421,17 +423,13 @@ def config_to_dict(config: ScenarioConfig) -> dict:
          for f in dataclasses.fields(config) if f.name != "power_map"}
     d["placement"]["variant"] = config.placement.variant
     if config.power_map is not None:
-        d["power_map"] = {
-            "densities_w_per_mm2": config.power_map.densities.tolist(),
-            "total_power_w": config.power_map.total_power_w,
-            "normalized": config.power_map.normalized,
-        }
+        d["power_map"] = {"densities_w_per_mm2": config.power_map.densities.tolist()}
     return d
 
 
 # JSON types accepted for each scalar field type.  A JSON integer in a float
 # field is kept as given, so re-encoding a file gives the same bytes.
-_JSON_SCALARS = {float: (int, float), int: int, bool: bool}
+_JSON_SCALARS = {float: (int, float), int: int}
 
 
 def _decode(tp, val, path):
@@ -461,7 +459,7 @@ def _decode(tp, val, path):
     if dataclasses.is_dataclass(tp):
         return _nested(tp, val, path)
     # bool is an int subclass in Python, but not in JSON
-    if isinstance(val, bool) != (tp is bool) or not isinstance(val, _JSON_SCALARS[tp]):
+    if isinstance(val, bool) or not isinstance(val, _JSON_SCALARS[tp]):
         raise ValidationError([f"{path}: expected {tp.__name__}, got {val!r}"])
     return val
 
@@ -488,9 +486,9 @@ def _nested(cls, data, path):
 def _power_map(pmd, chip) -> PowerMap:
     if not isinstance(pmd, dict):
         raise ValidationError([f"power_map: expected an object, got {pmd!r}"])
-    known = ("kind",) if "kind" in pmd else ("densities_w_per_mm2", "total_power_w", "normalized")
+    known = "kind" if "kind" in pmd else "densities_w_per_mm2"
     for key in pmd:
-        if key not in known:
+        if key != known:
             raise ValidationError([f"power_map.{key}: unknown field"])
     if "kind" in pmd:
         if pmd["kind"] not in POWER_MAP_KINDS:
@@ -502,11 +500,7 @@ def _power_map(pmd, chip) -> PowerMap:
         dens = None
     if dens is None or dens.dtype.kind not in "iuf":
         raise ValidationError(["power_map.densities_w_per_mm2: expected a grid of numbers"])
-    return PowerMap(
-        dens,
-        _decode(float, pmd.get("total_power_w", chip.total_power_w), "power_map.total_power_w"),
-        normalized=_decode(bool, pmd.get("normalized", False), "power_map.normalized"),
-    )
+    return PowerMap(dens, chip.total_power_w)
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:

@@ -39,10 +39,12 @@ class Stimulus:
 
     For the step stimulus the tile load currents activate only after the
     rail is energized: each current source ramps linearly from zero to its
-    netlist value over ``load_rise_s`` starting at ``load_delay_s``.  The
+    netlist value over ``load_rise_s`` starting at ``load_delay_s``, as the
     active circuitry cannot draw its switching current while the rail is
-    still coming up, and a cold start with the full load connected at 0 V
-    would bury the supply-noise metrics under the power-on transient.
+    still coming up.  The delay does not keep the power-on transient out of
+    the noise metrics: on a cold start the on-chip decaps are still charging
+    after the source ramp, and that deficit sets max PSN before any load
+    current flows, so it reads the same at 0.25x and 1x chip power.
     """
 
     kind: str = "step"  # "dc" | "step"

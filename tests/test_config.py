@@ -26,7 +26,9 @@ from pdnsim.netlist import CAPACITOR
 def test_default_config_validates():
     cfg = validate_config(ScenarioConfig())
     assert cfg.chip.tile_count_x == 50
-    assert cfg.power_map is not None and cfg.power_map.normalized
+    tile_area = (cfg.chip.width_mm / 50) * (cfg.chip.height_mm / 50)
+    assert float(cfg.power_map.densities.sum()) * tile_area == \
+        pytest.approx(cfg.chip.total_power_w, rel=1e-12)
 
 
 def test_validate_is_idempotent():
@@ -146,6 +148,25 @@ def test_power_map_shape_mismatch_rejected():
         validate_config(ScenarioConfig(power_map=pm))
 
 
+def test_power_map_total_must_match_the_chip():
+    """A map stating another chip power is rejected, not rescaled."""
+    chip = dataclasses.replace(ChipSpec(), tile_count_x=4, tile_count_y=4)
+    pm = builtin_power_map("uniform", dataclasses.replace(chip, total_power_w=50.0))
+    with pytest.raises(ValidationError) as exc:
+        validate_config(ScenarioConfig(chip=chip, power_map=pm))
+    assert exc.value.violations == [
+        "power_map.total_power_w (50.0) must equal chip.total_power_w (100.0)"]
+
+
+def test_validate_rescales_only_a_map_off_the_chip_power():
+    chip = dataclasses.replace(ChipSpec(), tile_count_x=4, tile_count_y=4)
+    pm = PowerMap(np.ones((4, 4)), 100.0)      # 16 tiles of 6.25 mm^2 at 1 W/mm^2
+    assert validate_config(ScenarioConfig(chip=chip, power_map=pm)).power_map is pm
+    half = dataclasses.replace(chip, total_power_w=50.0)
+    scaled = validate_config(ScenarioConfig(chip=half, power_map=PowerMap(np.ones((4, 4)), 50.0)))
+    assert scaled.power_map.densities.tolist() == [[0.5] * 4] * 4
+
+
 def test_all_zero_power_map_rejected():
     chip = dataclasses.replace(ChipSpec(), tile_count_x=4, tile_count_y=4)
     with pytest.raises(ValidationError, match="all-zero"):
@@ -205,6 +226,15 @@ def test_json_round_trip(name):
     assert config_to_json(back) == text
 
 
+def test_config_files_state_the_chip_power_once():
+    for name in BENCHMARK_NAMES:
+        text = config_to_json(benchmark_config(name))
+        assert text.count('"total_power_w"') == 1
+        d = json.loads(text)
+        assert d["chip"]["total_power_w"] == 100.0
+        assert list(d["power_map"]) == ["densities_w_per_mm2"]
+
+
 def test_json_round_trip_is_byte_stable():
     cfg = benchmark_config("on_package_4")
     assert config_to_json(cfg) == config_to_json(cfg)
@@ -226,6 +256,8 @@ def test_unknown_field_rejected():
     (("package",), "through_package_via"),
     (("package",), "tpv_sites_per_side"),
     (("power_map",), "densities_a_per_mm2"),
+    (("power_map",), "total_power_w"),
+    (("power_map",), "normalized"),
 ])
 def test_removed_keys_rejected_as_unknown(section, key):
     d = json.loads(config_to_json(benchmark_config("chip_on_vrm_3d")))
@@ -251,7 +283,8 @@ MALFORMED = [
      "power_map.densities_w_per_mm2: expected a grid of numbers"),
     (("power_map",), "densities_w_per_mm2", [[1.0], [1.0, 2.0]],
      "power_map.densities_w_per_mm2: expected a grid of numbers"),
-    (("power_map",), "normalized", 1, "power_map.normalized: expected bool"),
+    ((), "power_map", {"kind": "uniform", "densities_w_per_mm2": [[1.0]]},
+     "power_map.densities_w_per_mm2: unknown field"),
     ((), "power_map", {"kind": "striped"}, "power_map.kind: unknown kind 'striped'"),
     ((), "placement", 3, "placement: expected an object"),
     ((), "bogus", 1, "bogus: unknown field for ScenarioConfig"),

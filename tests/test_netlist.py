@@ -282,7 +282,14 @@ def test_die_c4_count_is_conserved_on_any_package_grid(small_config, pitch_mm):
 def test_chip_grid_rejects_degenerate_grid():
     chip = ChipSpec(tile_count_x=1, tile_count_y=5)
     with pytest.raises(NetlistError, match="at least 2x2"):
-        build_chip_grid(Netlist(), chip, 1.0)
+        build_chip_grid(Netlist(), chip, 1.0, pdnsim.PowerMap(np.ones((5, 1)), 100.0))
+
+
+def test_netlist_needs_a_power_map(small_config):
+    """An unvalidated config has no map; it must not build a chip with no load."""
+    cfg = dataclasses.replace(small_config("on_package_1"), power_map=None)
+    with pytest.raises(ValueError, match="validate_config"):
+        assemble_netlist(cfg)
 
 
 def test_package_network_dimensions():
