@@ -232,7 +232,7 @@ class PowerMap:
     """Per-tile load power density grid in W/mm^2.
 
     Immutable; ``densities`` is a read-only (ny, nx) array indexed [j, i]
-    with i along x.
+    with i along x.  ``total_power_w`` must equal ``chip.total_power_w``.
     """
 
     def __init__(self, densities, total_power_w):
