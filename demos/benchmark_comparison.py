@@ -15,6 +15,7 @@ import dataclasses
 import time
 
 import pdnsim
+from pdnsim.analysis import DEFAULT_DT_S
 from pdnsim.config import BENCHMARK_NAMES
 
 
@@ -22,7 +23,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tiles", type=int, default=30,
                     help="chip tile grid per side (default 30)")
-    ap.add_argument("--dt", type=float, default=25e-12,
+    ap.add_argument("--dt", type=float, default=DEFAULT_DT_S,
                     help="transient time step [s]")
     ap.add_argument("--t-end", type=float, default=200e-9,
                     help="transient window [s]")

@@ -15,7 +15,7 @@ import argparse
 import dataclasses
 
 import pdnsim
-from pdnsim.analysis import run_sweep
+from pdnsim.analysis import DEFAULT_DT_S, run_sweep
 
 
 def main():
@@ -24,7 +24,7 @@ def main():
                     help="comma-separated decap densities [nF/mm^2]")
     ap.add_argument("--tiles", type=int, default=30,
                     help="chip tile grid per side (default 30)")
-    ap.add_argument("--dt", type=float, default=25e-12)
+    ap.add_argument("--dt", type=float, default=DEFAULT_DT_S)
     ap.add_argument("--t-end", type=float, default=60e-9)
     args = ap.parse_args()
 

@@ -11,8 +11,8 @@ from .analysis import (BenchmarkResult, ComparisonReport, IrDropMap,
                        evaluate, extract_psn, ir_drop_map, run_sweep)
 from .builder import assemble_netlist, build_chip_grid, build_package_network
 from .config import (BacksideVrm, BoardSpec, BumpSpec, ChipOnVrm3D, ChipSpec,
-                     DecapPolicy, DiscreteDecap, OnPackageVrm, PackageSpec,
-                     PowerMap, ScenarioConfig, ViaSpec, VrmSpec, WireSpec,
+                     DecapPolicy, DiscreteDecap, OnPackageVrm, PackageDecap,
+                     PackageSpec, PowerMap, ScenarioConfig, ViaSpec, VrmSpec, WireSpec,
                      benchmark_config, builtin_power_map, config_from_json,
                      config_hash, config_to_json, load_config, validate_config)
 from .errors import NetlistError, PdnError, SolverError, ValidationError

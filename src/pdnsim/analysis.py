@@ -20,7 +20,9 @@ from .errors import PdnError
 # DEFAULT_RISE_S, the rise of the evaluated power-up, stays importable here
 from .mna import DEFAULT_RISE_S, Stimulus, csv_text, dc_solve, transient_solve
 
-DEFAULT_DT_S = 10e-12
+# at 25 ps the trapezoidal error of max PSN is 0.15-0.46% (README, "Model
+# notes")
+DEFAULT_DT_S = 25e-12
 DEFAULT_T_END_S = 200e-9
 PSN_PROMINENCE_V = 1e-3   # smallest droop that counts as the first droop
 

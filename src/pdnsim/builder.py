@@ -216,7 +216,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
                  4: ["west", "east", "south", "north"]}[plc.count]
         r_sq = merged_sheet_resistance(pkg)
         l_sq = pkg.segment_inductance_ph_per_square * 1e-12
-        padw = pkg.vrm_pad_width_mm
+        padw = plc.pad_width_mm
         squares = plc.gap_mm / padw
         for k, side in enumerate(sides):
             out = _vrm_chain(net, k, config.vrm)
@@ -244,9 +244,8 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         _decap_branch(net, pnodes[pj, pi], cap, "pkg_decap", m)
 
     # board: solder bump array at the four package corners -> lumped board
-    sb = pkg.solder_bump
-    r_sb = sb.resistance_per_bump_mohm * 1e-3 / pkg.solder_bump_count
-    l_sb = sb.inductance_per_bump_ph * 1e-12 / pkg.solder_bump_count
+    r_sb = pkg.solder_bump_resistance_mohm * 1e-3 / pkg.solder_bump_count
+    l_sb = pkg.solder_bump_inductance_ph * 1e-12 / pkg.solder_bump_count
     board_a = net.add_node()
     corners = pnodes[[0, 0, -1, -1], [0, -1, 0, -1]]
     _rl_branches(net, corners, board_a, r_sb * len(corners), l_sb * len(corners),

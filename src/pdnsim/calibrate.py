@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .analysis import compare_configurations
+from .analysis import DEFAULT_DT_S, compare_configurations
 from .config import benchmark_config
 
 # transient anchors (mV / fraction)
@@ -21,9 +21,9 @@ ANCHOR_BACKSIDE_PSN_MV = 82.64
 ANCHOR_3D_PSN_MV = 58.8
 ANCHOR_4V1_IMPROVEMENT = 0.2445
 
-# reduced resolution of the search: chip tiles per side, step and window
+# reduced resolution of the search: chip tiles per side and window (the
+# step is the default one)
 CAL_TILE_COUNT = 30
-CAL_DT_S = 25e-12
 CAL_T_END_S = 150e-9
 
 DEFAULT_GRID = {
@@ -44,7 +44,7 @@ def _with_knobs(cfg, knobs):
     return cfg
 
 
-def anchor_errors(knobs, tile_count=CAL_TILE_COUNT, dt=CAL_DT_S, t_end=CAL_T_END_S):
+def anchor_errors(knobs, tile_count=CAL_TILE_COUNT, dt=DEFAULT_DT_S, t_end=CAL_T_END_S):
     """Relative errors of the three anchors for one knob combination, and
     the max PSN of each benchmark they come from.
 
@@ -68,7 +68,7 @@ def anchor_errors(knobs, tile_count=CAL_TILE_COUNT, dt=CAL_DT_S, t_end=CAL_T_END
     }, metrics
 
 
-def grid_search(grid=None, tile_count=CAL_TILE_COUNT, dt=CAL_DT_S, t_end=CAL_T_END_S,
+def grid_search(grid=None, tile_count=CAL_TILE_COUNT, dt=DEFAULT_DT_S, t_end=CAL_T_END_S,
                 log=None):
     """Exhaustive search over the knob grid; returns (best knobs, history)."""
     grid = dict(DEFAULT_GRID if grid is None else grid)

@@ -19,7 +19,7 @@ from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES,
                        compare_configurations, evaluate, ir_map_to_csv,
                        run_sweep)
 from .builder import assemble_netlist
-from .calibrate import CAL_DT_S, CAL_T_END_S, CAL_TILE_COUNT, grid_search
+from .calibrate import CAL_T_END_S, CAL_TILE_COUNT, grid_search
 from .config import (BENCHMARK_NAMES, MIN_TILE_COUNT, POWER_MAP_KINDS,
                      ScenarioConfig, benchmark_config, builtin_power_map,
                      config_to_dict, config_to_json, load_config,
@@ -104,7 +104,7 @@ def _build_parser():
                                           "parasitic knobs against the "
                                           "transient anchors")
     sp.add_argument("--tile-count", type=tile_count, default=CAL_TILE_COUNT)
-    sp.add_argument("--dt", type=float, default=CAL_DT_S)
+    sp.add_argument("--dt", type=float, default=DEFAULT_DT_S)
     sp.add_argument("--t-end", type=float, default=CAL_T_END_S)
 
     # every command that writes files writes them into --out-dir

@@ -67,9 +67,9 @@ class ViaSpec:
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """Solder/micro bump array parameters (per-bump lumped values)."""
+    """Bump array parameters: the pitch that sets how many bumps a tile
+    footprint holds, and per-bump lumped values."""
 
-    diameter_um: Positive
     pitch_um: Positive
     resistance_per_bump_mohm: Positive
     inductance_per_bump_ph: Positive
@@ -100,21 +100,15 @@ class PackageSpec:
     # settling window.  Calibration knob.
     segment_inductance_ph_per_square: Positive = 0.18
     grid_pitch_mm: Positive = 1.0
-    # Lateral attach pad width for on-package VRMs (pad spans the facing chip
-    # edge by default).
-    vrm_pad_width_mm: Positive = 10.0
-    solder_bump: BumpSpec = BumpSpec(
-        diameter_um=500.0,
-        pitch_um=1000.0,
-        resistance_per_bump_mohm=0.5,
-        inductance_per_bump_ph=100.0,
-    )
+    # Package-to-board solder bumps: per-bump values and the bump count,
+    # split over the four package corners.
+    solder_bump_resistance_mohm: Positive = 0.5
+    solder_bump_inductance_ph: Positive = 100.0
     solder_bump_count: Count = 100
     # C4 values are effective per-bump figures for the whole chip attach
     # path (bump + package redistribution + on-chip grid entry), calibrated
     # against the benchmark noise targets rather than bare bump parasitics.
     c4_bump: BumpSpec = BumpSpec(
-        diameter_um=80.0,
         pitch_um=100.0,
         resistance_per_bump_mohm=400.0,
         inductance_per_bump_ph=1000.0,
@@ -137,6 +131,9 @@ class OnPackageVrm:
 
     count: VrmCount = 4
     gap_mm: Positive = 1.0
+    # Lateral attach pad width (the pad spans the facing chip edge by
+    # default).
+    pad_width_mm: Positive = 10.0
 
     variant = "on_package"
 
@@ -161,9 +158,18 @@ class BacksideVrm:
 
 @dataclass(frozen=True)
 class DiscreteDecap:
+    """A discrete decap as one series ESR-ESL-C branch to ground."""
+
     capacitance_uf: Positive
     esr_mohm: NonNegative
     esl_nh: NonNegative
+
+
+@dataclass(frozen=True)
+class PackageDecap(DiscreteDecap):
+    """A discrete decap on the package plane at (x, y), in fractions of the
+    package width and height from its lower-left corner."""
+
     x: Fraction = 0.5
     y: Fraction = 0.5
 
@@ -173,7 +179,6 @@ class ChipOnVrm3D:
     """Processor die stacked on the regulator die (TSV + microbump path)."""
 
     microbump: BumpSpec = BumpSpec(
-        diameter_um=20.0,
         pitch_um=100.0,
         resistance_per_bump_mohm=120.0,
         inductance_per_bump_ph=770.0,
@@ -204,8 +209,8 @@ class DecapPolicy:
     onchip_esr_ohm_mm2: Positive = 0.02
     # 4x4 grid under the chip footprint projection (chip is centered and
     # spans the middle third of a 30 mm package).
-    package_decaps: tuple[DiscreteDecap, ...] = tuple(
-        DiscreteDecap(
+    package_decaps: tuple[PackageDecap, ...] = tuple(
+        PackageDecap(
             capacitance_uf=0.005,
             esr_mohm=10.0,
             esl_nh=0.0001,
@@ -216,7 +221,7 @@ class DecapPolicy:
         for j in range(4)
     )
     board_decaps: tuple[DiscreteDecap, ...] = (
-        DiscreteDecap(capacitance_uf=100.0, esr_mohm=1.0, esl_nh=1.0, x=0.5, y=0.5),
+        DiscreteDecap(capacitance_uf=100.0, esr_mohm=1.0, esl_nh=1.0),
     ) * 10
 
 
@@ -361,14 +366,9 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     Idempotent: re-validating the result returns an equal config.
     """
     v = list(_out_of_bounds(config, ""))
-    chip, pkg, plc = config.chip, config.package, config.placement
+    chip, pkg = config.chip, config.package
     if chip.onchip_wire.width_um >= chip.onchip_wire.pitch_um:
         v.append("chip.onchip_wire.width_um must be < pitch_um")
-    bumps = {"package.solder_bump": pkg.solder_bump, "package.c4_bump": pkg.c4_bump,
-             "placement.microbump": getattr(plc, "microbump", None)}
-    for path, bump in bumps.items():
-        if bump is not None and bump.diameter_um >= bump.pitch_um:
-            v.append(f"{path}.diameter_um must be < pitch_um")
     if pkg.package_width_mm < chip.width_mm or pkg.package_height_mm < chip.height_mm:
         v.append("package must be at least as large as the chip footprint")
 

@@ -35,7 +35,8 @@ class Stimulus:
     """Drive applied to every VRM voltage source.
 
     ``dc``: sources held at their netlist value.  ``step``: all sources ramp
-    linearly from v_start to v_end over rise_time, then hold.
+    linearly from v_start to v_end over rise_time, then hold; each source's
+    netlist value must equal v_end (``transient_solve`` checks).
 
     For the step stimulus the tile load currents activate only after the
     rail is energized: each current source ramps linearly from zero to its
@@ -244,7 +245,9 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     as decap sweeps.  That state is an operating point only when no
     resistor or inductor touches ground and every voltage source runs
     from a node to ground; a warm start of any other netlist raises
-    ``ValueError`` naming the first element that breaks this.
+    ``ValueError`` naming the first element that breaks this.  A step
+    stimulus or a warm start drives every source at ``stimulus.v_end``, so
+    a source whose netlist value differs raises ``ValueError`` naming it.
 
     Records voltage series for ``probes`` (netlist probe names; none by
     default) and running post-ramp minima for every chip tile when the
@@ -265,6 +268,13 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     if warm:
         _check_warm_start(netlist)
     sys_ = stamp_mna(netlist, mode="transient", dt=dt)
+    if warm or stimulus.kind == "step":
+        off = np.flatnonzero(sys_.vsrc_vals != stimulus.v_end)
+        if len(off):
+            k = int(off[0])
+            raise ValueError(
+                f"{netlist.labels()[netlist.sources[k]]} is {sys_.vsrc_vals[k]} V in the "
+                f"netlist, but the stimulus drives it at v_end = {stimulus.v_end} V")
     lu = sys_.factorize()
 
     times = dt * np.arange(n_steps + 1)

@@ -198,7 +198,7 @@ def test_netlist_error_is_exit_1_without_traceback(tmp_path, small_config, capsy
     on the package is reported in one line, like a validation error."""
     d = json.loads(config_to_json(small_config("on_package_1")))
     d["package"]["package_height_mm"] = 29.0
-    d["package"]["vrm_pad_width_mm"] = 0.5
+    d["placement"]["pad_width_mm"] = 0.5
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
     out = tmp_path / "out"

@@ -18,8 +18,8 @@ from pdnsim import (BacksideVrm, ChipOnVrm3D, ChipSpec, OnPackageVrm, PowerMap,
                     builtin_power_map, config_from_json, config_hash,
                     config_to_json, validate_config)
 from pdnsim.builder import assemble_netlist
-from pdnsim.config import (BENCHMARK_NAMES, DecapPolicy, DiscreteDecap, VrmPlacement,
-                           normalize_power_map)
+from pdnsim.config import (BENCHMARK_NAMES, DecapPolicy, DiscreteDecap, PackageDecap,
+                           VrmPlacement, normalize_power_map)
 from pdnsim.netlist import CAPACITOR
 
 
@@ -64,7 +64,6 @@ def test_on_package_count_must_be_1_2_or_4():
     ("capacitance_uf", 0.0, "placement.die_decap.capacitance_uf must be > 0"),
     ("esr_mohm", -1.0, "placement.die_decap.esr_mohm must be >= 0"),
     ("esl_nh", -1.0, "placement.die_decap.esl_nh must be >= 0"),
-    ("x", 2.0, "placement.die_decap.x must be in [0, 1] (got 2.0)"),
 ])
 def test_die_decap_is_validated(field, value, message):
     plc = ChipOnVrm3D()
@@ -78,11 +77,13 @@ def test_die_decap_is_validated(field, value, message):
 def test_decap_violations_name_their_list():
     good = DiscreteDecap(capacitance_uf=1.0, esr_mohm=1.0, esl_nh=1.0)
     bad = dataclasses.replace(good, capacitance_uf=0.0)
-    dec = DecapPolicy(package_decaps=(bad,), board_decaps=(good, bad))
+    off = PackageDecap(capacitance_uf=0.0, esr_mohm=1.0, esl_nh=1.0, x=2.0)
+    dec = DecapPolicy(package_decaps=(off,), board_decaps=(good, bad))
     with pytest.raises(ValidationError) as exc:
         validate_config(ScenarioConfig(decaps=dec))
     assert exc.value.violations == [
         "decaps.package_decaps[0].capacitance_uf must be > 0 (got 0.0)",
+        "decaps.package_decaps[0].x must be in [0, 1] (got 2.0)",
         "decaps.board_decaps[1].capacitance_uf must be > 0 (got 0.0)",
     ]
 
@@ -258,6 +259,14 @@ def test_unknown_field_rejected():
     (("power_map",), "densities_a_per_mm2"),
     (("power_map",), "total_power_w"),
     (("power_map",), "normalized"),
+    (("package", "c4_bump"), "diameter_um"),
+    (("placement", "microbump"), "diameter_um"),
+    (("package",), "solder_bump"),
+    (("package",), "vrm_pad_width_mm"),
+    (("decaps", "board_decaps", 0), "y"),
+    (("placement", "die_decap"), "x"),
+    (("decaps", "board_decaps", 0), "x"),
+    (("placement", "die_decap"), "y"),
 ])
 def test_removed_keys_rejected_as_unknown(section, key):
     d = json.loads(config_to_json(benchmark_config("chip_on_vrm_3d")))
@@ -291,7 +300,7 @@ MALFORMED = [
     ((), "power_map", 5, "power_map: expected an object, got 5"),
     (("power_map",), "bogus", 1, "power_map.bogus: unknown field"),
     (("package",), "c4_bump", {"resistance_per_bump_mohm": 300.0},
-     "package.c4_bump.diameter_um: missing required field"),
+     "package.c4_bump.pitch_um: missing required field"),
     (("placement",), "vrm_tsv", {"height_um": 60.0},
      "placement.vrm_tsv.resistivity_ohm_m: missing required field"),
     ((), "placement", {"variant": "backside", "through_package_via": None},
@@ -395,9 +404,11 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-_decaps = st.builds(DiscreteDecap, capacitance_uf=_floats(1e-3, 100.0),
-                    esr_mohm=_floats(0.0, 10.0), esl_nh=_floats(0.0, 1.0),
-                    x=_floats(0.0, 1.0), y=_floats(0.0, 1.0))
+_decap_values = dict(capacitance_uf=_floats(1e-3, 100.0), esr_mohm=_floats(0.0, 10.0),
+                     esl_nh=_floats(0.0, 1.0))
+_decaps = st.builds(DiscreteDecap, **_decap_values)
+_package_decaps = st.builds(PackageDecap, **_decap_values,
+                            x=_floats(0.0, 1.0), y=_floats(0.0, 1.0))
 
 
 @st.composite
@@ -410,12 +421,13 @@ def scenario_configs(draw):
                          series_inductance_nh=draw(_floats(0.0, 1.0)),
                          output_voltage_v=draw(_floats(0.5, 1.5)))
     placement = draw(st.one_of(
-        st.builds(OnPackageVrm, count=st.sampled_from([1, 2, 4]), gap_mm=_floats(0.1, 5.0)),
+        st.builds(OnPackageVrm, count=st.sampled_from([1, 2, 4]), gap_mm=_floats(0.1, 5.0),
+                  pad_width_mm=_floats(1.0, 20.0)),
         st.builds(BacksideVrm, sites_per_side=st.integers(1, 10)),
         st.builds(ChipOnVrm3D, die_decap=st.none() | _decaps)))
     decaps = DecapPolicy(onchip_density_nf_per_mm2=draw(_floats(0.0, 20.0)),
                          onchip_esr_ohm_mm2=draw(_floats(1e-3, 1.0)),
-                         package_decaps=tuple(draw(st.lists(_decaps, max_size=3))),
+                         package_decaps=tuple(draw(st.lists(_package_decaps, max_size=3))),
                          board_decaps=tuple(draw(st.lists(_decaps, max_size=2))))
     dens = draw(st.none() | st.lists(_floats(0.01, 10.0), min_size=nx * ny, max_size=nx * ny))
     pm = None if dens is None else PowerMap(np.reshape(dens, (ny, nx)), chip.total_power_w)
@@ -464,7 +476,8 @@ def _numeric_leaves(tp, path):
 def test_every_numeric_field_carries_a_bound():
     leaves = dict(_numeric_leaves(ScenarioConfig, ""))
     assert {"package.solder_bump_count", "placement.sites_per_side", "placement.count",
-            "decaps.board_decaps[k].x", "placement.die_decap.esl_nh"} <= leaves.keys()
+            "decaps.package_decaps[k].x", "placement.pad_width_mm",
+            "placement.die_decap.esl_nh"} <= leaves.keys()
     assert [path for path, tp in leaves.items()
             if typing.get_origin(tp) is not typing.Annotated] == []
 
@@ -517,3 +530,45 @@ def test_any_field_out_of_bounds_is_rejected(data):
     with pytest.raises(ValidationError) as exc:
         validate_config(_replace_at(cfg, parts, value))
     assert exc.value.violations[0].startswith(f"{path} must be {bound} (got ")
+
+
+# ---------------------------------------------------------------------------
+# every config value reaches the netlist
+
+
+def _perturbed(value, bound):
+    """A valid value other than ``value`` for a field with ``bound``."""
+    if bound == "one of 1, 2, 4":
+        return {1: 2, 2: 4, 4: 1}[value]
+    if bound == "in [0, 1]":
+        return (value + 0.5) % 1.0           # across the package
+    if isinstance(value, int):
+        return value + 1
+    return value * 1.5
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_every_config_value_reaches_the_netlist(name):
+    """Changing any one number of a config file (the power map aside)
+    changes the netlist: no key looks like physics but does nothing."""
+    cfg = benchmark_config(name)
+    chip = dataclasses.replace(cfg.chip, tile_count_x=6, tile_count_y=6)
+    base = json.loads(config_to_json(dataclasses.replace(cfg, chip=chip)))
+    base["power_map"] = {"kind": "hotspot"}   # follows the tile count and chip power
+
+    def columns(d):
+        return assemble_netlist(validate_config(config_from_json(json.dumps(d)))).columns()
+
+    ref = columns(base)
+    unread = []
+    # every number in the file but the map's densities carries a bound
+    # (test_every_numeric_field_carries_a_bound)
+    for parts, bound in _bounded_fields(config_from_json(json.dumps(base))):
+        d = json.loads(json.dumps(base))
+        target = d
+        for part in parts[:-1]:
+            target = target[part]
+        target[parts[-1]] = _perturbed(target[parts[-1]], bound)
+        if all(np.array_equal(x, y) for x, y in zip(columns(d), ref)):
+            unread.append(parts)
+    assert unread == []

@@ -259,11 +259,28 @@ def _assert_transient_matches_dense_oracle(net, stimulus, dt, t_end, init):
        kind=st.sampled_from(["dc", "step"]), dt=st.sampled_from([1e-12, 1e-11, 1e-10]))
 def test_transient_matches_dense_oracle_property(seed, max_nodes, reroot, kind, dt):
     """Cold starts on every draw; warm starts on the rerooted draws, the
-    ones that admit one (``transient_solve`` checks that it does)."""
+    ones that admit one (``transient_solve`` checks that it does).  The
+    stimulus drives the drawn source at its own value."""
     net = random_transient_netlist(np.random.default_rng(seed), max_nodes, reroot)
-    stim = Stimulus(kind=kind, rise_time_s=0.2e-9, load_delay_s=0.3e-9, load_rise_s=0.1e-9)
+    (v_src,) = net.columns()[3][net.sources]
+    stim = Stimulus(kind=kind, v_end=float(v_src), rise_time_s=0.2e-9, load_delay_s=0.3e-9,
+                    load_rise_s=0.1e-9)
     for init in ("cold", "warm") if reroot else ("cold",):
         _assert_transient_matches_dense_oracle(net, stim, dt, 100 * dt, init)
+
+
+@pytest.mark.parametrize("init", ["cold", "warm"])
+def test_step_and_warm_start_reject_a_source_off_v_end(small_config, init):
+    """A step or a warm start drives every source at ``v_end``; a netlist
+    source at another value is named, not silently overridden."""
+    cfg = small_config("on_package_4")
+    vrm = dataclasses.replace(cfg.vrm, output_voltage_v=0.8)
+    net = assemble_netlist(dataclasses.replace(cfg, vrm=vrm))
+    with pytest.raises(ValueError, match=r"^vrm_src\[0\] is 0\.8 V in the netlist, but the "
+                                         r"stimulus drives it at v_end = 1\.0 V$"):
+        transient_solve(net, Stimulus(), 0.25e-9, 60e-9, init=init)
+    if init == "cold":   # the dc kind holds each source at its netlist value
+        transient_solve(net, Stimulus(kind="dc"), 0.25e-9, 1e-9)
 
 
 @pytest.mark.parametrize("seed", [2, 29])
