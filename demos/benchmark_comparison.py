@@ -15,7 +15,7 @@ import dataclasses
 import time
 
 import pdnsim
-from pdnsim.analysis import DEFAULT_DT_S
+from pdnsim.analysis import DEFAULT_DT_S, DEFAULT_T_END_S
 from pdnsim.config import BENCHMARK_NAMES
 
 
@@ -25,7 +25,7 @@ def main():
                     help="chip tile grid per side (default 30)")
     ap.add_argument("--dt", type=float, default=DEFAULT_DT_S,
                     help="transient time step [s]")
-    ap.add_argument("--t-end", type=float, default=200e-9,
+    ap.add_argument("--t-end", type=float, default=DEFAULT_T_END_S,
                     help="transient window [s]")
     ap.add_argument("--no-transient", action="store_true",
                     help="DC metrics only")

@@ -142,9 +142,14 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
     The transient probes the worst DC tile, chip center and corner; PSN
     metrics use the per-tile running minima so the max is over all tiles.
     ``init`` selects the power-up ("cold") or load-step ("warm")
-    transient experiment; see ``transient_solve``.
+    transient experiment; see ``transient_solve``.  A transient window that
+    does not pass the end of the load ramp raises ``ValueError``.
     """
     config = validate_config(config)
+    stim = Stimulus(v_end=config.vrm.output_voltage_v)
+    load_on = stim.load_delay_s + stim.load_rise_s
+    if transient and not t_end > load_on:
+        raise ValueError(f"t_end = {t_end:g} s does not pass the load ramp end at {load_on:g} s")
     net = assemble_netlist(config)
     dc = dc_solve(net)
     ir = ir_drop_map(dc, config, netlist=net)
@@ -152,7 +157,6 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
     if transient:
         wi, wj = ir.argmax
         net.probes["chip_worst_tile"] = int(net.meta["chip_tile_nodes"][wj, wi])
-        stim = Stimulus(kind="step", v_start=0.0, v_end=config.vrm.output_voltage_v)
         wf = transient_solve(net, stim, dt, t_end, init=init,
                              probes=["chip_worst_tile", "chip_center", "chip_corner"])
         psn = extract_psn(wf, config, probe="chip_worst_tile")

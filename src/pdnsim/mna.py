@@ -19,7 +19,7 @@ results on one platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,23 +32,21 @@ DEFAULT_RISE_S = 1e-9
 
 @dataclass(frozen=True)
 class Stimulus:
-    """Drive applied to every VRM voltage source.
+    """Drive of a transient run: every VRM voltage source ramps linearly
+    from v_start to v_end over rise_time, then holds; each source's netlist
+    value must equal v_end (``transient_solve`` checks).
 
-    ``dc``: sources held at their netlist value.  ``step``: all sources ramp
-    linearly from v_start to v_end over rise_time, then hold; each source's
-    netlist value must equal v_end (``transient_solve`` checks).
-
-    For the step stimulus the tile load currents activate only after the
-    rail is energized: each current source ramps linearly from zero to its
-    netlist value over ``load_rise_s`` starting at ``load_delay_s``, as the
-    active circuitry cannot draw its switching current while the rail is
-    still coming up.  The delay does not keep the power-on transient out of
-    the noise metrics: on a cold start the on-chip decaps are still charging
-    after the source ramp, and that deficit sets max PSN before any load
-    current flows, so it reads the same at 0.25x and 1x chip power.
+    The tile load currents activate only after the rail is energized: each
+    current source ramps linearly from zero to its netlist value over
+    ``load_rise_s`` starting at ``load_delay_s``, as the active circuitry
+    cannot draw its switching current while the rail is still coming up.
+    The delay does not keep the power-on transient out of the noise
+    metrics: on a cold start the on-chip decaps are still charging after
+    the source ramp, and that deficit sets max PSN before any load current
+    flows, so it reads the same at 0.25x and 1x chip power.
     """
 
-    kind: str = "step"  # "dc" | "step"
+    kind: str = "step"  # the one kind; kept for callers that name it
     v_start: float = 0.0
     v_end: float = 1.0
     rise_time_s: float = DEFAULT_RISE_S
@@ -56,30 +54,25 @@ class Stimulus:
     load_rise_s: float = 0.35e-9
 
     def __post_init__(self):
-        if self.kind not in ("dc", "step"):
+        if self.kind != "step":
             raise ValueError(f"unknown stimulus kind {self.kind!r}")
-        if self.kind == "step" and not self.rise_time_s > 0:
-            raise ValueError("step stimulus requires rise_time_s > 0")
-        if self.kind == "step" and not self.load_rise_s > 0:
-            raise ValueError("step stimulus requires load_rise_s > 0")
+        for f in fields(self):
+            if f.name != "kind" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"stimulus {f.name} must be finite "
+                                 f"(got {getattr(self, f.name)})")
+        for name in ("rise_time_s", "load_rise_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"stimulus requires {name} > 0")
 
     def load_factor(self, t):
         """Fraction of the nominal load current drawn at time(s) ``t``."""
-        if self.kind == "dc":
-            return 1.0
         return np.clip((t - self.load_delay_s) / self.load_rise_s, 0.0, 1.0)
 
-    def voltage(self, t, dc_value):
-        """Source voltage at time(s) ``t``; ``dc_value`` for the dc kind."""
-        if self.kind == "dc":
-            return dc_value
+    def voltage(self, t):
+        """Source voltage at time(s) ``t``."""
         ramp = self.v_start + (self.v_end - self.v_start) * (t / self.rise_time_s)
         return np.where(t >= self.rise_time_s, self.v_end,
                         np.where(t <= 0.0, self.v_start, ramp))
-
-    @property
-    def ramp_end_s(self):
-        return 0.0 if self.kind == "dc" else self.rise_time_s
 
 
 class MnaSystem:
@@ -245,9 +238,10 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     as decap sweeps.  That state is an operating point only when no
     resistor or inductor touches ground and every voltage source runs
     from a node to ground; a warm start of any other netlist raises
-    ``ValueError`` naming the first element that breaks this.  A step
-    stimulus or a warm start drives every source at ``stimulus.v_end``, so
-    a source whose netlist value differs raises ``ValueError`` naming it.
+    ``ValueError`` naming the first element that breaks this.  Both drive
+    every source to ``stimulus.v_end``, so a source whose netlist value
+    differs raises ``ValueError`` naming it.  The loads switch on per
+    ``stimulus.load_factor`` in both.
 
     Records voltage series for ``probes`` (netlist probe names; none by
     default) and running post-ramp minima for every chip tile when the
@@ -268,13 +262,12 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     if warm:
         _check_warm_start(netlist)
     sys_ = stamp_mna(netlist, mode="transient", dt=dt)
-    if warm or stimulus.kind == "step":
-        off = np.flatnonzero(sys_.vsrc_vals != stimulus.v_end)
-        if len(off):
-            k = int(off[0])
-            raise ValueError(
-                f"{netlist.labels()[netlist.sources[k]]} is {sys_.vsrc_vals[k]} V in the "
-                f"netlist, but the stimulus drives it at v_end = {stimulus.v_end} V")
+    off = np.flatnonzero(sys_.vsrc_vals != stimulus.v_end)
+    if len(off):
+        k = int(off[0])
+        raise ValueError(
+            f"{netlist.labels()[netlist.sources[k]]} is {sys_.vsrc_vals[k]} V in the "
+            f"netlist, but the stimulus drives it at v_end = {stimulus.v_end} V")
     lu = sys_.factorize()
 
     times = dt * np.arange(n_steps + 1)
@@ -306,14 +299,14 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     ind_e = np.zeros(len(ind_rows))
 
     # the drive at every step, looked up by row in the loop
-    load = np.broadcast_to(stimulus.load_factor(times), times.shape)
-    drive = stimulus.v_end if warm else stimulus.voltage(times[:, None], sys_.vsrc_vals)
+    load = stimulus.load_factor(times)
+    drive = stimulus.v_end if warm else stimulus.voltage(times)[:, None]
     drive = np.broadcast_to(drive, (len(times), len(sys_.vsrc_rows)))
 
     recorded = np.empty((n_steps + 1, n_probes))
     recorded[0] = x[rows[:n_probes]]
 
-    ramp_end = 0.0 if warm else stimulus.ramp_end_s
+    ramp_end = 0.0 if warm else stimulus.rise_time_s
     tile_min = np.full(len(rows) - n_probes, np.inf)
 
     for step in range(1, n_steps + 1):

@@ -12,20 +12,20 @@ import pytest
 from hypothesis import settings
 
 import pdnsim
-from pdnsim.analysis import DEFAULT_DT_S
+from pdnsim.analysis import DEFAULT_DT_S, DEFAULT_T_END_S
 from pdnsim.config import BENCHMARK_NAMES
 
 # CI runs pass --hypothesis-profile=ci: examples are drawn from a fixed seed
 # and a failure prints the blob that replays it; local runs stay random
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
-# Acceptance runs use the default 25 ps step: benchmark time constants sit
-# well above 1 ns, trapezoidal error at 25 ps is far below the metric
-# tolerances (test_mna.py::test_trapezoidal_error_is_second_order bounds it
-# under 1% of max PSN), and the full five-benchmark evaluation stays around
-# a minute.
+# Acceptance runs use the default 25 ps step and 200 ns window: benchmark
+# time constants sit well above 1 ns, trapezoidal error at 25 ps is far
+# below the metric tolerances (test_mna.py::test_trapezoidal_error_is_second_order
+# bounds it under 1% of max PSN), and the full five-benchmark evaluation
+# stays around a minute.
 ACCEPT_DT_S = DEFAULT_DT_S
-ACCEPT_T_END_S = 200e-9
+ACCEPT_T_END_S = DEFAULT_T_END_S
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ sparse solver is evidence, not tautology.
 
 import numpy as np
 
+from pdnsim.mna import Stimulus
 from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
                             RESISTOR, VOLTAGE_SOURCE)
 
@@ -74,6 +75,14 @@ def dense_dc(netlist):
     return x[:netlist.node_count]
 
 
+def held_stimulus(v, dt):
+    """A stimulus that has the sources at ``v`` and the loads fully on from
+    the first step of ``dt`` onward, as if both had been held there from
+    t=0: the ramps end at the first step, and the t=0 sample is the initial
+    state."""
+    return Stimulus(v_end=v, rise_time_s=dt, load_delay_s=0.0, load_rise_s=dt)
+
+
 def dense_transient(netlist, stimulus, dt, t_end, init="cold"):
     """Fixed-step trapezoidal transient of the dense descriptor form
     ``G x + C x' = b(t)``, one ``numpy.linalg.solve`` per step.
@@ -89,7 +98,7 @@ def dense_transient(netlist, stimulus, dt, t_end, init="cold"):
     follow ``stimulus.load_factor`` in both.  Returns ``(times, v)`` with
     ``v[step, node]`` the node voltages, ground included.
     """
-    G, C, load, v_rows, v_vals = _descriptor(netlist)
+    G, C, load, v_rows, _ = _descriptor(netlist)
     n = netlist.node_count
     times = dt * np.arange(int(round(t_end / dt)) + 1)
     c_dt = 2.0 * C / dt
@@ -101,7 +110,7 @@ def dense_transient(netlist, stimulus, dt, t_end, init="cold"):
     v[0] = x[:n]
     for step, t in enumerate(times[1:], start=1):
         rhs = load * stimulus.load_factor(t)
-        rhs[v_rows] = stimulus.v_end if init == "warm" else stimulus.voltage(t, np.array(v_vals))
+        rhs[v_rows] = stimulus.v_end if init == "warm" else stimulus.voltage(t)
         x_new = np.linalg.solve(M, rhs + c_dt @ x + y)
         y = c_dt @ (x_new - x) - y
         x = x_new

@@ -23,10 +23,10 @@ import pytest
 
 import pdnsim
 from conftest import ACCEPT_DT_S, ACCEPT_T_END_S
-from oracle import (dense_dc, random_dc_netlist, rc_step_voltage,
+from oracle import (dense_dc, held_stimulus, random_dc_netlist, rc_step_voltage,
                     rl_mid_voltage, rlc_cap_voltage)
-from pdnsim import (Netlist, Stimulus, builtin_power_map, config_from_json,
-                    config_to_json, dc_solve, transient_solve, validate_config)
+from pdnsim import (Netlist, builtin_power_map, config_from_json, config_to_json,
+                    dc_solve, transient_solve, validate_config)
 from pdnsim.analysis import run_sweep
 from pdnsim.builder import build_chip_grid
 from pdnsim.cli import main
@@ -77,7 +77,7 @@ def test_transient_closed_form_oracles():
     r, c = 100.0, 1e-9
     tau = r * c
     net = _chain((RESISTOR, r), (CAPACITOR, c))
-    wf = transient_solve(net, Stimulus(kind="dc"), tau / 1000, 5 * tau,
+    wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
                          probes=["n0"])
     err = np.max(np.abs(wf.series["n0"][1:]
                         - rc_step_voltage(wf.time_s[1:], 1.0, r, c)))
@@ -86,7 +86,7 @@ def test_transient_closed_form_oracles():
     r, l = 10.0, 1e-6
     tau = l / r
     net = _chain((RESISTOR, r), (INDUCTOR, l))
-    wf = transient_solve(net, Stimulus(kind="dc"), tau / 1000, 5 * tau,
+    wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
                          probes=["n0"])
     err = np.max(np.abs(wf.series["n0"][1:]
                         - rl_mid_voltage(wf.time_s[1:], 1.0, r, l)))
@@ -96,7 +96,7 @@ def test_transient_closed_form_oracles():
     wd = np.sqrt(1.0 / (l * c) - (r / (2 * l)) ** 2)
     period = 2 * np.pi / wd
     net = _chain((RESISTOR, r), (INDUCTOR, l), (CAPACITOR, c))
-    wf = transient_solve(net, Stimulus(kind="dc"), period / 1000, 5 * period,
+    wf = transient_solve(net, held_stimulus(1.0, period / 1000), period / 1000, 5 * period,
                          probes=["n1"])
     err = np.max(np.abs(wf.series["n1"][1:]
                         - rlc_cap_voltage(wf.time_s[1:], 1.0, r, l, c)))

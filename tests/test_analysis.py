@@ -146,6 +146,24 @@ def test_evaluate_full_metrics(small_config):
     assert res.psn.settling_mv == pytest.approx(res.ir_map.max_mv, abs=0.5)
 
 
+@pytest.mark.parametrize("init", ["cold", "warm"])
+def test_evaluate_rejects_a_window_that_misses_the_load(small_config, monkeypatch, init):
+    """The loads are fully on only from 5.35 ns: a window that ends before
+    then read 0 mV of max PSN on a warm start.  The check runs before the
+    netlist is built, and only for a transient."""
+    import pdnsim.analysis as analysis
+
+    cfg = small_config("chip_on_vrm_3d", tiles=5)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "assemble_netlist", None)
+        for t_end, shown in ((4e-9, r"4e-09"), (5.35e-9, r"5\.35e-09"), (np.nan, "nan")):
+            with pytest.raises(ValueError, match=rf"^t_end = {shown} s does not pass the "
+                                                 r"load ramp end at 5\.35e-09 s$"):
+                pdnsim.evaluate(cfg, dt=5e-11, t_end=t_end, init=init)
+    assert pdnsim.evaluate(cfg, transient=False, t_end=4e-9).waveform is None
+    assert pdnsim.evaluate(cfg, dt=5e-11, t_end=6e-9, init=init).psn.max_psn_mv > 0.0
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import (dense_dc, dense_transient, random_dc_netlist,
+from oracle import (dense_dc, dense_transient, held_stimulus, random_dc_netlist,
                     random_transient_netlist, rc_step_voltage, rl_mid_voltage,
                     rlc_cap_voltage)
 from pdnsim import (Netlist, SolverError, Stimulus, dc_solve, evaluate, stamp_mna,
@@ -154,52 +154,58 @@ def test_stamp_mna_argument_checks():
 
 
 def test_stimulus_ramp_shape():
-    s = Stimulus(kind="step", v_start=0.0, v_end=1.0, rise_time_s=1e-9)
-    assert s.voltage(-1e-12, 0.0) == 0.0
-    assert s.voltage(0.5e-9, 0.0) == pytest.approx(0.5)
-    assert s.voltage(2e-9, 0.0) == 1.0
-    assert s.ramp_end_s == 1e-9
+    s = Stimulus(v_start=0.0, v_end=1.0, rise_time_s=1e-9)
+    assert s.voltage(-1e-12) == 0.0
+    assert s.voltage(0.5e-9) == pytest.approx(0.5)
+    assert s.voltage(2e-9) == 1.0
 
 
 def test_stimulus_load_activation_window():
-    s = Stimulus(kind="step", load_delay_s=5e-9, load_rise_s=0.5e-9)
+    s = Stimulus(load_delay_s=5e-9, load_rise_s=0.5e-9)
     assert s.load_factor(4.9e-9) == 0.0
     assert s.load_factor(5.25e-9) == pytest.approx(0.5)
     assert s.load_factor(6e-9) == 1.0
-    assert Stimulus(kind="dc").load_factor(0.0) == 1.0
 
 
 def test_stimulus_accepts_time_arrays():
-    s = Stimulus(kind="step", rise_time_s=1e-9, load_delay_s=2e-9, load_rise_s=0.5e-9)
+    s = Stimulus(rise_time_s=1e-9, load_delay_s=2e-9, load_rise_s=0.5e-9)
     t = np.linspace(-1e-9, 4e-9, 41)
-    assert np.array_equal(s.voltage(t, 0.0), [s.voltage(x, 0.0) for x in t])
+    assert np.array_equal(s.voltage(t), [s.voltage(x) for x in t])
     assert np.array_equal(s.load_factor(t), [s.load_factor(x) for x in t])
-    assert s.voltage(t, 0.0)[0] == 0.0 and s.voltage(t, 0.0)[-1] == 1.0
+    assert s.voltage(t)[0] == 0.0 and s.voltage(t)[-1] == 1.0
     assert s.load_factor(t)[0] == 0.0 and s.load_factor(t)[-1] == 1.0
 
 
 def test_stimulus_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="unknown stimulus kind"):
-        Stimulus(kind="pulse")
+    # the ramp is the one drive: there is no held-source kind
+    for kind in ("pulse", "dc"):
+        with pytest.raises(ValueError, match="unknown stimulus kind"):
+            Stimulus(kind=kind)
     with pytest.raises(ValueError, match="rise_time_s > 0"):
-        Stimulus(kind="step", rise_time_s=0.0)
+        Stimulus(rise_time_s=0.0)
     with pytest.raises(ValueError, match="load_rise_s > 0"):
-        Stimulus(kind="step", load_rise_s=0.0)
+        Stimulus(load_rise_s=0.0)
+    # a NaN would surface as a diverged run blamed on dt, and an infinite
+    # ramp would hold the sources at v_start or the loads off
+    for name in ("v_start", "v_end", "rise_time_s", "load_delay_s", "load_rise_s"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=rf"^stimulus {name} must be finite"):
+                Stimulus(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
 # transient closed forms
 #
-# The t=0 sample is the pre-step initial condition by construction (the
-# "dc" stimulus applies the full source value from the first step), so the
-# closed-form comparisons start at sample 1.
+# The t=0 sample is the pre-step initial condition by construction
+# (``held_stimulus`` puts the full source value and load on from the first
+# step), so the closed-form comparisons start at sample 1.
 
 
 def test_transient_rc_matches_closed_form():
     r, c = 100.0, 1e-9
     tau = r * c
     net = _series_rlc((RESISTOR, r), (CAPACITOR, c))
-    wf = transient_solve(net, Stimulus(kind="dc"), tau / 1000, 5 * tau,
+    wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
                          probes=["n0"])
     ref = rc_step_voltage(wf.time_s, 1.0, r, c)
     assert np.max(np.abs(wf.series["n0"][1:] - ref[1:])) < 5e-3
@@ -215,7 +221,8 @@ def test_parallel_capacitors_act_as_their_sum():
     split.add_elements(CAPACITOR, n0, GROUND, c / 4, "chip_decap_c[1,0]")
     split.add_elements(CAPACITOR, GROUND, n0, c / 4, "chip_decap_c[2,0]")
     split.add_elements(CAPACITOR, GROUND, n0, c / 4, "chip_decap_c[3,0]")
-    got, ref = (transient_solve(net, Stimulus(kind="dc"), r * c / 1000, 5 * r * c,
+    dt = r * c / 1000
+    got, ref = (transient_solve(net, held_stimulus(1.0, dt), dt, 5 * r * c,
                                 probes=["n0"]).series["n0"]
                 for net in (split, whole))
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
@@ -225,7 +232,7 @@ def test_transient_rl_matches_closed_form():
     r, l = 10.0, 1e-6
     tau = l / r
     net = _series_rlc((RESISTOR, r), (INDUCTOR, l))
-    wf = transient_solve(net, Stimulus(kind="dc"), tau / 1000, 5 * tau,
+    wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
                          probes=["n0"])
     ref = rl_mid_voltage(wf.time_s, 1.0, r, l)
     assert np.max(np.abs(wf.series["n0"][1:] - ref[1:])) < 5e-3
@@ -236,7 +243,7 @@ def test_transient_rlc_underdamped_matches_closed_form():
     wd = np.sqrt(1.0 / (l * c) - (r / (2 * l)) ** 2)
     period = 2 * np.pi / wd
     net = _series_rlc((RESISTOR, r), (INDUCTOR, l), (CAPACITOR, c))
-    wf = transient_solve(net, Stimulus(kind="dc"), period / 1000, 5 * period,
+    wf = transient_solve(net, held_stimulus(1.0, period / 1000), period / 1000, 5 * period,
                          probes=["n1"])
     ref = rlc_cap_voltage(wf.time_s, 1.0, r, l, c)
     assert np.max(np.abs(wf.series["n1"][1:] - ref[1:])) < 1e-2
@@ -256,22 +263,24 @@ def _assert_transient_matches_dense_oracle(net, stimulus, dt, t_end, init):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(3, 16), reroot=st.booleans(),
-       kind=st.sampled_from(["dc", "step"]), dt=st.sampled_from([1e-12, 1e-11, 1e-10]))
-def test_transient_matches_dense_oracle_property(seed, max_nodes, reroot, kind, dt):
+       held=st.booleans(), dt=st.sampled_from([1e-12, 1e-11, 1e-10]))
+def test_transient_matches_dense_oracle_property(seed, max_nodes, reroot, held, dt):
     """Cold starts on every draw; warm starts on the rerooted draws, the
     ones that admit one (``transient_solve`` checks that it does).  The
-    stimulus drives the drawn source at its own value."""
+    stimulus drives the drawn source at its own value, either held from the
+    first step or ramped with the loads switching on later."""
     net = random_transient_netlist(np.random.default_rng(seed), max_nodes, reroot)
     (v_src,) = net.columns()[3][net.sources]
-    stim = Stimulus(kind=kind, v_end=float(v_src), rise_time_s=0.2e-9, load_delay_s=0.3e-9,
-                    load_rise_s=0.1e-9)
+    stim = (held_stimulus(float(v_src), dt) if held else
+            Stimulus(v_end=float(v_src), rise_time_s=0.2e-9, load_delay_s=0.3e-9,
+                     load_rise_s=0.1e-9))
     for init in ("cold", "warm") if reroot else ("cold",):
         _assert_transient_matches_dense_oracle(net, stim, dt, 100 * dt, init)
 
 
 @pytest.mark.parametrize("init", ["cold", "warm"])
 def test_step_and_warm_start_reject_a_source_off_v_end(small_config, init):
-    """A step or a warm start drives every source at ``v_end``; a netlist
+    """Cold and warm starts drive every source at ``v_end``; a netlist
     source at another value is named, not silently overridden."""
     cfg = small_config("on_package_4")
     vrm = dataclasses.replace(cfg.vrm, output_voltage_v=0.8)
@@ -279,8 +288,8 @@ def test_step_and_warm_start_reject_a_source_off_v_end(small_config, init):
     with pytest.raises(ValueError, match=r"^vrm_src\[0\] is 0\.8 V in the netlist, but the "
                                          r"stimulus drives it at v_end = 1\.0 V$"):
         transient_solve(net, Stimulus(), 0.25e-9, 60e-9, init=init)
-    if init == "cold":   # the dc kind holds each source at its netlist value
-        transient_solve(net, Stimulus(kind="dc"), 0.25e-9, 1e-9)
+    # a stimulus at the netlist's value runs
+    transient_solve(net, held_stimulus(0.8, 0.25e-9), 0.25e-9, 1e-9, init=init)
 
 
 @pytest.mark.parametrize("seed", [2, 29])
@@ -290,8 +299,10 @@ def test_transient_runs_networks_that_settle_far_above_their_sources(seed):
     taken from the sources or the DC point separates them from a diverged
     run; only a non-finite step does."""
     net = random_dc_netlist(np.random.default_rng(seed), max_nodes=12)
-    assert np.max(np.abs(dense_dc(net))) > 100 * np.max(np.abs(net.columns()[3][net.sources]))
-    _assert_transient_matches_dense_oracle(net, Stimulus(kind="dc"), 1e-11, 1e-9, "cold")
+    (v_src,) = net.columns()[3][net.sources]
+    assert np.max(np.abs(dense_dc(net))) > 100 * abs(v_src)
+    _assert_transient_matches_dense_oracle(net, held_stimulus(float(v_src), 1e-11), 1e-11,
+                                           1e-9, "cold")
 
 
 @pytest.mark.parametrize("dt, t", [(1e-3, r"1\.000e-03"), (1e-11, r"1\.000e-11")],
@@ -305,14 +316,14 @@ def test_transient_raises_on_a_non_finite_step(dt, t):
     net.add_elements([RESISTOR, CURRENT_SOURCE], node, GROUND, [1e10, 1e300],
                      ["chip_h", "load"], 0, 0)
     with pytest.raises(SolverError, match=rf"transient diverged at t={t}s \(\|v\|max=inf\)"):
-        transient_solve(net, Stimulus(kind="dc"), dt, 10 * dt)
+        transient_solve(net, held_stimulus(1.0, dt), dt, 10 * dt)
 
 
 def test_transient_settles_to_dc():
     net = _series_rlc((RESISTOR, 2.0), (INDUCTOR, 1e-9), (RESISTOR, 2.0))
     dc = dc_solve(net)
-    wf = transient_solve(net, Stimulus(kind="step", rise_time_s=1e-10,
-                                       load_delay_s=0.0, load_rise_s=1e-12),
+    wf = transient_solve(net, Stimulus(rise_time_s=1e-10, load_delay_s=0.0,
+                                       load_rise_s=1e-12),
                          1e-11, 1e-7, probes=["n0"])
     assert wf.series["n0"][-1] == pytest.approx(dc.voltages[net.probes["n0"]],
                                                 abs=1e-9)
@@ -321,7 +332,7 @@ def test_transient_settles_to_dc():
 def test_warm_start_holds_operating_point_without_load():
     """With no current sources, the warm start is already the steady state."""
     net = _series_rlc((RESISTOR, 2.0), (CAPACITOR, 1e-9))
-    wf = transient_solve(net, Stimulus(kind="step"), 1e-11, 1e-8,
+    wf = transient_solve(net, Stimulus(), 1e-11, 1e-8,
                          probes=["n0"], init="warm")
     assert np.max(np.abs(wf.series["n0"] - 1.0)) < 1e-9
 
@@ -330,7 +341,7 @@ def test_warm_start_responds_only_to_the_load_step():
     net = _series_rlc((RESISTOR, 2.0), (CAPACITOR, 1e-9))
     node = net.probes["n0"]
     net.add_elements(CURRENT_SOURCE, node, GROUND, 0.1, "load[0,0]")
-    stim = Stimulus(kind="step", load_delay_s=2e-9, load_rise_s=0.1e-9)
+    stim = Stimulus(load_delay_s=2e-9, load_rise_s=0.1e-9)
     wf = transient_solve(net, stim, 1e-11, 5e-8, probes=["n0"], init="warm")
     t = wf.time_s
     before = wf.series["n0"][t < 1.9e-9]
@@ -344,18 +355,18 @@ def test_warm_start_rejects_a_netlist_it_would_not_hold():
     net = _series_rlc((RESISTOR, 2.0), (RESISTOR, 2.0))
     net.add_elements(CAPACITOR, net.probes["n0"], GROUND, 1e-9, "chip_decap_c[0,0]")
     with pytest.raises(ValueError, match=r"chip_h\[1,0\] has a terminal on ground"):
-        transient_solve(net, Stimulus(kind="step"), 1e-11, 1e-8,
+        transient_solve(net, Stimulus(), 1e-11, 1e-8,
                         probes=["n0"], init="warm")
     net = _series_rlc((RESISTOR, 2.0), (INDUCTOR, 1e-9))
     with pytest.raises(ValueError, match=r"pkg_lh\[1,0\] has a terminal on ground"):
-        transient_solve(net, Stimulus(kind="step"), 1e-11, 1e-8, init="warm")
+        transient_solve(net, Stimulus(), 1e-11, 1e-8, init="warm")
     # a source with its positive terminal on ground drives its node to -v_end
     net = Netlist()
     node = net.add_node()
     net.add_elements(VOLTAGE_SOURCE, GROUND, node, 1.0, "vrm_src[0]")
     net.add_elements(CAPACITOR, node, GROUND, 1e-9, "chip_decap_c[0,0]")
     with pytest.raises(ValueError, match=r"vrm_src\[0\] does not run from a node to ground"):
-        transient_solve(net, Stimulus(kind="step"), 1e-11, 1e-8, init="warm")
+        transient_solve(net, Stimulus(), 1e-11, 1e-8, init="warm")
 
 
 @pytest.mark.parametrize("name", ["on_package_1", "on_package_2", "on_package_4",
@@ -366,7 +377,7 @@ def test_benchmark_netlists_admit_a_warm_start(name):
 
 def test_transient_argument_checks():
     net = _series_rlc((RESISTOR, 1.0))
-    stim = Stimulus(kind="dc")
+    stim = held_stimulus(1.0, 1e-9)
     with pytest.raises(ValueError, match="dt must be"):
         transient_solve(net, stim, 0.0, 1e-9)
     with pytest.raises(ValueError, match="t_end must be"):
@@ -395,12 +406,12 @@ def test_transient_argument_checks():
 
 def test_waveform_csv_format_and_determinism():
     net = _series_rlc((RESISTOR, 100.0), (CAPACITOR, 1e-9))
-    wf = transient_solve(net, Stimulus(kind="dc"), 1e-8, 1e-7, probes=["n0"])
+    wf = transient_solve(net, held_stimulus(1.0, 1e-8), 1e-8, 1e-7, probes=["n0"])
     csv1 = waveform_to_csv(wf)
     lines = csv1.splitlines()
     assert lines[0] == "time_s,n0"
     assert len(lines) == 12  # header + 11 samples
-    wf2 = transient_solve(net, Stimulus(kind="dc"), 1e-8, 1e-7, probes=["n0"])
+    wf2 = transient_solve(net, held_stimulus(1.0, 1e-8), 1e-8, 1e-7, probes=["n0"])
     assert waveform_to_csv(wf2) == csv1
 
 
