@@ -18,7 +18,7 @@ from .config import (OnPackageVrm, ScenarioConfig, config_hash, normalize_power_
                      validate_config)
 from .errors import PdnError
 # DEFAULT_RISE_S, the rise of the evaluated power-up, stays importable here
-from .mna import DEFAULT_RISE_S, Stimulus, csv_text, dc_solve, transient_solve
+from .mna import DEFAULT_RISE_S, Stimulus, csv_text, dc_solve, transient_solve, transient_steps
 
 # at 25 ps the trapezoidal error of max PSN is 0.15-0.46% (README, "Model
 # notes")
@@ -94,25 +94,23 @@ def extract_psn(waveform, config: ScenarioConfig, probe) -> PsnMetrics:
     """PSN metrics from a step-response waveform.
 
     max_psn and settling come from the solver's per-tile post-ramp minima
-    and final values, so they cover every chip tile; a waveform without
-    them raises ``ValueError``.  The first droop is detected on ``probe``
-    as the first local minimum after the ramp with at least
-    ``PSN_PROMINENCE_V`` of prominence.
+    and final values, so they cover every chip tile.  The first droop is
+    detected on ``probe`` as the first local minimum after the ramp with at
+    least ``PSN_PROMINENCE_V`` of prominence.  A waveform without tiles, or
+    without a sample at or after its ramp end, raises ``ValueError``.
     """
     v_final = config.vrm.output_voltage_v
     t = waveform.time_s
     ramp_end = waveform.ramp_end_s
-    if t[-1] < ramp_end + 5 * max(ramp_end, waveform.dt):
-        raise ValueError("waveform too short: need >= 5x rise time past the ramp")
-    if waveform.tile_min is None:
+    if waveform.tile_min.size == 0:
         raise ValueError("waveform has no chip tile minima: its netlist has no chip_tile_nodes")
+    if not t[-1] >= ramp_end:
+        raise ValueError(f"waveform has no sample at or after its ramp end at {ramp_end:g} s")
     max_psn = (v_final - float(np.min(waveform.tile_min))) * 1e3
     settle = (v_final - float(np.min(waveform.tile_final))) * 1e3
 
     mask = t >= ramp_end
-    s = waveform.series[probe]
-    seg = s[mask]
-    seg_t = t[mask]
+    seg, seg_t = waveform.series[probe][mask], t[mask]
     k = first_prominent_min(seg, PSN_PROMINENCE_V)
     if k is None:
         # monotone settle: treat the worst post-ramp point as the droop
@@ -142,14 +140,16 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
     The transient probes the worst DC tile, chip center and corner; PSN
     metrics use the per-tile running minima so the max is over all tiles.
     ``init`` selects the power-up ("cold") or load-step ("warm")
-    transient experiment; see ``transient_solve``.  A transient window that
-    does not pass the end of the load ramp raises ``ValueError``.
+    transient experiment; see ``transient_solve``.  Before any build, a
+    request ``transient_steps`` rejects, or whose stepped window (dt times
+    its step count) ends by the load ramp end, raises ``ValueError``.
     """
     config = validate_config(config)
     stim = Stimulus(v_end=config.vrm.output_voltage_v)
     load_on = stim.load_delay_s + stim.load_rise_s
-    if transient and not t_end > load_on:
-        raise ValueError(f"t_end = {t_end:g} s does not pass the load ramp end at {load_on:g} s")
+    if transient and not (stepped := dt * transient_steps(dt, t_end, init)) > load_on:
+        raise ValueError(f"t_end = {t_end:g} s steps to {stepped:g} s at dt = {dt:g} s, which "
+                         f"does not pass the load ramp end at {load_on:g} s")
     net = assemble_netlist(config)
     dc = dc_solve(net)
     ir = ir_drop_map(dc, config, netlist=net)

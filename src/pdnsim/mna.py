@@ -82,8 +82,8 @@ class MnaSystem:
     def __init__(self, netlist: Netlist, mode="dc", dt=None):
         if mode not in ("dc", "transient"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "transient" and (dt is None or not dt > 0):
-            raise ValueError("transient mode requires dt > 0")
+        if mode == "transient" and (dt is None or not 0 < dt < np.inf):
+            raise ValueError(f"transient mode requires a finite dt > 0 (got {dt})")
         # scipy is imported on first use, here and in factorize, not with
         # the module: it costs about 0.3 s, and importing pdnsim, building
         # configs and `validate` need only numpy
@@ -204,10 +204,9 @@ class TransientWaveform:
 
     time_s: np.ndarray
     series: dict                   # probe name -> voltage array
-    dt: float
     ramp_end_s: float
-    tile_min: np.ndarray | None = None   # per chip tile min voltage after ramp
-    tile_final: np.ndarray | None = None
+    tile_min: np.ndarray           # per chip tile min voltage after ramp,
+    tile_final: np.ndarray         # and at t_end; shape (0,) without tiles
 
 
 def _check_warm_start(netlist: Netlist):
@@ -225,10 +224,25 @@ def _check_warm_start(netlist: Netlist):
                          f"{netlist.labels()[k]} {why}")
 
 
+def transient_steps(dt, t_end, init="cold") -> int:
+    """Step count of a transient request, ``round(t_end / dt)``: the run
+    ends at ``dt`` times it.  Raises ``ValueError`` unless dt and t_end are
+    finite and > 0, they span a step and ``init`` is cold or warm."""
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0 (got {value})")
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_end must span at least one step (got t_end={t_end}, dt={dt})")
+    if init not in ("cold", "warm"):
+        raise ValueError(f"unknown init {init!r}")
+    return n_steps
+
+
 def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
                     method="trap", probes=(), init="cold") -> TransientWaveform:
-    """Fixed-step trapezoidal transient simulation.  ``method`` accepts
-    only ``"trap"``, the one integration rule.
+    """Fixed-step trapezoidal transient simulation of ``transient_steps``
+    steps.  ``method`` accepts only ``"trap"``, the one integration rule.
 
     ``init="cold"`` starts with all states at zero and ramps the VRM
     sources per the stimulus (power-up experiment).  ``init="warm"``
@@ -244,20 +258,11 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     ``stimulus.load_factor`` in both.
 
     Records voltage series for ``probes`` (netlist probe names; none by
-    default) and running post-ramp minima for every chip tile when the
-    netlist carries tile metadata.
+    default) and the post-ramp minimum and final voltage of each chip tile.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be finite and > 0 (got {dt})")
-    if not 0 < t_end < np.inf:
-        raise ValueError(f"t_end must be finite and > 0 (got {t_end})")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        raise ValueError(f"t_end must span at least one step (got t_end={t_end}, dt={dt})")
+    n_steps = transient_steps(dt, t_end, init)
     if method != "trap":
         raise ValueError(f"unknown integration method {method!r}")
-    if init not in ("cold", "warm"):
-        raise ValueError(f"unknown init {init!r}")
     warm = init == "warm"
     if warm:
         _check_warm_start(netlist)
@@ -276,10 +281,10 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
         if name not in netlist.probes:
             raise KeyError(f"unknown probe {name!r}")
     n_probes = len(probes)
-    tiles = netlist.meta.get("chip_tile_nodes")
+    tiles = np.asarray(netlist.meta.get("chip_tile_nodes", ()), dtype=np.int64)
     # the probe rows, then the chip tile rows: one gather from x per step
-    rows = np.array([*(netlist.probes[p] for p in probes),
-                     *np.ravel(() if tiles is None else tiles)], dtype=np.int64) - 1
+    rows = np.array([*(netlist.probes[p] for p in probes), *tiles.ravel()],
+                    dtype=np.int64) - 1
 
     # x and rhs carry one trailing entry that stands for ground: row -1
     # reads 0.0 from x and soaks up ground injections in rhs, so the step
@@ -334,11 +339,9 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
             np.minimum(tile_min, seen[n_probes:], out=tile_min)
 
     series = {name: recorded[:, k].copy() for k, name in enumerate(probes)}
-    wf = TransientWaveform(time_s=times, series=series, dt=dt, ramp_end_s=ramp_end)
-    if tiles is not None:
-        wf.tile_min = tile_min.reshape(np.shape(tiles))
-        wf.tile_final = seen[n_probes:].reshape(np.shape(tiles))
-    return wf
+    return TransientWaveform(time_s=times, series=series, ramp_end_s=ramp_end,
+                             tile_min=tile_min.reshape(tiles.shape),
+                             tile_final=seen[n_probes:].reshape(tiles.shape))
 
 
 def csv_text(header, rows) -> str:

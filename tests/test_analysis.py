@@ -12,6 +12,7 @@ import pdnsim
 from pdnsim import ScenarioConfig, ValidationError, validate_config
 from pdnsim.analysis import (IrDropMap, config_label, extract_psn,
                              first_prominent_min, ir_map_to_csv, run_sweep)
+from pdnsim.builder import assemble_netlist
 from pdnsim.mna import TransientWaveform
 
 
@@ -55,7 +56,7 @@ def _damped_cosine_waveform(amp=0.1, tau=10e-9, period=10e-9,
 def _one_tile_waveform(t, name, v, ramp_end):
     """Waveform of one probed series that is also the only chip tile, with
     the tile minima and final values the solver would record for it."""
-    return TransientWaveform(time_s=t, series={name: v}, dt=t[1] - t[0], ramp_end_s=ramp_end,
+    return TransientWaveform(time_s=t, series={name: v}, ramp_end_s=ramp_end,
                              tile_min=np.min(v[t >= ramp_end], keepdims=True), tile_final=v[-1:])
 
 
@@ -73,7 +74,7 @@ def test_extract_psn_on_synthetic_waveform():
     # one sample of slack: the ramp boundary may fall between grid points
     assert psn.max_psn_mv == pytest.approx(boundary * 1e3, rel=1e-2)
     assert psn.first_droop_mv == pytest.approx(depth * 1e3, rel=1e-3)
-    assert psn.first_droop_time_s == pytest.approx(t_star, abs=2 * wf.dt)
+    assert psn.first_droop_time_s == pytest.approx(t_star, abs=2 * (wf.time_s[1] - wf.time_s[0]))
     assert psn.settling_mv == pytest.approx(
         (amp * np.exp(-50e-9 / tau)) * 1e3, rel=1e-2)
 
@@ -114,14 +115,25 @@ def test_first_prominent_min_matches_scipy_find_peaks(kind, values, seed,
     assert first_prominent_min(s, prominence) == expected
 
 
-def test_extract_psn_rejects_too_short_waveform():
-    wf = _damped_cosine_waveform(t_end=3e-9)
-    with pytest.raises(ValueError, match="too short"):
-        extract_psn(wf, validate_config(ScenarioConfig()), probe="probe")
+def test_extract_psn_needs_a_sample_at_or_after_the_ramp_end():
+    """No sample at or after the ramp end leaves the solver's tile minima
+    at +inf, which would read as -inf mV of max PSN; one sample is enough."""
+    cfg = validate_config(ScenarioConfig())
+    t = np.linspace(0.0, 1e-9, 101)            # ends exactly at the ramp end
+    v = 1.0 - 0.01 * t / 1e-9
+    short = TransientWaveform(time_s=t[:-1], series={"p": v[:-1]}, ramp_end_s=1e-9,
+                              tile_min=np.full(1, np.inf), tile_final=v[-2:-1])
+    with pytest.raises(ValueError, match=r"^waveform has no sample at or after its "
+                                         r"ramp end at 1e-09 s$"):
+        extract_psn(short, cfg, probe="p")
+    psn = extract_psn(_one_tile_waveform(t, "p", v, 1e-9), cfg, probe="p")
+    assert dataclasses.astuple(psn) == pytest.approx((10.0, 10.0, 1e-9, 10.0))
 
 
 def test_extract_psn_rejects_waveform_without_tile_minima():
-    wf = dataclasses.replace(_damped_cosine_waveform(), tile_min=None, tile_final=None)
+    """A netlist without chip tiles gives empty tile arrays."""
+    wf = dataclasses.replace(_damped_cosine_waveform(), tile_min=np.empty(0),
+                             tile_final=np.empty(0))
     with pytest.raises(ValueError, match="no chip tile minima"):
         extract_psn(wf, validate_config(ScenarioConfig()), probe="probe")
 
@@ -146,22 +158,77 @@ def test_evaluate_full_metrics(small_config):
     assert res.psn.settling_mv == pytest.approx(res.ir_map.max_mv, abs=0.5)
 
 
+LOAD_ON_S = 5.35e-9   # the default stimulus's load ramp end
+
+
 @pytest.mark.parametrize("init", ["cold", "warm"])
 def test_evaluate_rejects_a_window_that_misses_the_load(small_config, monkeypatch, init):
     """The loads are fully on only from 5.35 ns: a window that ends before
-    then read 0 mV of max PSN on a warm start.  The check runs before the
-    netlist is built, and only for a transient."""
+    then read 0 mV of max PSN on a warm start.  The window is the one the
+    solver steps, dt * round(t_end / dt), so 5.4 ns at 1 ns steps ends at
+    5 ns.  Every request check runs before the netlist is built, and only
+    for a transient."""
     import pdnsim.analysis as analysis
 
     cfg = small_config("chip_on_vrm_3d", tiles=5)
+    misses = r"which does not pass the load ramp end at 5\.35e-09 s$"
+    cases = [(5e-11, 4e-9, init, r"^t_end = 4e-09 s steps to 4e-09 s at dt = 5e-11 s, " + misses),
+             (5e-11, 5.35e-9, init,
+              r"^t_end = 5\.35e-09 s steps to 5\.35e-09 s at dt = 5e-11 s, " + misses),
+             (1e-9, 5.4e-9, init, r"^t_end = 5\.4e-09 s steps to 5e-09 s at dt = 1e-09 s, "
+                                  + misses),
+             (5e-11, np.nan, init, r"^t_end must be finite and > 0 \(got nan\)$"),
+             (0.0, 6e-9, init, r"^dt must be finite and > 0 \(got 0\.0\)$"),
+             (np.nan, 6e-9, init, r"^dt must be finite and > 0 \(got nan\)$"),
+             (np.inf, 6e-9, init, r"^dt must be finite and > 0 \(got inf\)$"),
+             (5e-11, 6e-9, "tepid", r"^unknown init 'tepid'$")]
     with monkeypatch.context() as m:
         m.setattr(analysis, "assemble_netlist", None)
-        for t_end, shown in ((4e-9, r"4e-09"), (5.35e-9, r"5\.35e-09"), (np.nan, "nan")):
-            with pytest.raises(ValueError, match=rf"^t_end = {shown} s does not pass the "
-                                                 r"load ramp end at 5\.35e-09 s$"):
-                pdnsim.evaluate(cfg, dt=5e-11, t_end=t_end, init=init)
+        for dt, t_end, how, message in cases:
+            with pytest.raises(ValueError, match=message):
+                pdnsim.evaluate(cfg, dt=dt, t_end=t_end, init=how)
     assert pdnsim.evaluate(cfg, transient=False, t_end=4e-9).waveform is None
     assert pdnsim.evaluate(cfg, dt=5e-11, t_end=6e-9, init=init).psn.max_psn_mv > 0.0
+
+
+@pytest.mark.parametrize("init,dt,t_end", [("cold", 25e-12, 5.5e-9), ("warm", 2e-9, 6e-9)])
+def test_evaluate_runs_a_short_window_past_the_load(small_config, init, dt, t_end):
+    """A window that steps past the load ramp end is usable, however
+    short: a cold 5.5 ns window, and a warm one of three 2 ns steps."""
+    res = pdnsim.evaluate(small_config("chip_on_vrm_3d", tiles=5), dt=dt, t_end=t_end,
+                          init=init)
+    assert res.waveform.time_s[-1] == pytest.approx(t_end)
+    assert np.all(np.isfinite(dataclasses.astuple(res.psn)))
+    assert res.psn.max_psn_mv > 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(dt=st.one_of(st.floats(20e-12, 3e-9), st.sampled_from([0.0, np.nan, np.inf])),
+       t_end=st.one_of(st.floats(4e-9, 10e-9), st.sampled_from([0.0, np.nan, np.inf])),
+       init=st.sampled_from(["cold", "warm", "tepid"]))
+def test_evaluate_window_rule_property(dt, t_end, init):
+    """Any transient request either raises ValueError before a netlist is
+    built, or runs past the load ramp end with finite PSN metrics."""
+    import pdnsim.analysis as analysis
+
+    base = pdnsim.benchmark_config("chip_on_vrm_3d")
+    chip = dataclasses.replace(base.chip, tile_count_x=3, tile_count_y=3)
+    cfg = validate_config(dataclasses.replace(base, chip=chip, power_map=None))
+    built = []
+
+    def assemble(c):
+        built.append(c)
+        return assemble_netlist(c)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis, "assemble_netlist", assemble)
+        try:
+            res = pdnsim.evaluate(cfg, dt=dt, t_end=t_end, init=init)
+        except ValueError:
+            assert built == []
+            return
+    assert res.waveform.time_s[-1] > LOAD_ON_S
+    assert np.all(np.isfinite(dataclasses.astuple(res.psn)))
 
 
 # ---------------------------------------------------------------------------

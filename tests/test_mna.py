@@ -145,8 +145,12 @@ def test_stamp_mna_argument_checks():
     net = _series_rlc((RESISTOR, 1.0))
     with pytest.raises(ValueError, match="unknown mode"):
         stamp_mna(net, mode="ac")
-    with pytest.raises(ValueError, match="dt > 0"):
-        stamp_mna(net, mode="transient", dt=0.0)
+    # the dt rule of transient_solve: an infinite step would open every
+    # capacitor and short every inductor
+    for dt, shown in ((0.0, r"0\.0"), (np.inf, "inf"), (np.nan, "nan"), (None, "None")):
+        with pytest.raises(ValueError, match=rf"^transient mode requires a finite dt > 0 "
+                                             rf"\(got {shown}\)$"):
+            stamp_mna(net, mode="transient", dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +402,8 @@ def test_transient_argument_checks():
     net.probes["chip_center"] = 1
     wf = transient_solve(net, stim, 1e-9, 0.6e-9)
     assert len(wf.time_s) == 2 and wf.series == {}
+    # a netlist without chip tiles records empty tile arrays
+    assert wf.tile_min.shape == wf.tile_final.shape == (0,)
     with pytest.raises(ValueError, match="unknown init"):
         transient_solve(net, stim, 1e-12, 1e-9, init="tepid")
     with pytest.raises(KeyError, match="unknown probe"):
