@@ -19,7 +19,7 @@ results on one platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,13 +28,16 @@ from .netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR, RESISTOR,
                       VOLTAGE_SOURCE, Netlist)
 
 DEFAULT_RISE_S = 1e-9
+MAX_STEPS = 10**6  # 125x the default window; ~70 MB of per-step arrays at 50x50
 
 
 @dataclass(frozen=True)
 class Stimulus:
     """Drive of a transient run: every VRM voltage source ramps linearly
     from v_start to v_end over rise_time, then holds; each source's netlist
-    value must equal v_end (``transient_solve`` checks).
+    value must equal v_end (``transient_solve`` checks).  A run starts at
+    rest at v_start, every branch current zero: ``v_start = v_end`` is the
+    warm start.
 
     The tile load currents activate only after the rail is energized: each
     current source ramps linearly from zero to its netlist value over
@@ -70,9 +73,7 @@ class Stimulus:
 
     def voltage(self, t):
         """Source voltage at time(s) ``t``."""
-        ramp = self.v_start + (self.v_end - self.v_start) * (t / self.rise_time_s)
-        return np.where(t >= self.rise_time_s, self.v_end,
-                        np.where(t <= 0.0, self.v_start, ramp))
+        return self.v_start + (self.v_end - self.v_start) * np.clip(t / self.rise_time_s, 0.0, 1.0)
 
 
 class MnaSystem:
@@ -209,8 +210,8 @@ class TransientWaveform:
     tile_final: np.ndarray         # and at t_end; shape (0,) without tiles
 
 
-def _check_warm_start(netlist: Netlist):
-    """Raise ``ValueError`` unless every node at v_end with every branch
+def _check_warm_start(netlist: Netlist, v):
+    """Raise ``ValueError`` unless every node at ``v`` with every branch
     current at zero is an operating point of ``netlist``."""
     kind, a, b, _ = netlist.columns()
     grounded = (a == GROUND) | (b == GROUND)  # never both: terminals differ
@@ -220,18 +221,21 @@ def _check_warm_start(netlist: Netlist):
         k = int(np.argmax(bad))
         why = ("has a terminal on ground" if bad_rl[k]
                else "does not run from a node to ground")
-        raise ValueError(f"warm start is not an operating point: "
-                         f"{netlist.labels()[k]} {why}")
+        raise ValueError(f"a start with every node at {v} V is not an operating "
+                         f"point: {netlist.labels()[k]} {why}")
 
 
 def transient_steps(dt, t_end, init="cold") -> int:
     """Step count of a transient request, ``round(t_end / dt)``: the run
     ends at ``dt`` times it.  Raises ``ValueError`` unless dt and t_end are
-    finite and > 0, they span a step and ``init`` is cold or warm."""
+    finite and > 0, they span at least one step and at most ``MAX_STEPS``,
+    and ``init`` is cold or warm."""
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be finite and > 0 (got {value})")
-    n_steps = int(round(t_end / dt))
+    if not (steps := t_end / dt) <= MAX_STEPS:  # inf for a subnormal dt: round(inf) raises
+        raise ValueError(f"t_end must span at most {MAX_STEPS} steps (got t_end={t_end}, dt={dt})")
+    n_steps = int(round(steps))
     if n_steps < 1:
         raise ValueError(f"t_end must span at least one step (got t_end={t_end}, dt={dt})")
     if init not in ("cold", "warm"):
@@ -244,18 +248,19 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     """Fixed-step trapezoidal transient simulation of ``transient_steps``
     steps.  ``method`` accepts only ``"trap"``, the one integration rule.
 
-    ``init="cold"`` starts with all states at zero and ramps the VRM
-    sources per the stimulus (power-up experiment).  ``init="warm"``
-    starts from the energized zero-load operating point (every node at
-    v_end, all branch currents zero) and holds the sources at v_end, so
-    the response is the pure load step; used for load-step studies such
-    as decap sweeps.  That state is an operating point only when no
-    resistor or inductor touches ground and every voltage source runs
-    from a node to ground; a warm start of any other netlist raises
-    ``ValueError`` naming the first element that breaks this.  Both drive
-    every source to ``stimulus.v_end``, so a source whose netlist value
-    differs raises ``ValueError`` naming it.  The loads switch on per
-    ``stimulus.load_factor`` in both.
+    Every run drives the VRM sources with ``stimulus.voltage`` and starts
+    at rest at ``v_start``: every non-ground node there, every branch
+    current zero.  ``init="cold"`` takes the stimulus as given (from
+    ``v_start = 0``, the power-up experiment); ``init="warm"`` sets
+    ``v_start = v_end``, so the response is the pure load step, as in
+    decap sweeps.  A nonzero start is an operating point only when no
+    resistor or inductor touches ground and every voltage source runs from
+    a node to ground; on any other netlist it raises ``ValueError`` naming
+    the first element that breaks this.  Every source ends at
+    ``stimulus.v_end``, so a source whose netlist value differs raises
+    ``ValueError`` naming it.  The loads switch on per
+    ``stimulus.load_factor``; the tile minima count from the source ramp's
+    end, t=0 for a drive that starts at v_end.
 
     Records voltage series for ``probes`` (netlist probe names; none by
     default) and the post-ramp minimum and final voltage of each chip tile.
@@ -263,9 +268,11 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     n_steps = transient_steps(dt, t_end, init)
     if method != "trap":
         raise ValueError(f"unknown integration method {method!r}")
-    warm = init == "warm"
-    if warm:
-        _check_warm_start(netlist)
+    if init == "warm":
+        stimulus = replace(stimulus, v_start=stimulus.v_end)
+    v0 = stimulus.voltage(0.0)
+    if v0 != 0.0:
+        _check_warm_start(netlist, v0)
     sys_ = stamp_mna(netlist, mode="transient", dt=dt)
     off = np.flatnonzero(sys_.vsrc_vals != stimulus.v_end)
     if len(off):
@@ -290,28 +297,24 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     # reads 0.0 from x and soaks up ground injections in rhs, so the step
     # loop needs no ground masks
     x = np.zeros(sys_.dim + 1)
-    if warm:
-        # zero-load operating point: every non-ground node at v_end, all
-        # branch currents zero
-        x[: sys_.n_nodes] = stimulus.v_end
+    x[: sys_.n_nodes] = v0
 
     cap_a, cap_b, cap_g = sys_.cap_a, sys_.cap_b, sys_.cap_g
     cap_w = 2.0 * cap_g
     # capacitor companions carry the standing voltage of the start, so a
-    # warm start injects no spurious transient at t=0
+    # start at rest injects no spurious transient at t=0
     cap_ieq = cap_g * (x[cap_a] - x[cap_b])
     ind_rows, ind_a, ind_b, ind_z = sys_.ind_rows, sys_.ind_a, sys_.ind_b, sys_.ind_z
     ind_e = np.zeros(len(ind_rows))
 
     # the drive at every step, looked up by row in the loop
     load = stimulus.load_factor(times)
-    drive = stimulus.v_end if warm else stimulus.voltage(times)[:, None]
-    drive = np.broadcast_to(drive, (len(times), len(sys_.vsrc_rows)))
+    drive = stimulus.voltage(times)
 
     recorded = np.empty((n_steps + 1, n_probes))
     recorded[0] = x[rows[:n_probes]]
 
-    ramp_end = 0.0 if warm else stimulus.rise_time_s
+    ramp_end = 0.0 if stimulus.v_start == stimulus.v_end else stimulus.rise_time_s
     tile_min = np.full(len(rows) - n_probes, np.inf)
 
     for step in range(1, n_steps + 1):

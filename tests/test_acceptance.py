@@ -82,6 +82,13 @@ def test_transient_closed_form_oracles():
     err = np.max(np.abs(wf.series["n0"][1:]
                         - rc_step_voltage(wf.time_s[1:], 1.0, r, c)))
     assert err < 5e-3
+    # held from 0.5 V to 1 V: the run starts at rest at 0.5 V and sees a
+    # 0.5 V step
+    stim = dataclasses.replace(held_stimulus(1.0, tau / 1000), v_start=0.5)
+    wf = transient_solve(net, stim, tau / 1000, 5 * tau, probes=["n0"])
+    err = np.max(np.abs(wf.series["n0"][1:]
+                        - (0.5 + rc_step_voltage(wf.time_s[1:], 0.5, r, c))))
+    assert err < 5e-3
 
     r, l = 10.0, 1e-6
     tau = l / r

@@ -181,7 +181,12 @@ def test_evaluate_rejects_a_window_that_misses_the_load(small_config, monkeypatc
              (0.0, 6e-9, init, r"^dt must be finite and > 0 \(got 0\.0\)$"),
              (np.nan, 6e-9, init, r"^dt must be finite and > 0 \(got nan\)$"),
              (np.inf, 6e-9, init, r"^dt must be finite and > 0 \(got inf\)$"),
-             (5e-11, 6e-9, "tepid", r"^unknown init 'tepid'$")]
+             (5e-11, 6e-9, "tepid", r"^unknown init 'tepid'$"),
+             # 2e293 steps, and an infinite count from a subnormal dt
+             (1e-300, 2e-7, init, r"^t_end must span at most 1000000 steps "
+                                  r"\(got t_end=2e-07, dt=1e-300\)$"),
+             (5e-324, 2e-7, init, r"^t_end must span at most 1000000 steps "
+                                  r"\(got t_end=2e-07, dt=5e-324\)$")]
     with monkeypatch.context() as m:
         m.setattr(analysis, "assemble_netlist", None)
         for dt, t_end, how, message in cases:

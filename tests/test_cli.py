@@ -336,9 +336,12 @@ def test_compare(small_cfg_file, tmp_path, capsys):
     # five 1 ns steps end the run at 5 ns, before the loads are on
     ("chip_on_vrm_3d", ["sweep", "--axis", "onchip_decap", "--values", "1,15",
                         "--dt", "1e-9", "--t-end", "5.4e-9"]),
+    # 200 ns over a subnormal step is an infinite step count
+    ("chip_on_vrm_3d", ["tran", "--dt", "5e-324"]),
 ], ids=["values_not_numbers", "axis_not_in_placement", "dt_zero", "dt_nan",
         "window_too_short", "t_end_inf", "window_under_one_step", "compare_one_config",
-        "values_empty", "window_before_load_on", "stepped_window_before_load_on"])
+        "values_empty", "window_before_load_on", "stepped_window_before_load_on",
+        "dt_subnormal"])
 def test_unusable_flag_values_are_usage_errors(small_cfg_file, tmp_path, capsys,
                                                name, args):
     command, *flags = args
