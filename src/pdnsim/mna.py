@@ -307,7 +307,7 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     ind_rows, ind_a, ind_b, ind_z = sys_.ind_rows, sys_.ind_a, sys_.ind_b, sys_.ind_z
     ind_e = np.zeros(len(ind_rows))
 
-    # the drive at every step, looked up by row in the loop
+    # the load factor and source voltage at every step, one scalar each
     load = stimulus.load_factor(times)
     drive = stimulus.voltage(times)
 

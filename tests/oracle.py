@@ -282,14 +282,15 @@ def kcl_audit(netlist, stimulus, dt, t_end, init="cold", tamper=None):
     audited[GROUND] = False
     audited[a[kind == VOLTAGE_SOURCE]] = audited[b[kind == VOLTAGE_SOURCE]] = False
 
+    g_c, k_l = 2.0 * value[is_c] / dt, dt / (2.0 * value[is_l])
     current = np.zeros(len(kind))   # voltage sources stay 0: their nodes are skipped
     residual = largest = 0.0
     v0 = v[0, a] - v[0, b]
     for step, t in enumerate(wf.time_s[1:], start=1):
         v1 = v[step, a] - v[step, b]
         current[is_r] = v1[is_r] / value[is_r]
-        current[is_c] = 2.0 * value[is_c] / dt * (v1[is_c] - v0[is_c]) - current[is_c]
-        current[is_l] += dt / (2.0 * value[is_l]) * (v1[is_l] + v0[is_l])
+        current[is_c] = g_c * (v1[is_c] - v0[is_c]) - current[is_c]
+        current[is_l] += k_l * (v1[is_l] + v0[is_l])
         current[is_i] = value[is_i] * stimulus.load_factor(t)
         net_out = (np.bincount(a, current, netlist.node_count)
                    - np.bincount(b, current, netlist.node_count))
