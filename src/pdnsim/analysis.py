@@ -133,6 +133,17 @@ class BenchmarkResult:
     psn: PsnMetrics | None
 
 
+def check_transient_request(dt, t_end, init="cold"):
+    """Raise ``ValueError`` for a transient request that ``transient_steps``
+    rejects, or whose stepped window (dt times its step count) ends by the
+    load ramp end of the evaluated drive."""
+    stim = Stimulus()
+    load_on = stim.load_delay_s + stim.load_rise_s
+    if not (stepped := dt * transient_steps(dt, t_end, init)) > load_on:
+        raise ValueError(f"t_end = {t_end:g} s steps to {stepped:g} s at dt = {dt:g} s, which "
+                         f"does not pass the load ramp end at {load_on:g} s")
+
+
 def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
              t_end=DEFAULT_T_END_S, init="cold") -> BenchmarkResult:
     """Build, DC-solve and (optionally) step-response-solve one scenario.
@@ -141,15 +152,11 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
     metrics use the per-tile running minima so the max is over all tiles.
     ``init`` selects the power-up ("cold") or load-step ("warm")
     transient experiment; see ``transient_solve``.  Before any build, a
-    request ``transient_steps`` rejects, or whose stepped window (dt times
-    its step count) ends by the load ramp end, raises ``ValueError``.
+    request ``check_transient_request`` rejects raises ``ValueError``.
     """
     config = validate_config(config)
-    stim = Stimulus(v_end=config.vrm.output_voltage_v)
-    load_on = stim.load_delay_s + stim.load_rise_s
-    if transient and not (stepped := dt * transient_steps(dt, t_end, init)) > load_on:
-        raise ValueError(f"t_end = {t_end:g} s steps to {stepped:g} s at dt = {dt:g} s, which "
-                         f"does not pass the load ramp end at {load_on:g} s")
+    if transient:
+        check_transient_request(dt, t_end, init)
     net = assemble_netlist(config)
     dc = dc_solve(net)
     ir = ir_drop_map(dc, config, netlist=net)
@@ -157,6 +164,7 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
     if transient:
         wi, wj = ir.argmax
         net.probes["chip_worst_tile"] = int(net.meta["chip_tile_nodes"][wj, wi])
+        stim = Stimulus(v_end=config.vrm.output_voltage_v)
         wf = transient_solve(net, stim, dt, t_end, init=init,
                              probes=["chip_worst_tile", "chip_center", "chip_corner"])
         psn = extract_psn(wf, config, probe="chip_worst_tile")

@@ -36,11 +36,11 @@ _PAD_CONTACT_OHM = 1e-6  # total contact resistance of one VRM attach pad
 
 
 def _r(x):
-    return max(float(x), _R_FLOOR)
+    return np.maximum(x, _R_FLOOR)
 
 
 def _l(x):
-    return max(float(x), _L_FLOOR)
+    return np.maximum(x, _L_FLOOR)
 
 
 def _stack(*columns):
@@ -142,11 +142,14 @@ def _rl_branches(net, src, dst, r, l, stems, *index):
                      [_r(r), _l(l)], stems, *(ix[..., None] for ix in index))
 
 
-def _decap_branch(net, node, cap, stem_prefix, idx):
-    mid1, mid2 = net.add_nodes(2)
-    net.add_elements([RESISTOR, INDUCTOR, CAPACITOR], [node, mid1, mid2], [mid1, mid2, GROUND],
-                     [_r(cap.esr_mohm * 1e-3), _l(cap.esl_nh * 1e-9), cap.capacitance_uf * 1e-6],
-                     [f"{stem_prefix}_esr", f"{stem_prefix}_esl", f"{stem_prefix}_c"], idx)
+def _decap_branches(net, nodes, caps, stem):
+    """A series ESR-ESL-C branch to ground from each of ``nodes`` per decap of
+    ``caps``, through two new internal nodes each; elements go ESR, ESL, C."""
+    esr, esl, c = np.reshape([(d.esr_mohm, d.esl_nh, d.capacitance_uf) for d in caps], (-1, 3)).T
+    mid = net.add_nodes((len(caps), 2))
+    net.add_elements([RESISTOR, INDUCTOR, CAPACITOR], _stack(nodes, *mid.T),
+                     _stack(*mid.T, GROUND), _stack(_r(esr * 1e-3), _l(esl * 1e-9), c * 1e-6),
+                     [f"{stem}_esr", f"{stem}_esl", f"{stem}_c"], np.arange(len(caps))[:, None])
 
 
 def _vrm_chain(net, k, vrm):
@@ -175,8 +178,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     pnodes, pxs, pys = build_package_network(net, pkg)
 
     nx, ny = chip.tile_count_x, chip.tile_count_y
-    tx_mm = chip.width_mm / nx
-    ty_mm = chip.height_mm / ny
+    tx_mm, ty_mm = chip.width_mm / nx, chip.height_mm / ny
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
 
     plc = config.placement
@@ -186,8 +188,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         # the package under the chip through the C4 array so the
         # package/board decap paths stay connected
         die = _vrm_chain(net, 0, config.vrm)  # VRM die distribution node
-        if plc.die_decap is not None:
-            _decap_branch(net, die, plc.die_decap, "die_decap", 0)
+        _decap_branches(net, die, [] if plc.die_decap is None else [plc.die_decap], "die_decap")
         n_ub = _bumps_per_tile(tx_mm, ty_mm, plc.microbump.pitch_um)
         r_site = (via_resistance(plc.vrm_tsv)
                   + plc.microbump.resistance_per_bump_mohm * 1e-3) / n_ub
@@ -237,11 +238,11 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         _rl_branches(net, out, sites, via_resistance(tpv), via_inductance(tpv),
                      ("tpv_r", "tpv_l"), np.arange(sites.size).reshape(sites.shape))
 
-    # package discrete decaps
-    for m, cap in enumerate(config.decaps.package_decaps):
-        pi = _nearest(pxs, (cap.x - 0.5) * pkg.package_width_mm)
-        pj = _nearest(pys, (cap.y - 0.5) * pkg.package_height_mm)
-        _decap_branch(net, pnodes[pj, pi], cap, "pkg_decap", m)
+    # package discrete decaps, each on the package node nearest to it
+    caps = config.decaps.package_decaps
+    x, y = np.reshape([(d.x, d.y) for d in caps], (-1, 2)).T - 0.5
+    _decap_branches(net, pnodes[_nearest(pys, y * pkg.package_height_mm),
+                                _nearest(pxs, x * pkg.package_width_mm)], caps, "pkg_decap")
 
     # board: solder bump array at the four package corners -> lumped board
     r_sb = pkg.solder_bump_resistance_mohm * 1e-3 / pkg.solder_bump_count
@@ -254,8 +255,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     net.add_elements([RESISTOR, INDUCTOR], [board_a, board_mid], [board_mid, board_b],
                      [_r(config.board.lumped_resistance_mohm * 1e-3),
                       _l(config.board.lumped_inductance_nh * 1e-9)], ["board_r", "board_l"])
-    for m, cap in enumerate(config.decaps.board_decaps):
-        _decap_branch(net, board_b, cap, "board_decap", m)
+    _decap_branches(net, board_b, config.decaps.board_decaps, "board_decap")
 
     # named probes
     net.probes["chip_center"] = int(tiles[ny // 2, nx // 2])

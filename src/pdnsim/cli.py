@@ -16,8 +16,8 @@ import time
 
 from . import __version__
 from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES,
-                       compare_configurations, evaluate, ir_map_to_csv,
-                       run_sweep)
+                       check_transient_request, compare_configurations, evaluate,
+                       ir_map_to_csv, run_sweep)
 from .builder import assemble_netlist
 from .calibrate import CAL_T_END_S, CAL_TILE_COUNT, grid_search
 from .config import (BENCHMARK_NAMES, MIN_TILE_COUNT, POWER_MAP_KINDS,
@@ -163,6 +163,11 @@ def _emit(args, t0, files, config=None, **extra):
 
 def _run(args) -> int:
     t0 = time.perf_counter()
+    # flag values are checked before --out-dir is made, so a run they reject
+    # leaves nothing behind
+    values = [float(v) for v in args.values.split(",") if v] if args.command == "sweep" else None
+    if hasattr(args, "dt") and not getattr(args, "no_transient", False):
+        check_transient_request(args.dt, args.t_end)
     if hasattr(args, "out_dir"):
         # made before the config loads, so a failed run leaves it empty
         try:
@@ -213,7 +218,6 @@ def _run(args) -> int:
 
     if args.command == "sweep":
         cfg = _load(args.config, args.power_map)
-        values = [float(v) for v in args.values.split(",") if v]
         sweep = run_sweep(cfg, args.axis, values,
                           transient=not args.no_transient,
                           dt=args.dt, t_end=args.t_end)

@@ -355,7 +355,15 @@ def test_unusable_flag_values_are_usage_errors(small_cfg_file, tmp_path, capsys,
 @pytest.mark.parametrize("args", [
     ["validate", "--config", "scenario.json"],
     ["calibrate", "--tile-count", "1"],
-], ids=["validate_has_no_out_dir", "calibrate_one_tile"])
+    # the flags below are checked before the config loads, so the config
+    # file need not exist
+    ["tran", "--config", "scenario.json", "--dt", "0"],
+    ["tran", "--config", "scenario.json", "--dt", "5e-324"],
+    ["sweep", "--config", "scenario.json", "--axis", "onchip_decap", "--values", "1,15",
+     "--dt", "1e-9", "--t-end", "5.4e-9"],
+    ["sweep", "--config", "scenario.json", "--axis", "onchip_decap", "--values", "1,x"],
+], ids=["validate_has_no_out_dir", "calibrate_one_tile", "tran_dt_zero", "tran_dt_subnormal",
+        "sweep_stepped_window_before_load_on", "sweep_values_not_numbers"])
 def test_flags_rejected_when_parsed_make_no_out_dir(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert main([*args, "--out-dir", str(out)]) == 64

@@ -2,12 +2,14 @@
 
 The 50-tile digests were recorded before the netlist store and the stampers
 became array-native, the 8-tile ones when a tile's bump count became
-fractional.  Any change to node numbering, element order, a value's last
-bit, or the order in which duplicate matrix entries are summed shows up
-here.  Re-record them only with a change that means to alter the numbers,
+fractional, and the custom decap-family ones while each decap was still
+added one at a time.  Any change to node numbering, element order, a
+value's last bit, or the order in which duplicate matrix entries are summed
+shows up here.  Re-record them only with a change that means to alter the numbers,
 and say so where the change is described.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from conftest import ACCEPT_DT_S
 from pdnsim.builder import assemble_netlist
+from pdnsim.config import DiscreteDecap, PackageDecap, validate_config
 from pdnsim.mna import stamp_mna
 from pdnsim.netlist import netlist_to_text
 
@@ -93,3 +96,46 @@ def golden_digests(config):
 @pytest.mark.parametrize("name,tiles", sorted(GOLDEN))
 def test_netlist_and_matrices_are_byte_identical(small_config, name, tiles):
     assert golden_digests(small_config(name, tiles=tiles)) == GOLDEN[name, tiles]
+
+
+def _custom_decaps(name, base):
+    """``base`` with decap families that differ from the defaults.  On
+    ``on_package_4``: two unequal board decaps and three package decaps,
+    one with zero ESR and ESL (both floors), one at x = 0.515625 of a
+    32 mm package, 0.5 mm from its centre and so midway between two nodes
+    (the nearer-node rule takes the first), and one other.  On
+    ``chip_on_vrm_3d``: a die decap with zero ESL."""
+    if name == "chip_on_vrm_3d":
+        die = dataclasses.replace(base.placement.die_decap, esl_nh=0.0)
+        return dataclasses.replace(
+            base, placement=dataclasses.replace(base.placement, die_decap=die))
+    decaps = dataclasses.replace(base.decaps, package_decaps=(
+        PackageDecap(capacitance_uf=0.01, esr_mohm=0.0, esl_nh=0.0, x=0.4, y=0.45),
+        PackageDecap(capacitance_uf=0.005, esr_mohm=10.0, esl_nh=0.0001, x=0.515625, y=0.5),
+        PackageDecap(capacitance_uf=0.02, esr_mohm=3.0, esl_nh=0.0002, x=0.61, y=0.37),
+    ), board_decaps=(
+        DiscreteDecap(capacitance_uf=100.0, esr_mohm=1.0, esl_nh=1.0),
+        DiscreteDecap(capacitance_uf=47.0, esr_mohm=2.5, esl_nh=0.6),
+    ))
+    pkg = dataclasses.replace(base.package, package_width_mm=32.0)
+    return dataclasses.replace(base, package=pkg, decaps=decaps)
+
+
+GOLDEN_DECAPS = {  # benchmark at 8 tiles, custom decap families
+    "on_package_4": (
+        "6c1d84ad5ef61bd47d5057a0d60a5152dfd36cd519ad233a5d0d0589847b0d26",
+        "0dfa1e8fa206fc48ab80c9a66d17d0b3fc026d24b2aec403b92ee11f9976e12d",
+        "dc65d0deff2409fd54fc4864d965acef83f40e736c57786e4cbf5190149fafbe",
+    ),
+    "chip_on_vrm_3d": (
+        "4ecf9ae0351c27ac26ad30239470e1bc308ea7ebcd3333c4aaaeec5d1600c833",
+        "f11495151bd3e617cd2cd75fc272267ee9f14fe0123bb66cb74d0fafc1f01625",
+        "12b71faddd2fb4899e791d2b170fe76a7ebc15b626defbbcb50b0fd4a2b66b86",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DECAPS))
+def test_custom_decap_families_are_byte_identical(small_config, name):
+    cfg = validate_config(_custom_decaps(name, small_config(name, tiles=8)))
+    assert golden_digests(cfg) == GOLDEN_DECAPS[name]
