@@ -143,8 +143,7 @@ def _rl_branches(net, src, dst, r, l, stems, *index):
 
 
 def _decap_branches(net, nodes, caps, stem):
-    """A series ESR-ESL-C branch to ground from each of ``nodes`` per decap of
-    ``caps``, through two new internal nodes each; elements go ESR, ESL, C."""
+    """ESR, ESL, C in series to ground from each of ``nodes``, one branch per decap."""
     esr, esl, c = np.reshape([(d.esr_mohm, d.esl_nh, d.capacitance_uf) for d in caps], (-1, 3)).T
     mid = net.add_nodes((len(caps), 2))
     net.add_elements([RESISTOR, INDUCTOR, CAPACITOR], _stack(nodes, *mid.T),
@@ -178,7 +177,8 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     pnodes, pxs, pys = build_package_network(net, pkg)
 
     nx, ny = chip.tile_count_x, chip.tile_count_y
-    tx_mm, ty_mm = chip.width_mm / nx, chip.height_mm / ny
+    tx_mm = chip.width_mm / nx
+    ty_mm = chip.height_mm / ny
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
 
     plc = config.placement

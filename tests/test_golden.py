@@ -5,8 +5,8 @@ became array-native, the 8-tile ones when a tile's bump count became
 fractional, and the custom decap-family ones while each decap was still
 added one at a time.  Any change to node numbering, element order, a
 value's last bit, or the order in which duplicate matrix entries are summed
-shows up here.  Re-record them only with a change that means to alter the numbers,
-and say so where the change is described.
+shows up here.  Re-record them only with a change that means to alter the
+numbers, and say so where the change is described.
 """
 
 import dataclasses
