@@ -15,7 +15,7 @@ from .config import (BacksideVrm, BoardSpec, BumpSpec, ChipOnVrm3D, ChipSpec,
                      PackageSpec, PowerMap, ScenarioConfig, ViaSpec, VrmSpec, WireSpec,
                      benchmark_config, builtin_power_map, config_from_json,
                      config_hash, config_to_json, load_config, validate_config)
-from .errors import NetlistError, PdnError, SolverError, ValidationError
+from .errors import NetlistError, PdnError, RequestError, SolverError, ValidationError
 from .mna import (DcSolution, MnaSystem, Stimulus, TransientWaveform,
                   dc_solve, stamp_mna, transient_solve, waveform_to_csv)
 from .netlist import (Element, Netlist, netlist_to_text, via_resistance,

@@ -16,7 +16,7 @@ import numpy as np
 from .builder import assemble_netlist
 from .config import (OnPackageVrm, ScenarioConfig, config_hash, normalize_power_map,
                      validate_config)
-from .errors import PdnError
+from .errors import PdnError, RequestError
 # DEFAULT_RISE_S, the rise of the evaluated power-up, stays importable here
 from .mna import DEFAULT_RISE_S, Stimulus, csv_text, dc_solve, transient_solve, transient_steps
 
@@ -61,14 +61,14 @@ class PsnMetrics:
 
 def first_prominent_min(s, prominence):
     """Index of the first local minimum of ``s`` with at least
-    ``prominence`` of prominence, or None.
+    ``prominence`` of prominence, or None.  Written out here because
+    importing ``scipy.signal`` adds about 44 MB of resident memory to a run.
 
     Same rules as ``scipy.signal.find_peaks(-s, prominence=prominence)``: a
     flat minimum counts once, at the midpoint of its run (rounded down);
     the ends of the series are never minima; the prominence is the height
     of the lower of the two maxima the series reaches, on either side,
-    before it first rises above the minimum's level.
-    """
+    before it first rises above the minimum's level."""
     x = np.asarray(s, dtype=float)
     n = len(x)
     if n < 3:
@@ -134,14 +134,14 @@ class BenchmarkResult:
 
 
 def check_transient_request(dt, t_end, init="cold"):
-    """Raise ``ValueError`` for a transient request that ``transient_steps``
+    """Raise ``RequestError`` for a transient request that ``transient_steps``
     rejects, or whose stepped window (dt times its step count) ends by the
     load ramp end of the evaluated drive."""
     stim = Stimulus()
     load_on = stim.load_delay_s + stim.load_rise_s
     if not (stepped := dt * transient_steps(dt, t_end, init)) > load_on:
-        raise ValueError(f"t_end = {t_end:g} s steps to {stepped:g} s at dt = {dt:g} s, which "
-                         f"does not pass the load ramp end at {load_on:g} s")
+        raise RequestError(f"t_end = {t_end:g} s steps to {stepped:g} s at dt = {dt:g} s, which "
+                           f"does not pass the load ramp end at {load_on:g} s")
 
 
 def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
@@ -152,7 +152,7 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
     metrics use the per-tile running minima so the max is over all tiles.
     ``init`` selects the power-up ("cold") or load-step ("warm")
     transient experiment; see ``transient_solve``.  Before any build, a
-    request ``check_transient_request`` rejects raises ``ValueError``.
+    request ``check_transient_request`` rejects raises ``RequestError``.
     """
     config = validate_config(config)
     if transient:
@@ -181,7 +181,7 @@ SWEEP_AXES = ("vrm_count", "vrm_gap", "onchip_decap", "power_scale")
 def _apply_axis(base: ScenarioConfig, axis, value) -> ScenarioConfig:
     if axis in ("vrm_count", "vrm_gap"):
         if not isinstance(base.placement, OnPackageVrm):
-            raise ValueError(f"{axis} axis requires an on-package placement")
+            raise RequestError(f"{axis} axis requires an on-package placement")
         # a fractional count is kept as given, so validation rejects it
         # instead of a truncated count being evaluated
         change = ({"count": int(value) if float(value).is_integer() else value}
@@ -197,7 +197,7 @@ def _apply_axis(base: ScenarioConfig, axis, value) -> ScenarioConfig:
         if pm is not None:
             pm = normalize_power_map(pm, chip)
         return dataclasses.replace(base, chip=chip, power_map=pm)
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    raise RequestError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
 @dataclass
@@ -224,6 +224,17 @@ class SweepResult:
         return [p for p in self.points if p.error is not None]
 
 
+def sweep_values(values):
+    """``values`` as a list of floats; raises ``RequestError`` for a non-number or none."""
+    try:
+        values = [float(v) for v in values]
+    except ValueError as exc:
+        raise RequestError(f"sweep axis values must be numbers ({exc})") from exc
+    if not values:
+        raise RequestError("sweep needs at least one axis value")
+    return values
+
+
 def run_sweep(base: ScenarioConfig, axis, values, transient=True,
               dt=DEFAULT_DT_S, t_end=DEFAULT_T_END_S, init="warm") -> SweepResult:
     """One netlist-build + solve per axis value; per-point failures are
@@ -233,8 +244,7 @@ def run_sweep(base: ScenarioConfig, axis, values, transient=True,
     compare the noise of the load transient itself, which the power-up
     charging transient of the cold start would mask (its amplitude scales
     with the total decap charge, not with supply quality)."""
-    if len(values) == 0:
-        raise ValueError("sweep needs at least one axis value")
+    values = sweep_values(values)
     points = []
     for value in values:
         cfg = _apply_axis(base, axis, value)
@@ -294,16 +304,21 @@ def config_label(config: ScenarioConfig) -> str:
     return plc.variant
 
 
+def check_config_count(configs):
+    """Raise ``RequestError`` for a comparison of fewer than two configurations."""
+    if len(configs) < 2:
+        raise RequestError("comparison needs at least two configurations")
+
+
 def compare_configurations(configs, transient=True, dt=DEFAULT_DT_S,
                            t_end=DEFAULT_T_END_S) -> ComparisonReport:
     """Solve each config and tabulate metrics plus improvement relative to
     the first entry.  All configs must share the chip spec."""
     configs = [validate_config(c) for c in configs]
-    if len(configs) < 2:
-        raise ValueError("comparison needs at least two configurations")
+    check_config_count(configs)
     for c in configs[1:]:
         if c.chip != configs[0].chip:
-            raise ValueError("all compared configurations must share the chip spec")
+            raise RequestError("all compared configurations must share the chip spec")
 
     rows = []
     ir_ref = psn_ref = None

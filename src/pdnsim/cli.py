@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: default-config, validate, netlist, dc, tran, sweep, compare,
-calibrate.  Exit codes: 0 success, 1 validation error, 2 solver failure,
-3 I/O error, 64 usage error.
+calibrate.  Exit codes: 0 success, 1 validation or netlist error, 2 solver
+failure, 3 I/O error, 64 usage error; see ``_FAILURES``.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ import sys
 import time
 
 from . import __version__
-from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES,
+from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES, check_config_count,
                        check_transient_request, compare_configurations, evaluate,
-                       ir_map_to_csv, run_sweep)
+                       ir_map_to_csv, run_sweep, sweep_values)
 from .builder import assemble_netlist
 from .calibrate import CAL_T_END_S, CAL_TILE_COUNT, grid_search
 from .config import (BENCHMARK_NAMES, MIN_TILE_COUNT, POWER_MAP_KINDS,
                      ScenarioConfig, benchmark_config, builtin_power_map,
                      config_to_dict, config_to_json, load_config,
                      validate_config)
-from .errors import NetlistError, SolverError, ValidationError
+from .errors import NetlistError, RequestError, SolverError, ValidationError
 from .heatmap import heatmap_svg
 from .mna import waveform_to_csv
 from .netlist import netlist_to_text
@@ -34,6 +34,19 @@ EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
 EXIT_USAGE = 64
+
+
+class _IoFail(Exception):
+    """A config or output file that cannot be read or written."""
+
+
+# main's report of each failure: its stderr prefix (one line per violation of a
+# ValidationError) and exit code.  Any other exception is a program fault.
+_FAILURES = {ValidationError: ("validation error", EXIT_VALIDATION),
+             NetlistError: ("netlist error", EXIT_VALIDATION),
+             SolverError: ("solver error", EXIT_SOLVER),
+             _IoFail: ("io error", EXIT_IO),
+             RequestError: ("error", EXIT_USAGE)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,10 +138,6 @@ def _load(path, power_map) -> ScenarioConfig:
     return validate_config(cfg)
 
 
-class _IoFail(Exception):
-    pass
-
-
 def _write(path, text):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -165,7 +174,10 @@ def _run(args) -> int:
     t0 = time.perf_counter()
     # flag values are checked before --out-dir is made, so a run they reject
     # leaves nothing behind
-    values = [float(v) for v in args.values.split(",") if v] if args.command == "sweep" else None
+    if args.command == "sweep":
+        values = sweep_values(v for v in args.values.split(",") if v)
+    if args.command == "compare":
+        check_config_count(args.config)
     if hasattr(args, "dt") and not getattr(args, "no_transient", False):
         check_transient_request(args.dt, args.t_end)
     if hasattr(args, "out_dir"):
@@ -176,36 +188,27 @@ def _run(args) -> int:
             raise _IoFail(f"cannot create output directory {args.out_dir}: {exc}") from exc
 
     if args.command == "default-config":
-        cfg = benchmark_config(args.benchmark, power_map_kind=args.power_map)
-        text = config_to_json(cfg)
+        text = config_to_json(benchmark_config(args.benchmark, power_map_kind=args.power_map))
         if args.out:
             _write(args.out, text)
         else:
             sys.stdout.write(text)
-        return EXIT_OK
-
-    if args.command == "validate":
+    elif args.command == "validate":
         _load(args.config, args.power_map)
         print("ok")
-        return EXIT_OK
-
-    if args.command == "netlist":
+    elif args.command == "netlist":
         cfg = _load(args.config, args.power_map)
         net = assemble_netlist(cfg)
         out, = _emit(args, t0, {"netlist.txt": netlist_to_text(net)}, cfg)
         print(f"{net.node_count} nodes, {len(net.columns()[0])} elements -> {out}")
-        return EXIT_OK
-
-    if args.command == "dc":
+    elif args.command == "dc":
         res = evaluate(_load(args.config, args.power_map), transient=False)
         csv_path, _ = _emit(args, t0, {"ir_map.csv": ir_map_to_csv(res.ir_map),
                                        "ir_map.svg": heatmap_svg(res.ir_map.drop_mv)},
                             res.config, max_ir_drop_mv=res.ir_map.max_mv)
         print(f"max IR drop: {res.ir_map.max_mv:.3f} mV "
               f"(mean {res.ir_map.mean_mv:.3f} mV) -> {csv_path}")
-        return EXIT_OK
-
-    if args.command == "tran":
+    elif args.command == "tran":
         res = evaluate(_load(args.config, args.power_map), transient=True,
                        dt=args.dt, t_end=args.t_end)
         psn = res.psn
@@ -214,21 +217,16 @@ def _run(args) -> int:
                           first_droop_mv=psn.first_droop_mv, settling_mv=psn.settling_mv)
         print(f"max PSN: {psn.max_psn_mv:.3f} mV "
               f"(first droop {psn.first_droop_mv:.3f} mV) -> {csv_path}")
-        return EXIT_OK
-
-    if args.command == "sweep":
+    elif args.command == "sweep":
         cfg = _load(args.config, args.power_map)
-        sweep = run_sweep(cfg, args.axis, values,
-                          transient=not args.no_transient,
+        sweep = run_sweep(cfg, args.axis, values, transient=not args.no_transient,
                           dt=args.dt, t_end=args.t_end)
         _emit(args, t0, {"sweep.csv": sweep.to_csv()}, cfg,
               failures=[p.error for p in sweep.failures])
         for p in sweep.points:
             print(f"{sweep.axis}={p.value:g}: ir={p.max_ir_drop_mv} "
                   f"psn={p.max_psn_mv} [{p.error or 'ok'}]")
-        return EXIT_OK
-
-    if args.command == "compare":
+    elif args.command == "compare":
         cfgs = [_load(path, args.power_map) for path in args.config]
         report = compare_configurations(cfgs, transient=not args.no_transient,
                                         dt=args.dt, t_end=args.t_end)
@@ -236,17 +234,15 @@ def _run(args) -> int:
         _emit(args, t0, {"compare.csv": report.to_csv(), "compare.txt": txt},
               config_snapshots=[config_to_dict(c) for c in cfgs])
         sys.stdout.write(txt)
-        return EXIT_OK
-
-    if args.command == "calibrate":
+    elif args.command == "calibrate":
         best, history = grid_search(tile_count=args.tile_count, dt=args.dt,
                                     t_end=args.t_end, log=print)
         out, = _emit(args, t0, {"calibration.json": json.dumps(
             {"best": best, "history": history}, indent=2, sort_keys=True) + "\n"})
         print(f"best knobs: {best['knobs']} (score {best['score']:.4f}) -> {out}")
-        return EXIT_OK
-
-    raise AssertionError(f"unhandled command {args.command}")
+    else:
+        raise AssertionError(f"unhandled command {args.command}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -257,27 +253,11 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return _run(args)
-    except ValidationError as exc:
-        for v in exc.violations:
-            print(f"validation error: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NetlistError as exc:
-        print(f"netlist error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except _IoFail as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        # the analysis rejects flag values it cannot run with ValueError: a
-        # step or window it cannot use, an axis the placement lacks, fewer
-        # than two configs.  Elsewhere a ValueError is a program fault.
-        if args.command not in ("tran", "sweep", "compare", "calibrate"):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(_FAILURES) as exc:
+        prefix, code = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
+        for line in getattr(exc, "violations", [exc]):
+            print(f"{prefix}: {line}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

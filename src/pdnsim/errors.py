@@ -23,3 +23,8 @@ class NetlistError(PdnError):
 
 class SolverError(PdnError):
     """Numerical failure inside the MNA solver."""
+
+
+class RequestError(ValueError):
+    """A request that cannot run (a step, window, axis or value count); not
+    a ``PdnError``, so a sweep does not record one as a point's failure."""

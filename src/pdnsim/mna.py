@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import RequestError, SolverError
 from .netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR, RESISTOR,
                       VOLTAGE_SOURCE, Netlist)
 
@@ -227,19 +227,19 @@ def _check_warm_start(netlist: Netlist, v):
 
 def transient_steps(dt, t_end, init="cold") -> int:
     """Step count of a transient request, ``round(t_end / dt)``: the run
-    ends at ``dt`` times it.  Raises ``ValueError`` unless dt and t_end are
+    ends at ``dt`` times it.  Raises ``RequestError`` unless dt and t_end are
     finite and > 0, they span at least one step and at most ``MAX_STEPS``,
     and ``init`` is cold or warm."""
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and > 0 (got {value})")
+            raise RequestError(f"{name} must be finite and > 0 (got {value})")
     if not (steps := t_end / dt) <= MAX_STEPS:  # inf for a subnormal dt: round(inf) raises
-        raise ValueError(f"t_end must span at most {MAX_STEPS} steps (got t_end={t_end}, dt={dt})")
+        raise RequestError(f"t_end must span at most {MAX_STEPS} steps (got t_end={t_end}, dt={dt})")
     n_steps = int(round(steps))
     if n_steps < 1:
-        raise ValueError(f"t_end must span at least one step (got t_end={t_end}, dt={dt})")
+        raise RequestError(f"t_end must span at least one step (got t_end={t_end}, dt={dt})")
     if init not in ("cold", "warm"):
-        raise ValueError(f"unknown init {init!r}")
+        raise RequestError(f"unknown init {init!r}")
     return n_steps
 
 

@@ -201,6 +201,40 @@ def test_vrm_gap_sweep_trend(count):
 
 
 # ---------------------------------------------------------------------------
+# 7b. the paper's claims on the warm load step, at 20x20 tiles.  These assert
+# order, not values: the values move with the uncalibrated parasitics.
+
+WARM_12NS = {"dt": ACCEPT_DT_S, "t_end": 12e-9, "init": "warm"}
+
+
+def _hotspot_20x20(name, **map_kw):
+    cfg = pdnsim.benchmark_config(name)
+    chip = dataclasses.replace(cfg.chip, tile_count_x=20, tile_count_y=20)
+    pm = builtin_power_map("hotspot", chip, **map_kw)
+    return validate_config(dataclasses.replace(cfg, chip=chip, power_map=pm))
+
+
+@pytest.mark.parametrize("ratio", [1, 3, 10, 30])
+def test_warm_placement_ordering_at_every_hotspot_ratio(ratio):
+    """Chip-on-VRM suppresses the noise most "even with high current density
+    hotspots": the placements keep their order from a uniform map (ratio 1)
+    to hotspots at 30 times the background density."""
+    order = ("chip_on_vrm_3d", "backside", "on_package_4", "on_package_1")
+    psn = [pdnsim.evaluate(_hotspot_20x20(name, hotspot_ratio=ratio),
+                           **WARM_12NS).psn.max_psn_mv for name in order]
+    assert all(a < b for a, b in zip(psn, psn[1:])), (ratio, psn)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_warm_psn_rises_with_vrm_gap(count):
+    sweep = run_sweep(_hotspot_20x20(f"on_package_{count}"), "vrm_gap",
+                      (0.1, 1.0, 3.0, 5.0), **WARM_12NS)
+    assert not sweep.failures
+    psn = [p.max_psn_mv for p in sweep.points]
+    assert all(a < b for a, b in zip(psn, psn[1:])), (count, psn)
+
+
+# ---------------------------------------------------------------------------
 # 8. linearity
 
 

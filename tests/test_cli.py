@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import pdnsim
-from pdnsim import SolverError, config_from_json, config_to_json, validate_config
+from pdnsim import (PdnError, RequestError, SolverError, compare_configurations,
+                    config_from_json, config_to_json, run_sweep, validate_config)
 from pdnsim.cli import main
 
 
@@ -362,8 +363,12 @@ def test_unusable_flag_values_are_usage_errors(small_cfg_file, tmp_path, capsys,
     ["sweep", "--config", "scenario.json", "--axis", "onchip_decap", "--values", "1,15",
      "--dt", "1e-9", "--t-end", "5.4e-9"],
     ["sweep", "--config", "scenario.json", "--axis", "onchip_decap", "--values", "1,x"],
+    ["sweep", "--config", "scenario.json", "--axis", "vrm_gap", "--values", ",",
+     "--no-transient"],
+    ["compare", "--config", "scenario.json"],
 ], ids=["validate_has_no_out_dir", "calibrate_one_tile", "tran_dt_zero", "tran_dt_subnormal",
-        "sweep_stepped_window_before_load_on", "sweep_values_not_numbers"])
+        "sweep_stepped_window_before_load_on", "sweep_values_not_numbers",
+        "sweep_values_empty", "compare_one_config"])
 def test_flags_rejected_when_parsed_make_no_out_dir(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert main([*args, "--out-dir", str(out)]) == 64
@@ -371,6 +376,47 @@ def test_flags_rejected_when_parsed_make_no_out_dir(tmp_path, capsys, args):
     assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_too_few_values_or_configs_report_the_library_message(small_cfg_file, tmp_path,
+                                                              small_config, capsys):
+    cfg = small_config()
+    with pytest.raises(RequestError) as no_values:
+        run_sweep(cfg, "vrm_gap", [])
+    with pytest.raises(RequestError) as one_config:
+        compare_configurations([cfg])
+    for args, exc in ((["sweep", "--axis", "vrm_gap", "--values", ","], no_values),
+                      (["compare"], one_config)):
+        command, *flags = args
+        assert main([command, "--config", small_cfg_file(), *flags,
+                     "--out-dir", str(tmp_path / "out")]) == 64
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_request_error_is_a_value_error_but_not_a_pdn_error():
+    # a ValueError, as callers of the library have caught; not a PdnError,
+    # which a sweep records as one point's failure
+    assert issubclass(RequestError, ValueError)
+    assert not issubclass(RequestError, PdnError)
+
+
+@pytest.mark.parametrize("command,target,flags", [
+    ("tran", "evaluate", []),
+    ("sweep", "run_sweep", ["--axis", "vrm_gap", "--values", "1"]),
+], ids=["tran", "sweep"])
+def test_program_fault_is_not_a_usage_error(small_cfg_file, tmp_path, monkeypatch,
+                                            command, target, flags):
+    """A ValueError that is not a RequestError is a fault of the program,
+    not of the request: main lets it propagate instead of exiting 64."""
+    import pdnsim.cli as cli
+
+    def fault(*a, **kw):
+        raise ValueError("synthetic fault")
+
+    monkeypatch.setattr(cli, target, fault)
+    with pytest.raises(ValueError, match="^synthetic fault$"):
+        main([command, "--config", small_cfg_file(), *flags,
+              "--out-dir", str(tmp_path / "out")])
 
 
 def test_calibrate_writes_report(tmp_path, monkeypatch, capsys):

@@ -57,3 +57,16 @@ def test_first_solve_in_a_fresh_process_imports_scipy_and_matches(small_config,
     assert "scipy.sparse.linalg" in lines[-1]
     res = pdnsim.evaluate(cfg, dt=2.5e-10, t_end=10e-9)
     assert json.loads(lines[-2]) == [res.ir_map.max_mv, res.psn.max_psn_mv]
+
+
+def test_evaluation_loads_no_scipy_signal(small_config, tmp_path):
+    """The first droop is found without ``scipy.signal``: importing it would
+    add about 44 MB of resident memory to every run."""
+    path = tmp_path / "scenario.json"
+    path.write_text(config_to_json(small_config("on_package_1")))
+    run = ("import sys, pdnsim\n"
+           "res = pdnsim.evaluate(pdnsim.load_config(sys.argv[1]), dt=2.5e-10, t_end=10e-9)\n"
+           "assert res.psn.max_psn_mv > 0\n")
+    loaded = _fresh(run + _REPORT, str(path))[-1]
+    assert "'scipy.sparse.linalg'" in loaded
+    assert "'scipy.signal" not in loaded
