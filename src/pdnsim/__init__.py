@@ -18,5 +18,4 @@ from .config import (BacksideVrm, BoardSpec, BumpSpec, ChipOnVrm3D, ChipSpec,
 from .errors import NetlistError, PdnError, RequestError, SolverError, ValidationError
 from .mna import (DcSolution, MnaSystem, Stimulus, TransientWaveform,
                   dc_solve, stamp_mna, transient_solve, waveform_to_csv)
-from .netlist import (Element, Netlist, netlist_to_text, via_resistance,
-                      wire_resistance)
+from .netlist import Netlist, netlist_to_text, via_resistance, wire_resistance

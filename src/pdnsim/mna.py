@@ -127,6 +127,9 @@ class MnaSystem:
         self.ind_rows, self.ind_a, self.ind_b, self.ind_z = br[is_l], a[is_l], b[is_l], z[is_l]
         self.vsrc_rows, self.vsrc_vals = br[is_v], value[is_v]
         self.cap_a, self.cap_b, self.cap_g = a[is_c], b[is_c], g[is_c]
+        # the rows each step's history terms land on, in the order they are
+        # added: +I_eq on cap_a, -I_eq on cap_b, then the inductor terms
+        self.hist_rows = np.concatenate((self.cap_a, self.cap_b, self.ind_rows))
         # current-source injections at full load, with one trailing entry
         # for ground: row -1 soaks up the ground-side injections
         is_i = kind == CURRENT_SOURCE
@@ -320,9 +323,7 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     for step in range(1, n_steps + 1):
         t = times[step]
         rhs = sys_.load_rhs * load[step]
-        np.add.at(rhs, cap_a, cap_ieq)
-        np.subtract.at(rhs, cap_b, cap_ieq)
-        rhs[ind_rows] += ind_e
+        np.add.at(rhs, sys_.hist_rows, np.concatenate((cap_ieq, -cap_ieq, ind_e)))
         rhs[sys_.vsrc_rows] = drive[step]
 
         x[:-1] = lu.solve(rhs[:-1])

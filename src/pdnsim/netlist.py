@@ -9,14 +9,13 @@ export prints both on that element's line.  Nothing parses labels back.
 The line-oriented text export is bit-exact, diffable and write-only.
 
 Elements are stored as a plain list of array blocks: a builder adds a whole
-grid in one call, and labels and ``Element`` records are made only when
-they are asked for.
+grid in one call, and readers take whole columns (``columns()``) and labels
+(``labels()``); labels are made only when they are asked for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +33,6 @@ _KINDS = (RESISTOR, INDUCTOR, CAPACITOR, CURRENT_SOURCE, VOLTAGE_SOURCE)
 _PASSIVE = (RESISTOR, INDUCTOR, CAPACITOR)
 
 
-@dataclass(frozen=True)
-class Element:
-    kind: str
-    a: int
-    b: int
-    value: float         # ohms / henries / farads / amperes / volts
-    label: str
-
-
 class Netlist:
     """Nodes, two-terminal elements, named probes (name -> node index) and
     builder ``meta``."""
@@ -54,11 +44,12 @@ class Netlist:
         self._node_count = 1  # ground
 
     @property
-    def elements(self) -> list[Element]:
-        """Every element as an ``Element`` record, in element order; built
-        from ``columns()`` and ``labels()`` on each access."""
-        return [Element(*row) for row in
-                zip(*(c.tolist() for c in self.columns()), self.labels())]
+    def elements(self) -> list[tuple]:
+        """Every element as a ``(kind, a, b, value, label)`` tuple of Python
+        scalars, in element order.  Only the benchmark's element count reads
+        it; the next change to the benchmark counts ``columns()`` instead
+        and deletes it."""
+        return list(zip(*(c.tolist() for c in self.columns()), self.labels()))
 
     @property
     def sources(self) -> list[int]:
@@ -186,9 +177,10 @@ def make_label(stem, *indices) -> str:
 
 
 def netlist_to_text(net: Netlist) -> str:
-    elements = net.elements
-    lines = [f"* pdnsim netlist: {net.node_count} nodes, {len(elements)} elements"]
-    lines.extend(f"{e.kind} {e.a} {e.b} {e.value!r} {e.label}" for e in elements)
+    kind, a, b, value = (c.tolist() for c in net.columns())
+    lines = [f"* pdnsim netlist: {net.node_count} nodes, {len(kind)} elements"]
+    lines.extend(f"{k} {x} {y} {v!r} {label}"
+                 for k, x, y, v, label in zip(kind, a, b, value, net.labels()))
     for name, idx in net.probes.items():
         lines.append(f"* probe {name} {idx}")
     return "\n".join(lines) + "\n"

@@ -209,8 +209,10 @@ def test_decap_policy_density_sets_chip_capacitors(small_config):
     dec = dataclasses.replace(base.decaps, onchip_density_nf_per_mm2=9.0)
     cfg = validate_config(dataclasses.replace(base, decaps=dec))
     tile_area = (cfg.chip.width_mm / 4) * (cfg.chip.height_mm / 4)
-    caps = [e.value for e in assemble_netlist(cfg).elements
-            if e.kind == CAPACITOR and e.label.startswith("chip_decap_c[")]
+    net = assemble_netlist(cfg)
+    kind, _, _, value = (c.tolist() for c in net.columns())
+    caps = [v for k, v, lbl in zip(kind, value, net.labels())
+            if k == CAPACITOR and lbl.startswith("chip_decap_c[")]
     assert caps == [9.0 * 1e-9 * tile_area] * 16
 
 

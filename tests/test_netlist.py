@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pdnsim
-from pdnsim import Element, Netlist, NetlistError
+from pdnsim import Netlist, NetlistError
 from pdnsim.builder import assemble_netlist, build_chip_grid, build_package_network
 from pdnsim.config import ChipSpec, PackageSpec, ViaSpec, WireSpec
 from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
@@ -49,7 +49,7 @@ def test_element_values_must_be_finite(kind, value):
     a = net.add_node()
     with pytest.raises(NetlistError, match=r"must be finite \(chip_x\[0,3\]: "):
         net.add_elements(kind, [a, a], GROUND, [1.0, value], "chip_x", 0, [2, 3])
-    assert len(net.elements) == 0
+    assert len(net.columns()[0]) == 0
 
 
 def test_ground_is_node_zero():
@@ -94,14 +94,17 @@ def test_element_and_node_views_behave_as_sequences():
         "node 0 (chip_h[0,0])", "node 1 (chip_h[0,0])", "node 2 (chip_v[1,0])",
         "node 3 (chip_v[2,0])", "node 4", "node 5"]
     assert net.labels() == ["chip_h[0,0]", "chip_v[1,0]", "chip_v[2,0]"]
-    assert net.elements == [Element(RESISTOR, 1, GROUND, 2.0, "chip_h[0,0]"),
-                            Element(RESISTOR, 2, 1, 1.0, "chip_v[1,0]"),
-                            Element(RESISTOR, 3, 1, 3.0, "chip_v[2,0]")]
-    # records hold Python scalars, which the text export prints
-    assert [type(v) for v in dataclasses.astuple(net.elements[0])] == [str, int, int, float, str]
+    assert net.elements == [(RESISTOR, 1, GROUND, 2.0, "chip_h[0,0]"),
+                            (RESISTOR, 2, 1, 1.0, "chip_v[1,0]"),
+                            (RESISTOR, 3, 1, 3.0, "chip_v[2,0]")]
+    # `elements` is a tuple view of the columns and labels, in the Python
+    # scalars the text export prints; there is no record type
+    assert net.elements == list(zip(*(c.tolist() for c in net.columns()), net.labels()))
+    assert {tuple(map(type, e)) for e in net.elements} == {(str, int, int, float, str)}
+    assert not hasattr(pdnsim, "Element") and not hasattr(pdnsim.netlist, "Element")
     with pytest.raises(NetlistError, match="terminals must differ"):
         net.add_elements(RESISTOR, [a, a], [GROUND, a], 1.0, "chip_h", [0, 1], 0)
-    assert len(net.labels()) == len(net.elements) == 3   # a rejected block adds nothing
+    assert len(net.labels()) == len(net.columns()[0]) == 3   # a rejected block adds nothing
 
 
 def test_check_connected_reports_floating_nodes():
@@ -156,13 +159,13 @@ def test_label_round_trip():
     net = Netlist()
     a = net.add_node()
     net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h", 12, 7)
-    assert net.elements[0].label == "chip_h[12,7]"
+    assert net.labels() == ["chip_h[12,7]"]
     assert netlist_to_text(net).splitlines()[1].endswith(" chip_h[12,7]")
 
 
 @pytest.mark.parametrize("name", ["on_package_1", "backside", "chip_on_vrm_3d"])
 def test_builder_labels_are_unique(small_config, name):
-    labels = [e.label for e in assemble_netlist(small_config(name)).elements]
+    labels = assemble_netlist(small_config(name)).labels()
     assert len(set(labels)) == len(labels)
     assert not any(" " in lbl for lbl in labels)   # one text field each
 
@@ -177,14 +180,14 @@ def test_chip_grid_shape_and_probes():
     net = Netlist()
     tiles = build_chip_grid(net, chip, 1.0, power_map=pm)
     assert tiles.shape == (3, 4)
-    counts = Counter(e.kind for e in net.elements)
+    counts = Counter(net.columns()[0].tolist())
     # boundary resistors + one decap ESR per tile
     assert counts[RESISTOR] == 3 * 3 + 2 * 4 + 12
     assert counts[CURRENT_SOURCE] == 12
     assert counts[CAPACITOR] == 12
     # decap density and ESR come from the default DecapPolicy
     policy, tile_area = pdnsim.DecapPolicy(), (10.0 / 4) * (10.0 / 3)
-    decap = {e.label.split("[")[0]: e.value for e in net.elements}
+    decap = dict(zip((lbl.split("[")[0] for lbl in net.labels()), net.columns()[3].tolist()))
     assert decap["chip_decap_c"] == policy.onchip_density_nf_per_mm2 * 1e-9 * tile_area
     assert decap["chip_decap_esr"] == policy.onchip_esr_ohm_mm2 / tile_area
     assert net.probes["tile[0,0]"] == int(tiles[0, 0])
@@ -227,7 +230,8 @@ def test_chip_grid_load_currents_sum_to_total():
     pm = pdnsim.builtin_power_map("hotspot", chip)
     net = Netlist()
     build_chip_grid(net, chip, 1.0, power_map=pm)
-    total = sum(e.value for e in net.elements if e.kind == CURRENT_SOURCE)
+    kind, _, _, value = net.columns()
+    total = sum(value[kind == CURRENT_SOURCE].tolist())
     assert total == pytest.approx(100.0, rel=1e-9)
 
 
@@ -315,7 +319,7 @@ def test_package_network_dimensions():
     nodes, xs, ys = build_package_network(net, pkg)
     assert nodes.shape == (31, 31)
     assert xs[0] == -15.0 and xs[-1] == 15.0
-    counts = Counter(e.kind for e in net.elements)
+    counts = Counter(net.columns()[0].tolist())
     # each lateral segment is one R plus one L
     assert counts[RESISTOR] == counts[INDUCTOR] == 2 * 31 * 30
 
@@ -327,8 +331,9 @@ def test_package_network_dimensions():
 def test_assembled_netlist_source_count(small_config, name, expected_sources):
     net = assemble_netlist(small_config(name))
     assert len(net.sources) == expected_sources
-    assert all(net.elements[i].kind == VOLTAGE_SOURCE for i in net.sources)
-    assert [e.label for e in net.elements if e.kind == VOLTAGE_SOURCE] == [
+    kind = net.columns()[0].tolist()
+    assert all(kind[i] == VOLTAGE_SOURCE for i in net.sources)
+    assert [lbl for k, lbl in zip(kind, net.labels()) if k == VOLTAGE_SOURCE] == [
         f"vrm_src[{k}]" for k in range(expected_sources)]
 
 
@@ -390,7 +395,7 @@ def test_netlist_text_round_trip(small_config):
     net = assemble_netlist(small_config("on_package_4"))
     text = netlist_to_text(net)
     assert text.splitlines()[0] == (
-        f"* pdnsim netlist: {net.node_count} nodes, {len(net.elements)} elements")
+        f"* pdnsim netlist: {net.node_count} nodes, {len(net.columns()[0])} elements")
     rows, probes = _text_fields(text)
     assert rows == list(zip(*(c.tolist() for c in net.columns())))
     assert probes == net.probes
