@@ -247,7 +247,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     # board: solder bump array at the four package corners -> lumped board
     r_sb = pkg.solder_bump_resistance_mohm * 1e-3 / pkg.solder_bump_count
     l_sb = pkg.solder_bump_inductance_ph * 1e-12 / pkg.solder_bump_count
-    board_a = net.add_node()
+    (board_a,) = net.add_nodes(1)
     corners = pnodes[[0, 0, -1, -1], [0, -1, 0, -1]]
     _rl_branches(net, corners, board_a, r_sb * len(corners), l_sb * len(corners),
                  ("solder_r", "solder_l"), np.arange(len(corners)))

@@ -20,10 +20,9 @@ from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES, check_config_c
                        ir_map_to_csv, run_sweep, sweep_values)
 from .builder import assemble_netlist
 from .calibrate import CAL_T_END_S, CAL_TILE_COUNT, grid_search
-from .config import (BENCHMARK_NAMES, MIN_TILE_COUNT, POWER_MAP_KINDS,
-                     ScenarioConfig, benchmark_config, builtin_power_map,
-                     config_to_dict, config_to_json, load_config,
-                     validate_config)
+from .config import (BENCHMARK_NAMES, POWER_MAP_KINDS, ScenarioConfig, TileCount,
+                     benchmark_config, builtin_power_map, config_to_dict,
+                     config_to_json, load_config, validate_config)
 from .errors import NetlistError, RequestError, SolverError, ValidationError
 from .heatmap import heatmap_svg
 from .mna import waveform_to_csv
@@ -75,9 +74,9 @@ def _build_parser():
 
     def tile_count(text):
         n = int(text)
-        if n < MIN_TILE_COUNT:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {MIN_TILE_COUNT}, the smallest chip grid (got {n})")
+        bound, holds = TileCount.__metadata__
+        if not holds(n):
+            raise argparse.ArgumentTypeError(f"must be {bound} tiles per side (got {n})")
         return n
 
     sp = sub.add_parser("default-config", help="emit the default scenario with "

@@ -36,9 +36,11 @@ NonNegative = typing.Annotated[float, ">= 0", lambda x: 0 <= x < math.inf]
 Fraction = typing.Annotated[float, "in [0, 1]", lambda x: 0 <= x <= 1]
 Count = typing.Annotated[int, ">= 1", lambda n: 1 <= n < math.inf]
 VrmCount = typing.Annotated[int, "one of 1, 2, 4", lambda n: n in (1, 2, 4)]
-MIN_TILE_COUNT = 2  # tiles per side of the smallest chip grid
-TileCount = typing.Annotated[int, f">= {MIN_TILE_COUNT}",
-                             lambda n: MIN_TILE_COUNT <= n < math.inf]
+# Tiles per side: the smallest chip grid, and a largest that catches a typo
+# before it sizes arrays (a DC evaluate at 200 takes ~7 s of CPU and 0.7 GB)
+MIN_TILE_COUNT, MAX_TILE_COUNT = 2, 200
+TileCount = typing.Annotated[int, f"in [{MIN_TILE_COUNT}, {MAX_TILE_COUNT}]",
+                             lambda n: MIN_TILE_COUNT <= n <= MAX_TILE_COUNT]
 
 # ---------------------------------------------------------------------------
 # leaf specs

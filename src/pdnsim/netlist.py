@@ -60,10 +60,6 @@ class Netlist:
     def node_count(self):
         return self._node_count
 
-    def add_node(self) -> int:
-        self._node_count += 1
-        return self._node_count - 1
-
     def add_nodes(self, shape):
         """New node ids, row-major in an array of ``shape``."""
         ids = np.arange(self._node_count, self._node_count + np.prod(shape, dtype=int))
@@ -78,10 +74,9 @@ class Netlist:
         on = np.flatnonzero((a == k) | (b == k))
         return f"node {k} ({self.labels()[on[0]]})" if len(on) else f"node {k}"
 
-    def add_elements(self, kind, a, b, value, stem, *index) -> int:
+    def add_elements(self, kind, a, b, value, stem, *index):
         """Append the elements of broadcast column arrays in row-major order;
-        each is labelled ``make_label(stem, *index)`` of its row.  Returns
-        the index of the first one."""
+        each is labelled ``make_label(stem, *index)`` of its row."""
         kind, a, b, value, stem, *index = (
             np.ravel(c) for c in np.broadcast_arrays(kind, a, b, value, stem, *index))
         a, b, value = a.astype(np.int64), b.astype(np.int64), value.astype(float)
@@ -100,9 +95,7 @@ class Netlist:
                     f"element value must be finite ({label}: {float(value[k])})")
             raise NetlistError(
                 f"passive element value must be > 0 ({label}: {float(value[k])})")
-        first = sum(len(blk[0]) for blk in self._elements)
         self._elements.append((kind, a, b, value, stem, index))
-        return first
 
     def columns(self):
         """``(kind, a, b, value)`` arrays of every element, in element order."""

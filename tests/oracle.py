@@ -152,7 +152,7 @@ def random_dc_netlist(rng, max_nodes=10):
 
     net = Netlist()
     n_extra = int(rng.integers(2, max_nodes))   # nodes beyond ground
-    nodes = [GROUND] + [net.add_node() for _ in range(n_extra)]
+    nodes = [GROUND, *net.add_nodes(n_extra).tolist()]
 
     def rnd_r():
         return float(10.0 ** rng.uniform(-3, 3))
@@ -245,7 +245,7 @@ def random_transient_netlist(rng, max_nodes=10, reroot=False):
                          ["decap_esr", "decap_esl", "decap_c"], k)
     for k in range(int(rng.integers(0, 3))):
         i, j = (int(n) for n in rng.choice(nodes, size=2, replace=False))
-        mid = net.add_node()
+        (mid,) = net.add_nodes(1)
         net.add_elements([RESISTOR, INDUCTOR], [i, mid], [mid, j],
                          [log_uniform(-3, 0), log_uniform(-12, -9)], ["bump_r", "bump_l"], k)
     return net

@@ -58,16 +58,13 @@ def test_dc_oracle_equivalence_on_random_netlists():
 
 def _chain(*elems):
     net = Netlist()
-    prev = net.add_node()
-    net.add_elements(VOLTAGE_SOURCE, prev, GROUND, 1.0, "vrm_src[0]")
+    nodes = [*net.add_nodes(len(elems)).tolist(), GROUND]
+    net.add_elements(VOLTAGE_SOURCE, nodes[0], GROUND, 1.0, "vrm_src[0]")
     stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
     for k, (kind, val) in enumerate(elems):
-        last = k == len(elems) - 1
-        nxt = GROUND if last else net.add_node()
-        net.add_elements(kind, prev, nxt, val, f"{stems[kind]}[{k},0]")
-        if not last:
-            net.probes[f"n{k}"] = nxt
-        prev = nxt
+        net.add_elements(kind, nodes[k], nodes[k + 1], val, f"{stems[kind]}[{k},0]")
+        if k < len(elems) - 1:
+            net.probes[f"n{k}"] = nodes[k + 1]
     return net
 
 
@@ -274,7 +271,7 @@ def _edge_fed_max_drop(tiles):
     pm = builtin_power_map("uniform", chip)
     net = Netlist()
     nodes = build_chip_grid(net, chip, 1.0, power_map=pm)
-    src = net.add_node()
+    (src,) = net.add_nodes(1)
     net.add_elements(VOLTAGE_SOURCE, src, GROUND, 1.0, "vrm_src[0]")
     for j in range(tiles):
         net.add_elements(RESISTOR, src, int(nodes[j, 0]), 1e-3 * tiles, f"pad[0,{j}]")

@@ -134,6 +134,22 @@ def test_validate_bad_values_lists_all_violations(tmp_path, small_config, capsys
     assert "total_power_w" in err and "output_voltage_v" in err
 
 
+@pytest.mark.parametrize("power_map", [None, {"kind": "hotspot"}], ids=["no_map", "hotspot"])
+def test_validate_huge_tile_grid_is_validation_error(tmp_path, capsys, power_map):
+    # 10**7 tiles per side would ask the hotspot map for 728 TiB
+    d = json.loads(config_to_json(pdnsim.benchmark_config("on_package_1")))
+    d["chip"].update(tile_count_x=10**7, tile_count_y=10**7)
+    del d["power_map"]
+    if power_map:
+        d["power_map"] = power_map
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(d))
+    assert main(["validate", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"validation error: chip.tile_count_{ax} must be in [2, 200] "
+                                f"(got 10000000)" for ax in "xy"]
+
+
 @pytest.mark.parametrize("where,key,value,message", [
     (("placement", "die_decap"), "capacitance_uf", 0,
      "placement.die_decap.capacitance_uf must be > 0"),
@@ -356,6 +372,7 @@ def test_unusable_flag_values_are_usage_errors(small_cfg_file, tmp_path, capsys,
 @pytest.mark.parametrize("args", [
     ["validate", "--config", "scenario.json"],
     ["calibrate", "--tile-count", "1"],
+    ["calibrate", "--tile-count", "10000000"],
     # the flags below are checked before the config loads, so the config
     # file need not exist
     ["tran", "--config", "scenario.json", "--dt", "0"],
@@ -366,8 +383,8 @@ def test_unusable_flag_values_are_usage_errors(small_cfg_file, tmp_path, capsys,
     ["sweep", "--config", "scenario.json", "--axis", "vrm_gap", "--values", ",",
      "--no-transient"],
     ["compare", "--config", "scenario.json"],
-], ids=["validate_has_no_out_dir", "calibrate_one_tile", "tran_dt_zero", "tran_dt_subnormal",
-        "sweep_stepped_window_before_load_on", "sweep_values_not_numbers",
+], ids=["validate_has_no_out_dir", "calibrate_one_tile", "calibrate_huge_grid", "tran_dt_zero",
+        "tran_dt_subnormal", "sweep_stepped_window_before_load_on", "sweep_values_not_numbers",
         "sweep_values_empty", "compare_one_config"])
 def test_flags_rejected_when_parsed_make_no_out_dir(tmp_path, capsys, args):
     out = tmp_path / "out"

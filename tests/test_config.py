@@ -196,12 +196,23 @@ def test_builtin_power_map_needs_a_chip_within_bounds():
     with pytest.raises(ValidationError) as exc:
         builtin_power_map("uniform", chip)
     assert exc.value.violations == ["chip.total_power_w must be > 0 (got 0.0)",
-                                    "chip.tile_count_x must be >= 2 (got -1)"]
+                                    "chip.tile_count_x must be in [2, 200] (got -1)"]
     d = json.loads(config_to_json(benchmark_config("on_package_1")))
     d["chip"]["total_power_w"] = 0
     d["power_map"] = {"kind": "hotspot"}
     with pytest.raises(ValidationError, match=r"chip.total_power_w must be > 0 \(got 0\)"):
         config_from_json(json.dumps(d))
+
+
+def test_tile_grid_is_bounded_from_above():
+    """10**7 tiles per side is a typo, not a grid: validation names both
+    fields before the default hotspot map tries to allocate it."""
+    cfg = dataclasses.replace(benchmark_config("on_package_1"), power_map=None, chip=(
+        dataclasses.replace(ChipSpec(), tile_count_x=10**7, tile_count_y=10**7)))
+    with pytest.raises(ValidationError) as exc:
+        validate_config(cfg)
+    assert exc.value.violations == [f"chip.tile_count_{ax} must be in [2, 200] (got 10000000)"
+                                    for ax in "xy"]
 
 
 def test_decap_policy_density_sets_chip_capacitors(small_config):
@@ -517,7 +528,7 @@ _OUT_OF_BOUNDS = {
     ">= 0": st.floats(max_value=-math.ulp(0.0)),
     "in [0, 1]": st.floats(max_value=-math.ulp(0.0)) | st.floats(min_value=1.0 + math.ulp(1.0)),
     ">= 1": st.integers(max_value=0),
-    ">= 2": st.integers(max_value=1),
+    "in [2, 200]": st.integers(max_value=1) | st.integers(min_value=201),
     "one of 1, 2, 4": st.integers().filter(lambda n: n not in (1, 2, 4)),
 }
 

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from oracle import (dense_dc, dense_transient, held_stimulus, kcl_audit, random_dc_netlist,
                     random_transient_netlist, rc_step_voltage, rl_mid_voltage,
                     rlc_cap_voltage)
-from pdnsim import (Netlist, SolverError, Stimulus, dc_solve, evaluate, stamp_mna,
-                    transient_solve)
+from pdnsim import Netlist, SolverError, Stimulus, dc_solve, evaluate, transient_solve
 from pdnsim.analysis import _apply_axis
 from pdnsim.builder import assemble_netlist
 from pdnsim.config import BENCHMARK_NAMES, benchmark_config, builtin_power_map, validate_config
-from pdnsim.mna import _check_warm_start, waveform_to_csv
+from pdnsim.mna import _check_warm_start, stamp_mna, waveform_to_csv
 from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
                             RESISTOR, VOLTAGE_SOURCE)
 
@@ -23,16 +22,13 @@ from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
 def _series_rlc(*elems, v=1.0):
     """source - elem1 - elem2 - ... - ground chain with probes n0, n1, ..."""
     net = Netlist()
-    prev = net.add_node()
-    net.add_elements(VOLTAGE_SOURCE, prev, GROUND, v, "vrm_src[0]")
+    nodes = [*net.add_nodes(len(elems)).tolist(), GROUND]
+    net.add_elements(VOLTAGE_SOURCE, nodes[0], GROUND, v, "vrm_src[0]")
     stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
     for k, (kind, val) in enumerate(elems):
-        last = k == len(elems) - 1
-        nxt = GROUND if last else net.add_node()
-        net.add_elements(kind, prev, nxt, val, f"{stems[kind]}[{k},0]")
-        if not last:
-            net.probes[f"n{k}"] = nxt
-        prev = nxt
+        net.add_elements(kind, nodes[k], nodes[k + 1], val, f"{stems[kind]}[{k},0]")
+        if k < len(elems) - 1:
+            net.probes[f"n{k}"] = nodes[k + 1]
     return net
 
 
@@ -73,9 +69,8 @@ def test_dc_source_currents_follow_netlist_sources():
     node sits at 1 - 0.4 * (3 || 1) = 0.7 V, so the 3 ohm feed carries
     0.1 A and the 1 ohm feed 0.3 A."""
     net = Netlist()
-    load = net.add_node()
-    for k, r in enumerate((3.0, 1.0)):
-        src = net.add_node()
+    load, *srcs = net.add_nodes(3).tolist()
+    for k, (src, r) in enumerate(zip(srcs, (3.0, 1.0))):
         net.add_elements(VOLTAGE_SOURCE, src, GROUND, 1.0, f"vrm_src[{k}]")
         net.add_elements(RESISTOR, src, load, r, f"pkg_h[{k},0]")
     net.add_elements(CURRENT_SOURCE, load, GROUND, 0.4, "load[0,0]")
@@ -122,9 +117,8 @@ def test_dc_superposition():
 def test_dc_singular_matrix_raises_with_diagnostic():
     # a node reachable only through a capacitor has no DC equation
     net = Netlist()
-    a = net.add_node()
+    a, b = net.add_nodes(2)
     net.add_elements(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
-    b = net.add_node()
     net.add_elements(CAPACITOR, a, b, 1e-9, "chip_decap_c[0,0]")
     net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h[0,0]")
     with pytest.raises(SolverError, match="singular|non-finite"):
@@ -134,7 +128,7 @@ def test_dc_singular_matrix_raises_with_diagnostic():
 def test_dc_non_finite_solution_raises():
     # 1e300 V across 1e-10 ohm: the source current overflows to inf
     net = Netlist()
-    a = net.add_node()
+    (a,) = net.add_nodes(1)
     net.add_elements(VOLTAGE_SOURCE, a, GROUND, 1e300, "vrm_src[0]")
     net.add_elements(RESISTOR, a, GROUND, 1e-10, "chip_h[0,0]")
     with pytest.raises(SolverError, match="non-finite solution"):
@@ -323,7 +317,7 @@ def test_transient_raises_on_a_non_finite_step(dt, t):
     """At 10 ps, 2 * 1e300 / dt overflows: the stamp must give companion
     impedances to inductors only, so the source value reaches the step."""
     net = Netlist()
-    node = net.add_node()
+    (node,) = net.add_nodes(1)
     # 1e300 A into 1e10 ohm overflows to -inf at the first step
     net.add_elements([RESISTOR, CURRENT_SOURCE], node, GROUND, [1e10, 1e300],
                      ["chip_h", "load"], 0, 0)
@@ -372,7 +366,7 @@ def test_warm_start_rejects_a_netlist_it_would_not_hold():
     divider.add_elements(CAPACITOR, divider.probes["n0"], GROUND, 1e-9, "chip_decap_c[0,0]")
     # a source with its positive terminal on ground drives its node to -v_end
     flipped = Netlist()
-    node = flipped.add_node()
+    (node,) = flipped.add_nodes(1)
     flipped.add_elements(VOLTAGE_SOURCE, GROUND, node, 1.0, "vrm_src[0]")
     flipped.add_elements(CAPACITOR, node, GROUND, 1e-9, "chip_decap_c[0,0]")
     for net, why in ((divider, r"chip_h\[1,0\] has a terminal on ground"),

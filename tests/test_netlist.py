@@ -20,14 +20,14 @@ from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
 
 def test_element_rejects_bad_kind():
     net = Netlist()
-    a = net.add_node()
+    (a,) = net.add_nodes(1)
     with pytest.raises(NetlistError, match="unknown element kind"):
         net.add_elements("Q", a, GROUND, 1.0, "chip_h[0,0]")
 
 
 def test_element_rejects_equal_terminals():
     net = Netlist()
-    a = net.add_node()
+    (a,) = net.add_nodes(1)
     with pytest.raises(NetlistError, match="terminals must differ"):
         net.add_elements(RESISTOR, a, a, 1.0, "chip_h[0,0]")
 
@@ -35,7 +35,7 @@ def test_element_rejects_equal_terminals():
 @pytest.mark.parametrize("kind", [RESISTOR, INDUCTOR, CAPACITOR])
 def test_passive_values_must_be_positive(kind):
     net = Netlist()
-    a = net.add_node()
+    (a,) = net.add_nodes(1)
     with pytest.raises(NetlistError, match="must be > 0"):
         net.add_elements(kind, a, GROUND, 0.0, "chip_h[0,0]")
 
@@ -46,7 +46,7 @@ def test_passive_values_must_be_positive(kind):
 ])
 def test_element_values_must_be_finite(kind, value):
     net = Netlist()
-    a = net.add_node()
+    (a,) = net.add_nodes(1)
     with pytest.raises(NetlistError, match=r"must be finite \(chip_x\[0,3\]: "):
         net.add_elements(kind, [a, a], GROUND, [1.0, value], "chip_x", 0, [2, 3])
     assert len(net.columns()[0]) == 0
@@ -56,13 +56,13 @@ def test_ground_is_node_zero():
     net = Netlist()
     assert net.node_count == 1
     assert net.node_name(GROUND) == "node 0"
-    assert net.add_node() == 1
+    assert net.add_nodes(1).tolist() == [1]
     assert net.node_count == 2
 
 
 def test_sources_follow_element_kinds_and_views_are_read_only():
     net = Netlist()
-    a = net.add_node()
+    (a,) = net.add_nodes(1)
     assert net.sources == []
     net.add_elements(RESISTOR, a, GROUND, 1.0, "vrm_r[0]")
     net.add_elements(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
@@ -76,7 +76,7 @@ def test_sources_follow_element_kinds_and_views_are_read_only():
 
 def test_element_and_node_views_behave_as_sequences():
     net = Netlist()
-    a = net.add_node()
+    (a,) = net.add_nodes(1)
     tiles = net.add_nodes((1, 2))
     assert tiles.tolist() == [[2, 3]]
     assert net.add_nodes(2).tolist() == [4, 5]
@@ -87,8 +87,10 @@ def test_element_and_node_views_behave_as_sequences():
     assert net.node_name(-1) == "node 5"
     with pytest.raises(IndexError):
         net.node_name(net.node_count)
-    assert net.add_elements(RESISTOR, a, GROUND, 2.0, "chip_h[0,0]") == 0
-    assert net.add_elements(RESISTOR, tiles, a, [1.0, 3.0], "chip_v", [1, 2], 0) == 1
+    # add_nodes is the one node allocator, and add_elements returns nothing
+    assert not hasattr(Netlist, "add_node")
+    assert net.add_elements(RESISTOR, a, GROUND, 2.0, "chip_h[0,0]") is None
+    assert net.add_elements(RESISTOR, tiles, a, [1.0, 3.0], "chip_v", [1, 2], 0) is None
     # ...and otherwise also by the label of the first element on it
     assert [net.node_name(k) for k in range(net.node_count)] == [
         "node 0 (chip_h[0,0])", "node 1 (chip_h[0,0])", "node 2 (chip_v[1,0])",
@@ -102,6 +104,13 @@ def test_element_and_node_views_behave_as_sequences():
     assert net.elements == list(zip(*(c.tolist() for c in net.columns()), net.labels()))
     assert {tuple(map(type, e)) for e in net.elements} == {(str, int, int, float, str)}
     assert not hasattr(pdnsim, "Element") and not hasattr(pdnsim.netlist, "Element")
+    # the stamping wrapper, builder stages and formula helpers are not
+    # package exports; each still imports from its own module
+    for module, name in (("mna", "stamp_mna"), ("builder", "build_chip_grid"),
+                         ("builder", "build_package_network"),
+                         ("netlist", "via_resistance"), ("netlist", "wire_resistance")):
+        assert not hasattr(pdnsim, name) and name not in dir(pdnsim)
+        assert callable(getattr(getattr(pdnsim, module), name))
     with pytest.raises(NetlistError, match="terminals must differ"):
         net.add_elements(RESISTOR, [a, a], [GROUND, a], 1.0, "chip_h", [0, 1], 0)
     assert len(net.labels()) == len(net.columns()[0]) == 3   # a rejected block adds nothing
@@ -109,8 +118,7 @@ def test_element_and_node_views_behave_as_sequences():
 
 def test_check_connected_reports_floating_nodes():
     net = Netlist()
-    a = net.add_node()
-    net.add_node()  # never wired up
+    a, _ = net.add_nodes(2)  # node 2 is never wired up
     net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h[0,0]")
     with pytest.raises(NetlistError, match=r"1 node\(s\) not connected to ground \(first: node 2\)"):
         net.check_connected()
@@ -157,7 +165,7 @@ def test_merged_sheet_resistance_hand_value():
 def test_label_round_trip():
     assert make_label("chip_h", 12, 7) == "chip_h[12,7]"
     net = Netlist()
-    a = net.add_node()
+    (a,) = net.add_nodes(1)
     net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h", 12, 7)
     assert net.labels() == ["chip_h[12,7]"]
     assert netlist_to_text(net).splitlines()[1].endswith(" chip_h[12,7]")
@@ -403,7 +411,7 @@ def test_netlist_text_round_trip(small_config):
 
 def test_netlist_text_round_trip_preserves_values_exactly():
     net = Netlist()
-    a = net.add_node()
+    (a,) = net.add_nodes(1)
     net.add_elements(RESISTOR, a, GROUND, 1.0 / 3.0, "chip_h[0,0]")
     net.add_elements(CAPACITOR, a, GROUND, 5.3e-9 * 0.04, "chip_decap_c[0,0]")
     rows, _ = _text_fields(netlist_to_text(net))
