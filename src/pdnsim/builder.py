@@ -142,7 +142,7 @@ def _rl_branches(net, src, dst, r, l, stems, *index):
                      [_r(r), _l(l)], stems, *(ix[..., None] for ix in index))
 
 
-def _decap_branches(net, nodes, caps, stem):
+def _decap_chains(net, nodes, caps, stem):
     """ESR, ESL, C in series to ground from each of ``nodes``, one branch per decap."""
     esr, esl, c = np.reshape([(d.esr_mohm, d.esl_nh, d.capacitance_uf) for d in caps], (-1, 3)).T
     mid = net.add_nodes((len(caps), 2))
@@ -188,7 +188,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         # the package under the chip through the C4 array so the
         # package/board decap paths stay connected
         die = _vrm_chain(net, 0, config.vrm)  # VRM die distribution node
-        _decap_branches(net, die, [] if plc.die_decap is None else [plc.die_decap], "die_decap")
+        _decap_chains(net, die, [] if plc.die_decap is None else [plc.die_decap], "die_decap")
         n_ub = _bumps_per_tile(tx_mm, ty_mm, plc.microbump.pitch_um)
         r_site = (via_resistance(plc.vrm_tsv)
                   + plc.microbump.resistance_per_bump_mohm * 1e-3) / n_ub
@@ -241,8 +241,8 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     # package discrete decaps, each on the package node nearest to it
     caps = config.decaps.package_decaps
     x, y = np.reshape([(d.x, d.y) for d in caps], (-1, 2)).T - 0.5
-    _decap_branches(net, pnodes[_nearest(pys, y * pkg.package_height_mm),
-                                _nearest(pxs, x * pkg.package_width_mm)], caps, "pkg_decap")
+    _decap_chains(net, pnodes[_nearest(pys, y * pkg.package_height_mm),
+                              _nearest(pxs, x * pkg.package_width_mm)], caps, "pkg_decap")
 
     # board: solder bump array at the four package corners -> lumped board
     r_sb = pkg.solder_bump_resistance_mohm * 1e-3 / pkg.solder_bump_count
@@ -255,7 +255,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
     net.add_elements([RESISTOR, INDUCTOR], [board_a, board_mid], [board_mid, board_b],
                      [_r(config.board.lumped_resistance_mohm * 1e-3),
                       _l(config.board.lumped_inductance_nh * 1e-9)], ["board_r", "board_l"])
-    _decap_branches(net, board_b, config.decaps.board_decaps, "board_decap")
+    _decap_chains(net, board_b, config.decaps.board_decaps, "board_decap")
 
     # named probes
     net.probes["chip_center"] = int(tiles[ny // 2, nx // 2])

@@ -41,6 +41,14 @@ VrmCount = typing.Annotated[int, "one of 1, 2, 4", lambda n: n in (1, 2, 4)]
 MIN_TILE_COUNT, MAX_TILE_COUNT = 2, 200
 TileCount = typing.Annotated[int, f"in [{MIN_TILE_COUNT}, {MAX_TILE_COUNT}]",
                              lambda n: MIN_TILE_COUNT <= n <= MAX_TILE_COUNT]
+# Backside via sites per side, bounded by the tile grid's largest for the
+# same reason
+SiteCount = typing.Annotated[int, f"in [1, {MAX_TILE_COUNT}]",
+                             lambda n: 1 <= n <= MAX_TILE_COUNT]
+# Package grid pitches per side, package size / grid_pitch_mm: the 0.1 mm
+# pitch on the default 30 mm package, ten times the default grid, builds
+# 271k nodes and takes a DC solve of ~2.6 s of CPU and 0.7 GB
+MAX_PACKAGE_PITCHES = 300
 
 # ---------------------------------------------------------------------------
 # leaf specs
@@ -153,7 +161,7 @@ class BacksideVrm:
     )
     # The vias land on a grid of attach sites spread over the chip
     # footprint projection (n x n sites).
-    sites_per_side: Count = 8
+    sites_per_side: SiteCount = 8
 
     variant = "backside"
 
@@ -373,6 +381,11 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
         v.append("chip.onchip_wire.width_um must be < pitch_um")
     if pkg.package_width_mm < chip.width_mm or pkg.package_height_mm < chip.height_mm:
         v.append("package must be at least as large as the chip footprint")
+    if pkg.grid_pitch_mm > 0:  # else its own bound fails
+        pitches = max(pkg.package_width_mm, pkg.package_height_mm) / pkg.grid_pitch_mm
+        if not pitches <= MAX_PACKAGE_PITCHES:  # inf for a subnormal pitch
+            v.append(f"package.package_width_mm and package_height_mm must each be at most "
+                     f"{MAX_PACKAGE_PITCHES} package.grid_pitch_mm (got {pitches} pitches)")
 
     pm = config.power_map
     if pm is not None:

@@ -126,16 +126,15 @@ class MnaSystem:
 
         self.ind_rows, self.ind_a, self.ind_b, self.ind_z = br[is_l], a[is_l], b[is_l], z[is_l]
         self.vsrc_rows, self.vsrc_vals = br[is_v], value[is_v]
-        self.cap_a, self.cap_b, self.cap_g = a[is_c], b[is_c], g[is_c]
+        # capacitors and current sources run from a node to ground (add_elements checks)
+        self.cap_a, self.cap_g = a[is_c], g[is_c]
         # the rows each step's history terms land on, in the order they are
-        # added: +I_eq on cap_a, -I_eq on cap_b, then the inductor terms
-        self.hist_rows = np.concatenate((self.cap_a, self.cap_b, self.ind_rows))
-        # current-source injections at full load, with one trailing entry
-        # for ground: row -1 soaks up the ground-side injections
+        # added: I_eq on cap_a, then the inductor terms
+        self.hist_rows = np.concatenate((self.cap_a, self.ind_rows))
+        # current-source injections at full load
         is_i = kind == CURRENT_SOURCE
-        self.load_rhs = np.zeros(self.dim + 1)
+        self.load_rhs = np.zeros(self.dim)
         np.add.at(self.load_rhs, a[is_i], -value[is_i])
-        np.add.at(self.load_rhs, b[is_i], value[is_i])
 
     def factorize(self):
         import scipy.sparse.linalg as spla
@@ -176,7 +175,7 @@ def dc_solve(netlist: Netlist) -> DcSolution:
     """Sparse-LU DC operating point with a KCL residual check."""
     sys_ = MnaSystem(netlist, mode="dc")
     lu = sys_.factorize()
-    rhs = sys_.load_rhs[:-1].copy()
+    rhs = sys_.load_rhs.copy()
     rhs[sys_.vsrc_rows] = sys_.vsrc_vals
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
@@ -217,17 +216,14 @@ class TransientWaveform:
 
 def _check_warm_start(netlist: Netlist, v):
     """Raise ``ValueError`` unless every node at ``v`` with every branch
-    current at zero is an operating point of ``netlist``."""
+    current at zero is an operating point of ``netlist``: no resistor or
+    inductor may touch ground (every source already runs from a node to
+    ground)."""
     kind, a, b, _ = netlist.columns()
-    grounded = (a == GROUND) | (b == GROUND)  # never both: terminals differ
-    bad_rl = ((kind == RESISTOR) | (kind == INDUCTOR)) & grounded
-    bad = bad_rl | ((kind == VOLTAGE_SOURCE) & (b != GROUND))
+    bad = ((kind == RESISTOR) | (kind == INDUCTOR)) & ((a == GROUND) | (b == GROUND))
     if bad.any():
-        k = int(np.argmax(bad))
-        why = ("has a terminal on ground" if bad_rl[k]
-               else "does not run from a node to ground")
-        raise ValueError(f"a start with every node at {v} V is not an operating "
-                         f"point: {netlist.labels()[k]} {why}")
+        raise ValueError(f"a start with every node at {v} V is not an operating point: "
+                         f"{netlist.labels()[int(np.argmax(bad))]} has a terminal on ground")
 
 
 def transient_steps(dt, t_end, init="cold") -> int:
@@ -259,9 +255,8 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     ``v_start = 0``, the power-up experiment); ``init="warm"`` sets
     ``v_start = v_end``, so the response is the pure load step, as in
     decap sweeps.  A nonzero start is an operating point only when no
-    resistor or inductor touches ground and every voltage source runs from
-    a node to ground; on any other netlist it raises ``ValueError`` naming
-    the first element that breaks this.  Every source ends at
+    resistor or inductor touches ground; on any other netlist it raises
+    ``ValueError`` naming the first element that does.  Every source ends at
     ``stimulus.v_end``, so a source whose netlist value differs raises
     ``ValueError`` naming it.  The loads switch on per
     ``stimulus.load_factor``; the tile minima count from the source ramp's
@@ -298,17 +293,16 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     rows = np.array([*(netlist.probes[p] for p in probes), *tiles.ravel()],
                     dtype=np.int64) - 1
 
-    # x and rhs carry one trailing entry that stands for ground: row -1
-    # reads 0.0 from x and soaks up ground injections in rhs, so the step
-    # loop needs no ground masks
+    # x carries one trailing entry that stands for ground: row -1 reads 0.0,
+    # so the step loop needs no ground masks
     x = np.zeros(sys_.dim + 1)
     x[: sys_.n_nodes] = v0
 
-    cap_a, cap_b, cap_g = sys_.cap_a, sys_.cap_b, sys_.cap_g
+    cap_a, cap_g = sys_.cap_a, sys_.cap_g
     cap_w = 2.0 * cap_g
     # capacitor companions carry the standing voltage of the start, so a
     # start at rest injects no spurious transient at t=0
-    cap_ieq = cap_g * (x[cap_a] - x[cap_b])
+    cap_ieq = cap_g * x[cap_a]
     ind_rows, ind_a, ind_b, ind_z = sys_.ind_rows, sys_.ind_a, sys_.ind_b, sys_.ind_z
     ind_e = np.zeros(len(ind_rows))
 
@@ -325,10 +319,10 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     for step in range(1, n_steps + 1):
         t = times[step]
         rhs = sys_.load_rhs * load[step]
-        np.add.at(rhs, sys_.hist_rows, np.concatenate((cap_ieq, -cap_ieq, ind_e)))
+        np.add.at(rhs, sys_.hist_rows, np.concatenate((cap_ieq, ind_e)))
         rhs[sys_.vsrc_rows] = drive[step]
 
-        x[:-1] = lu.solve(rhs[:-1])
+        x[:-1] = lu.solve(rhs)
 
         vmax = float(np.max(np.abs(x[: sys_.n_nodes])))
         if not np.isfinite(vmax):
@@ -336,7 +330,7 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
                 f"transient diverged at t={t:.3e}s (|v|max={vmax:.3e}); "
                 f"dt={dt:.3e} — reduce dt")
 
-        cap_ieq = cap_w * (x[cap_a] - x[cap_b]) - cap_ieq
+        cap_ieq = cap_w * x[cap_a] - cap_ieq
         ind_e = -(x[ind_a] - x[ind_b]) - ind_z * x[ind_rows]
 
         seen = x[rows]

@@ -1,7 +1,8 @@
 """Flat RLC netlist representation.
 
 Nodes are bare integer ids, dense from ground at 0.  Elements are
-two-terminal; every element carries a provenance label of its stem and grid
+two-terminal, and capacitors and sources run from a node to ground (``b``
+is ground); every element carries a provenance label of its stem and grid
 position (``chip_h[12,7]``) for people reading the text export.  Labels are
 the netlist's only provenance: a message names node ``k`` by its id and the
 label of the first element on it (``node 2854 (c4_r[0,0])``), and the text
@@ -31,6 +32,7 @@ VOLTAGE_SOURCE = "V"
 
 _KINDS = (RESISTOR, INDUCTOR, CAPACITOR, CURRENT_SOURCE, VOLTAGE_SOURCE)
 _PASSIVE = (RESISTOR, INDUCTOR, CAPACITOR)
+_SHUNT = (CAPACITOR, CURRENT_SOURCE, VOLTAGE_SOURCE)  # b must be ground
 
 
 class Netlist:
@@ -76,13 +78,15 @@ class Netlist:
 
     def add_elements(self, kind, a, b, value, stem, *index):
         """Append the elements of broadcast column arrays in row-major order;
-        each is labelled ``make_label(stem, *index)`` of its row."""
+        each is labelled ``make_label(stem, *index)`` of its row.  A
+        capacitor or source whose ``b`` is not ground raises NetlistError."""
         kind, a, b, value, stem, *index = (
             np.ravel(c) for c in np.broadcast_arrays(kind, a, b, value, stem, *index))
         a, b, value = a.astype(np.int64), b.astype(np.int64), value.astype(float)
         index = np.stack(index, axis=1).astype(np.int64) if index else None
         bad_kind, non_finite = ~np.isin(kind, _KINDS), ~np.isfinite(value)
-        bad = bad_kind | (a == b) | non_finite | (np.isin(kind, _PASSIVE) & ~(value > 0))
+        floating = np.isin(kind, _SHUNT) & (b != GROUND)
+        bad = bad_kind | (a == b) | floating | non_finite | (np.isin(kind, _PASSIVE) & ~(value > 0))
         if bad.any():
             k = int(np.argmax(bad))
             label = str(stem[k]) if index is None else make_label(stem[k], *index[k].tolist())
@@ -90,6 +94,8 @@ class Netlist:
                 raise NetlistError(f"unknown element kind {str(kind[k])!r} ({label})")
             if a[k] == b[k]:
                 raise NetlistError(f"element terminals must differ ({label})")
+            if floating[k]:
+                raise NetlistError(f"{kind[k]} element must run from a node to ground ({label})")
             if non_finite[k]:
                 raise NetlistError(
                     f"element value must be finite ({label}: {float(value[k])})")

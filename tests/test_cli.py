@@ -150,6 +150,28 @@ def test_validate_huge_tile_grid_is_validation_error(tmp_path, capsys, power_map
                                 f"(got 10000000)" for ax in "xy"]
 
 
+@pytest.mark.parametrize("name,section,key,value,message", [
+    ("backside", "placement", "sites_per_side", 10**7,
+     "placement.sites_per_side must be in [1, 200] (got 10000000)"),
+    ("on_package_1", "package", "grid_pitch_mm", 3e-6,
+     "package.package_width_mm and package_height_mm must each be at most 300 "
+     "package.grid_pitch_mm (got 10000000.0 pitches)"),
+    ("on_package_1", "package", "grid_pitch_mm", 5e-324,
+     "package.package_width_mm and package_height_mm must each be at most 300 "
+     "package.grid_pitch_mm (got inf pitches)"),
+], ids=["backside_sites", "package_pitch", "package_pitch_subnormal"])
+def test_validate_huge_package_grid_is_validation_error(tmp_path, capsys, name, section, key,
+                                                        value, message):
+    # each validated before, and then failed in assembly: an allocation
+    # error or an OverflowError traceback
+    d = json.loads(config_to_json(pdnsim.benchmark_config(name)))
+    d[section][key] = value
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(d))
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"validation error: {message}"]
+
+
 @pytest.mark.parametrize("where,key,value,message", [
     (("placement", "die_decap"), "capacitance_uf", 0,
      "placement.die_decap.capacitance_uf must be > 0"),
@@ -160,7 +182,7 @@ def test_validate_huge_tile_grid_is_validation_error(tmp_path, capsys, power_map
     ((), "bogus", 1, "bogus: unknown field"),
     (("package",), "solder_bump_count", 0, "package.solder_bump_count must be >= 1 (got 0)"),
     ((), "placement", {"variant": "backside", "sites_per_side": 0},
-     "placement.sites_per_side must be >= 1 (got 0)"),
+     "placement.sites_per_side must be in [1, 200] (got 0)"),
     (("package",), "package_width_mm", math.inf, "package.package_width_mm must be > 0 (got inf)"),
     (("package",), "solder_bump_count", -3, "package.solder_bump_count must be >= 1 (got -3)"),
     (("decaps",), "onchip_density_nf_per_mm2", math.inf,

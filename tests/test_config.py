@@ -215,6 +215,36 @@ def test_tile_grid_is_bounded_from_above():
                                     for ax in "xy"]
 
 
+def test_backside_sites_are_bounded_from_above():
+    """10**7 via sites per side would size the builder's site arrays; the
+    bound is the tile grid's, and validation names the field."""
+    cfg = dataclasses.replace(benchmark_config("backside"),
+                              placement=BacksideVrm(sites_per_side=10**7))
+    with pytest.raises(ValidationError) as exc:
+        validate_config(cfg)
+    assert exc.value.violations == ["placement.sites_per_side must be in [1, 200] (got 10000000)"]
+    validate_config(dataclasses.replace(cfg, placement=BacksideVrm(sites_per_side=200)))
+
+
+@pytest.mark.parametrize("pitch_mm,height_mm,pitches", [
+    (3e-6, 30.0, "10000000.0"), (5e-324, 30.0, "inf"), (0.1, 30.05, "300.5")])
+def test_package_grid_is_bounded_from_above(pitch_mm, height_mm, pitches):
+    """More than 300 grid pitches on either package side fails validation
+    with both fields named, also when a subnormal pitch overflows the
+    ratio; 300, the 0.1 mm pitch on the 30 mm package, is admitted."""
+    cfg = benchmark_config("on_package_1")
+
+    def with_package(**kw):
+        return dataclasses.replace(cfg, package=dataclasses.replace(cfg.package, **kw))
+
+    with pytest.raises(ValidationError) as exc:
+        validate_config(with_package(grid_pitch_mm=pitch_mm, package_height_mm=height_mm))
+    assert exc.value.violations == [
+        "package.package_width_mm and package_height_mm must each be at most 300 "
+        f"package.grid_pitch_mm (got {pitches} pitches)"]
+    validate_config(with_package(grid_pitch_mm=0.1))
+
+
 def test_decap_policy_density_sets_chip_capacitors(small_config):
     base = small_config("on_package_1", tiles=4)
     dec = dataclasses.replace(base.decaps, onchip_density_nf_per_mm2=9.0)
@@ -528,6 +558,7 @@ _OUT_OF_BOUNDS = {
     ">= 0": st.floats(max_value=-math.ulp(0.0)),
     "in [0, 1]": st.floats(max_value=-math.ulp(0.0)) | st.floats(min_value=1.0 + math.ulp(1.0)),
     ">= 1": st.integers(max_value=0),
+    "in [1, 200]": st.integers(max_value=0) | st.integers(min_value=201),
     "in [2, 200]": st.integers(max_value=1) | st.integers(min_value=201),
     "one of 1, 2, 4": st.integers().filter(lambda n: n not in (1, 2, 4)),
 }

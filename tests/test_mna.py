@@ -119,7 +119,7 @@ def test_dc_singular_matrix_raises_with_diagnostic():
     net = Netlist()
     a, b = net.add_nodes(2)
     net.add_elements(VOLTAGE_SOURCE, a, GROUND, 1.0, "vrm_src[0]")
-    net.add_elements(CAPACITOR, a, b, 1e-9, "chip_decap_c[0,0]")
+    net.add_elements(CAPACITOR, b, GROUND, 1e-9, "chip_decap_c[0,0]")
     net.add_elements(RESISTOR, a, GROUND, 1.0, "chip_h[0,0]")
     with pytest.raises(SolverError, match="singular|non-finite"):
         dc_solve(net)
@@ -210,15 +210,12 @@ def test_transient_rc_matches_closed_form():
 
 
 def test_parallel_capacitors_act_as_their_sum():
-    """Capacitors that share a node, on either terminal, give repeated rows
-    in the companion-current update; none of them may be dropped."""
+    """Capacitors that share a node give repeated rows in the
+    companion-current update; none of them may be dropped."""
     r, c = 100.0, 1e-9
     whole = _series_rlc((RESISTOR, r), (CAPACITOR, c))
     split = _series_rlc((RESISTOR, r), (CAPACITOR, c / 4))
-    n0 = split.probes["n0"]
-    split.add_elements(CAPACITOR, n0, GROUND, c / 4, "chip_decap_c[1,0]")
-    split.add_elements(CAPACITOR, GROUND, n0, c / 4, "chip_decap_c[2,0]")
-    split.add_elements(CAPACITOR, GROUND, n0, c / 4, "chip_decap_c[3,0]")
+    split.add_elements(CAPACITOR, split.probes["n0"], GROUND, c / 4, "chip_decap_c", [1, 2, 3], 0)
     dt = r * c / 1000
     got, ref = (transient_solve(net, held_stimulus(1.0, dt), dt, 5 * r * c,
                                 probes=["n0"]).series["n0"]
@@ -359,24 +356,19 @@ def test_warm_start_rejects_a_netlist_it_would_not_hold():
     """A start at rest at a nonzero voltage, warm at v_end or cold from
     v_start, holds only on a netlist where that state is an operating
     point; the error names the starting voltage and the first element that
-    breaks it."""
+    breaks it.  (A reversed source, which would drive its node to -v_end,
+    cannot be built: ``Netlist.add_elements`` rejects it.)"""
     # a divider with a decap on its midpoint and no load settles at 0.5 V,
     # so a start at 1 V would simulate a transient nothing drove
     divider = _series_rlc((RESISTOR, 2.0), (RESISTOR, 2.0))
     divider.add_elements(CAPACITOR, divider.probes["n0"], GROUND, 1e-9, "chip_decap_c[0,0]")
-    # a source with its positive terminal on ground drives its node to -v_end
-    flipped = Netlist()
-    (node,) = flipped.add_nodes(1)
-    flipped.add_elements(VOLTAGE_SOURCE, GROUND, node, 1.0, "vrm_src[0]")
-    flipped.add_elements(CAPACITOR, node, GROUND, 1e-9, "chip_decap_c[0,0]")
-    for net, why in ((divider, r"chip_h\[1,0\] has a terminal on ground"),
-                     (_series_rlc((RESISTOR, 2.0), (INDUCTOR, 1e-9)),
-                      r"pkg_lh\[1,0\] has a terminal on ground"),
-                     (flipped, r"vrm_src\[0\] does not run from a node to ground")):
+    for net, why in ((divider, r"chip_h\[1,0\]"),
+                     (_series_rlc((RESISTOR, 2.0), (INDUCTOR, 1e-9)), r"pkg_lh\[1,0\]")):
         for stim, init, v in ((Stimulus(), "warm", r"1\.0"),
                               (Stimulus(v_start=0.5), "cold", r"0\.5")):
             with pytest.raises(ValueError, match=rf"^a start with every node at {v} V is not "
-                                                 rf"an operating point: {why}$"):
+                                                 rf"an operating point: {why} has a "
+                                                 rf"terminal on ground$"):
                 transient_solve(net, stim, 1e-11, 1e-8, init=init)
 
 

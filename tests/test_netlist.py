@@ -32,6 +32,23 @@ def test_element_rejects_equal_terminals():
         net.add_elements(RESISTOR, a, a, 1.0, "chip_h[0,0]")
 
 
+@pytest.mark.parametrize("kind", [CAPACITOR, CURRENT_SOURCE, VOLTAGE_SOURCE])
+def test_capacitors_and_sources_run_from_a_node_to_ground(kind):
+    """A capacitor or source between two nodes, or reversed with its node
+    on ``b``, is rejected by its label and its block adds nothing; a
+    resistor or inductor may run between any two nodes."""
+    net = Netlist()
+    a, b = net.add_nodes(2).tolist()
+    for x, y in ((a, b), (GROUND, a)):
+        with pytest.raises(NetlistError, match=rf"^{kind} element must run from a node to "
+                                               rf"ground \(chip_x\[0,3\]\)$"):
+            net.add_elements(kind, [a, x], [GROUND, y], 1.0, "chip_x", 0, [2, 3])
+        assert len(net.columns()[0]) == 0
+    net.add_elements([RESISTOR, INDUCTOR, kind], [a, GROUND, a], [b, a, GROUND], 1.0,
+                     "chip_x", 0, [0, 1, 2])
+    assert net.columns()[2].tolist() == [b, a, GROUND]
+
+
 @pytest.mark.parametrize("kind", [RESISTOR, INDUCTOR, CAPACITOR])
 def test_passive_values_must_be_positive(kind):
     net = Netlist()
