@@ -133,17 +133,6 @@ class BenchmarkResult:
     psn: PsnMetrics | None
 
 
-def check_transient_request(dt, t_end, init="cold"):
-    """Raise ``RequestError`` for a transient request that ``transient_steps``
-    rejects, or whose stepped window (dt times its step count) ends by the
-    load ramp end of the evaluated drive."""
-    stim = Stimulus()
-    load_on = stim.load_delay_s + stim.load_rise_s
-    if not (stepped := dt * transient_steps(dt, t_end, init)) > load_on:
-        raise RequestError(f"t_end = {t_end:g} s steps to {stepped:g} s at dt = {dt:g} s, which "
-                           f"does not pass the load ramp end at {load_on:g} s")
-
-
 def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
              t_end=DEFAULT_T_END_S, init="cold") -> BenchmarkResult:
     """Build, DC-solve and (optionally) step-response-solve one scenario.
@@ -152,11 +141,16 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
     metrics use the per-tile running minima so the max is over all tiles.
     ``init`` selects the power-up ("cold") or load-step ("warm")
     transient experiment; see ``transient_solve``.  Before any build, a
-    request ``check_transient_request`` rejects raises ``RequestError``.
+    transient request that ``transient_steps`` rejects, or whose stepped
+    window (dt times its step count) ends by load-on, raises ``RequestError``.
     """
     config = validate_config(config)
     if transient:
-        check_transient_request(dt, t_end, init)
+        stim = Stimulus(v_end=config.vrm.output_voltage_v)
+        load_on = stim.load_delay_s + stim.load_rise_s
+        if not (stepped := dt * transient_steps(dt, t_end, init)) > load_on:
+            raise RequestError(f"t_end = {t_end:g} s steps to {stepped:g} s at dt = {dt:g} s, "
+                               f"which does not pass the load ramp end at {load_on:g} s")
     net = assemble_netlist(config)
     dc = dc_solve(net)
     ir = ir_drop_map(dc, config, netlist=net)
@@ -164,7 +158,6 @@ def evaluate(config: ScenarioConfig, transient=True, dt=DEFAULT_DT_S,
     if transient:
         wi, wj = ir.argmax
         net.probes["chip_worst_tile"] = int(net.meta["chip_tile_nodes"][wj, wi])
-        stim = Stimulus(v_end=config.vrm.output_voltage_v)
         wf = transient_solve(net, stim, dt, t_end, init=init,
                              probes=["chip_worst_tile", "chip_center", "chip_corner"])
         psn = extract_psn(wf, config, probe="chip_worst_tile")
@@ -224,17 +217,6 @@ class SweepResult:
         return [p for p in self.points if p.error is not None]
 
 
-def sweep_values(values):
-    """``values`` as a list of floats; raises ``RequestError`` for a non-number or none."""
-    try:
-        values = [float(v) for v in values]
-    except ValueError as exc:
-        raise RequestError(f"sweep axis values must be numbers ({exc})") from exc
-    if not values:
-        raise RequestError("sweep needs at least one axis value")
-    return values
-
-
 def run_sweep(base: ScenarioConfig, axis, values, transient=True,
               dt=DEFAULT_DT_S, t_end=DEFAULT_T_END_S, init="warm") -> SweepResult:
     """One netlist-build + solve per axis value; per-point failures are
@@ -243,8 +225,14 @@ def run_sweep(base: ScenarioConfig, axis, values, transient=True,
     Sweeps default to the warm-start load-step experiment: trend studies
     compare the noise of the load transient itself, which the power-up
     charging transient of the cold start would mask (its amplitude scales
-    with the total decap charge, not with supply quality)."""
-    values = sweep_values(values)
+    with the total decap charge, not with supply quality).  No ``values``,
+    or one that ``float`` rejects, raises ``RequestError``."""
+    try:
+        values = [float(v) for v in values]
+    except ValueError as exc:
+        raise RequestError(f"sweep axis values must be numbers ({exc})") from exc
+    if not values:
+        raise RequestError("sweep needs at least one axis value")
     points = []
     for value in values:
         cfg = _apply_axis(base, axis, value)
@@ -304,18 +292,13 @@ def config_label(config: ScenarioConfig) -> str:
     return plc.variant
 
 
-def check_config_count(configs):
-    """Raise ``RequestError`` for a comparison of fewer than two configurations."""
-    if len(configs) < 2:
-        raise RequestError("comparison needs at least two configurations")
-
-
 def compare_configurations(configs, transient=True, dt=DEFAULT_DT_S,
                            t_end=DEFAULT_T_END_S) -> ComparisonReport:
     """Solve each config and tabulate metrics plus improvement relative to
     the first entry.  All configs must share the chip spec."""
     configs = [validate_config(c) for c in configs]
-    check_config_count(configs)
+    if len(configs) < 2:
+        raise RequestError("comparison needs at least two configurations")
     for c in configs[1:]:
         if c.chip != configs[0].chip:
             raise RequestError("all compared configurations must share the chip spec")

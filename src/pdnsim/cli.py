@@ -15,9 +15,8 @@ import sys
 import time
 
 from . import __version__
-from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES, check_config_count,
-                       check_transient_request, compare_configurations, evaluate,
-                       ir_map_to_csv, run_sweep, sweep_values)
+from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES, compare_configurations,
+                       evaluate, ir_map_to_csv, run_sweep)
 from .builder import assemble_netlist
 from .calibrate import CAL_T_END_S, CAL_TILE_COUNT, grid_search
 from .config import (BENCHMARK_NAMES, POWER_MAP_KINDS, ScenarioConfig, TileCount,
@@ -132,6 +131,8 @@ def _load(path, power_map) -> ScenarioConfig:
         raise _IoFail(f"cannot read config: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
+    except RecursionError as exc:
+        raise ValidationError(["config nests too deeply to parse"]) from exc
     if power_map:
         cfg = dataclasses.replace(cfg, power_map=builtin_power_map(power_map, cfg.chip))
     return validate_config(cfg)
@@ -147,11 +148,16 @@ def _write(path, text):
 
 
 def _emit(args, t0, files, config=None, **extra):
-    """Write each ``name -> text`` of ``files`` into ``--out-dir``, then
-    ``manifest.json``: the command, tool version, every parsed flag, the
-    files written, the wall time since ``t0``, each ``extra`` entry and,
-    when given, the config snapshot.  A failed write raises before the
-    manifest is written.  Returns the paths written, in ``files`` order."""
+    """Make ``--out-dir``, so no run that fails before this leaves one, and
+    write each ``name -> text`` of ``files`` into it, then ``manifest.json``:
+    the command, tool version, every parsed flag, the files written, the
+    wall time since ``t0``, each ``extra`` entry and, when given, the config
+    snapshot.  A failed write raises before the manifest is written.
+    Returns the paths written, in ``files`` order."""
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise _IoFail(f"cannot create output directory {args.out_dir}: {exc}") from exc
     outputs = [_write(os.path.join(args.out_dir, name), text)
                for name, text in files.items()]
     doc = {
@@ -171,21 +177,6 @@ def _emit(args, t0, files, config=None, **extra):
 
 def _run(args) -> int:
     t0 = time.perf_counter()
-    # flag values are checked before --out-dir is made, so a run they reject
-    # leaves nothing behind
-    if args.command == "sweep":
-        values = sweep_values(v for v in args.values.split(",") if v)
-    if args.command == "compare":
-        check_config_count(args.config)
-    if hasattr(args, "dt") and not getattr(args, "no_transient", False):
-        check_transient_request(args.dt, args.t_end)
-    if hasattr(args, "out_dir"):
-        # made before the config loads, so a failed run leaves it empty
-        try:
-            os.makedirs(args.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise _IoFail(f"cannot create output directory {args.out_dir}: {exc}") from exc
-
     if args.command == "default-config":
         text = config_to_json(benchmark_config(args.benchmark, power_map_kind=args.power_map))
         if args.out:
@@ -218,8 +209,8 @@ def _run(args) -> int:
               f"(first droop {psn.first_droop_mv:.3f} mV) -> {csv_path}")
     elif args.command == "sweep":
         cfg = _load(args.config, args.power_map)
-        sweep = run_sweep(cfg, args.axis, values, transient=not args.no_transient,
-                          dt=args.dt, t_end=args.t_end)
+        sweep = run_sweep(cfg, args.axis, [v for v in args.values.split(",") if v],
+                          transient=not args.no_transient, dt=args.dt, t_end=args.t_end)
         _emit(args, t0, {"sweep.csv": sweep.to_csv()}, cfg,
               failures=[p.error for p in sweep.failures])
         for p in sweep.points:

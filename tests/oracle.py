@@ -6,9 +6,11 @@ matrices ``G`` and ``C`` with the ground row kept and overwritten by a
 Dirichlet condition, and solve with LAPACK via ``numpy.linalg.solve``,
 integrating ``G x + C x' = b(t)`` as a whole rather than stamping one
 companion model per element; the other transient references are
-closed-form textbook step responses, and ``kcl_audit`` checks KCL on a
-benchmark-scale run with every element current rebuilt from its own law.
-Agreement between these and the sparse solver is evidence, not tautology.
+closed-form textbook step responses, ``kcl_audit`` checks KCL on a
+benchmark-scale run with every element current rebuilt from its own law,
+and ``z_transform_check`` checks a whole benchmark-scale trajectory against
+one nodal solve in the z-domain.  Agreement between these and the sparse
+solver is evidence, not tautology.
 """
 
 import numpy as np
@@ -298,3 +300,83 @@ def kcl_audit(netlist, stimulus, dt, t_end, init="cold", tamper=None):
         largest = max(largest, float(np.max(np.abs(current))))
         v0 = v1
     return residual, largest
+
+
+def z_transform_check(netlist, stimulus, dt, n_steps, init="cold", zs=(), tamper=None):
+    """Relative error, for each ``z`` of ``zs``, of the z-transform of every
+    chip tile's series in a ``transient_solve`` run against one nodal
+    solve in z.
+
+    The trapezoidal rule maps s to (2/dt)(z-1)/(z+1), so the sum X(z) =
+    sum_k x_k z^-k over the ``n_steps`` steps from a start at rest solves
+    a nodal system built from ``Netlist.columns()`` alone: a resistor
+    admits 1/R, a capacitor (2C/dt)(z-1)/(z+1) and an inductor
+    (dt/2L)(z+1)/(z-1); a capacitor holding v0 at rest injects
+    (2C/dt) z v0/(z+1); each source node is pinned to sum_k drive_k z^-k;
+    a load of I injects -I sum_k load_k z^-k.  The sum starts at step 0 of
+    a cold run, and of a warm run at the last step before the loads switch
+    on, where the state is still at rest; the run ends ``n_steps`` later.
+    Each tile node is recorded through a probe added to ``netlist``.
+
+    The error is the largest tile deviation over max|x| sum_k |z|^-k.
+    Take |z| = e^(40/n_steps), so the steps past the sum weigh below
+    e^-40.  ``tamper`` names one element whose value the check takes as
+    1.001 times the netlist's, as in ``kcl_audit``.
+    """
+    from dataclasses import replace
+
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    from pdnsim.mna import transient_solve
+
+    start = 0
+    if init == "warm":
+        before = dt * np.arange(int(stimulus.load_delay_s / dt) + 2)
+        start = int(np.flatnonzero(stimulus.load_factor(before) == 0)[-1])
+    tiles = np.asarray(netlist.meta["chip_tile_nodes"]).ravel()
+    probes = [f"z_check_tile{k}" for k in range(len(tiles))]
+    netlist.probes.update(zip(probes, tiles.tolist()))
+    wf = transient_solve(netlist, stimulus, dt, (start + n_steps) * dt, probes=probes,
+                         init=init)
+    x = np.column_stack([wf.series[p][start:] for p in probes])
+    if init == "warm":
+        stimulus = replace(stimulus, v_start=stimulus.v_end)
+    drive, load = stimulus.voltage(wf.time_s[start:]), stimulus.load_factor(wf.time_s[start:])
+
+    n = netlist.node_count
+    kind, a, b, value = netlist.columns()
+    value = value.copy()
+    if tamper is not None:
+        value[tamper] *= 1.001
+    is_r, is_c, is_l, is_i, is_v = (kind == k for k in (RESISTOR, CAPACITOR, INDUCTOR,
+                                                        CURRENT_SOURCE, VOLTAGE_SOURCE))
+    # capacitors and sources run from a node to ground (add_elements
+    # checks), so each capacitor holds v_start at rest, and ground and the
+    # source nodes are the pinned ones
+    g_c = 2.0 * value[is_c] / dt
+    free = np.ones(n, bool)
+    free[GROUND] = free[a[is_v]] = False
+
+    errors = []
+    for z in zs:
+        w = z ** -np.arange(n_steps + 1.0)
+        y = np.zeros(len(kind), complex)
+        y[is_r] = 1.0 / value[is_r]
+        y[is_c] = g_c * (z - 1) / (z + 1)
+        y[is_l] = dt / (2.0 * value[is_l]) * (z + 1) / (z - 1)
+        Y = sp.coo_matrix((np.r_[y, y, -y, -y], (np.r_[a, b, a, b], np.r_[a, b, b, a])),
+                          shape=(n, n)).tocsr()
+        inj = np.zeros(n, complex)
+        np.add.at(inj, a[is_i], -value[is_i] * (load @ w))
+        np.add.at(inj, a[is_c], g_c * z * stimulus.v_start / (z + 1))
+        v = np.zeros(n, complex)
+        v[a[is_v]] = drive @ w
+        # every admittance has a positive real part at |z| > 1, so the
+        # factorization needs no pivoting and keeps the symmetric ordering
+        lu = splu(Y[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        v[free] = lu.solve(inj[free] - Y[free][:, ~free] @ v[~free])
+        errors.append(float(np.max(np.abs(w @ x - v[tiles]))
+                            / (np.max(np.abs(x)) * np.sum(np.abs(w)))))
+    return errors
