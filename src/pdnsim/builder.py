@@ -188,7 +188,7 @@ def assemble_netlist(config: ScenarioConfig) -> Netlist:
         # the package under the chip through the C4 array so the
         # package/board decap paths stay connected
         die = _vrm_chain(net, 0, config.vrm)  # VRM die distribution node
-        _decap_chains(net, die, [] if plc.die_decap is None else [plc.die_decap], "die_decap")
+        _decap_chains(net, die, [plc.die_decap], "die_decap")
         n_ub = _bumps_per_tile(tx_mm, ty_mm, plc.microbump.pitch_um)
         r_site = (via_resistance(plc.vrm_tsv)
                   + plc.microbump.resistance_per_bump_mohm * 1e-3) / n_ub

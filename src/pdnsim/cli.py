@@ -8,7 +8,6 @@ failure, 3 I/O error, 64 usage error; see ``_FAILURES``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -20,8 +19,8 @@ from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES, compare_config
 from .builder import assemble_netlist
 from .calibrate import CAL_T_END_S, CAL_TILE_COUNT, grid_search
 from .config import (BENCHMARK_NAMES, POWER_MAP_KINDS, ScenarioConfig, TileCount,
-                     benchmark_config, builtin_power_map, config_to_dict,
-                     config_to_json, load_config, validate_config)
+                     benchmark_config, config_from_dict, config_to_dict, config_to_json,
+                     validate_config)
 from .errors import NetlistError, RequestError, SolverError, ValidationError
 from .heatmap import heatmap_svg
 from .mna import waveform_to_csv
@@ -63,8 +62,6 @@ def _build_parser():
 
     def common(sp, config_help="scenario JSON file", **config):
         sp.add_argument("--config", required=True, help=config_help, **config)
-        sp.add_argument("--power-map", choices=POWER_MAP_KINDS,
-                        help="override the power map with a builtin kind")
 
     def tran_flags(sp):
         sp.add_argument("--dt", type=float, default=DEFAULT_DT_S, help="time step [s]")
@@ -124,18 +121,17 @@ def _build_parser():
     return p
 
 
-def _load(path, power_map) -> ScenarioConfig:
+def _load(path) -> ScenarioConfig:
     try:
-        cfg = load_config(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
     except OSError as exc:
         raise _IoFail(f"cannot read config: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer over the digit limit
         raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
     except RecursionError as exc:
         raise ValidationError(["config nests too deeply to parse"]) from exc
-    if power_map:
-        cfg = dataclasses.replace(cfg, power_map=builtin_power_map(power_map, cfg.chip))
-    return validate_config(cfg)
+    return validate_config(config_from_dict(doc))
 
 
 def _write(path, text):
@@ -184,23 +180,22 @@ def _run(args) -> int:
         else:
             sys.stdout.write(text)
     elif args.command == "validate":
-        _load(args.config, args.power_map)
+        _load(args.config)
         print("ok")
     elif args.command == "netlist":
-        cfg = _load(args.config, args.power_map)
+        cfg = _load(args.config)
         net = assemble_netlist(cfg)
         out, = _emit(args, t0, {"netlist.txt": netlist_to_text(net)}, cfg)
         print(f"{net.node_count} nodes, {len(net.columns()[0])} elements -> {out}")
     elif args.command == "dc":
-        res = evaluate(_load(args.config, args.power_map), transient=False)
+        res = evaluate(_load(args.config), transient=False)
         csv_path, _ = _emit(args, t0, {"ir_map.csv": ir_map_to_csv(res.ir_map),
                                        "ir_map.svg": heatmap_svg(res.ir_map.drop_mv)},
                             res.config, max_ir_drop_mv=res.ir_map.max_mv)
         print(f"max IR drop: {res.ir_map.max_mv:.3f} mV "
               f"(mean {res.ir_map.mean_mv:.3f} mV) -> {csv_path}")
     elif args.command == "tran":
-        res = evaluate(_load(args.config, args.power_map), transient=True,
-                       dt=args.dt, t_end=args.t_end)
+        res = evaluate(_load(args.config), transient=True, dt=args.dt, t_end=args.t_end)
         psn = res.psn
         csv_path, = _emit(args, t0, {"waveform.csv": waveform_to_csv(res.waveform)},
                           res.config, max_psn_mv=psn.max_psn_mv,
@@ -208,7 +203,7 @@ def _run(args) -> int:
         print(f"max PSN: {psn.max_psn_mv:.3f} mV "
               f"(first droop {psn.first_droop_mv:.3f} mV) -> {csv_path}")
     elif args.command == "sweep":
-        cfg = _load(args.config, args.power_map)
+        cfg = _load(args.config)
         sweep = run_sweep(cfg, args.axis, [v for v in args.values.split(",") if v],
                           transient=not args.no_transient, dt=args.dt, t_end=args.t_end)
         _emit(args, t0, {"sweep.csv": sweep.to_csv()}, cfg,
@@ -217,7 +212,7 @@ def _run(args) -> int:
             print(f"{sweep.axis}={p.value:g}: ir={p.max_ir_drop_mv} "
                   f"psn={p.max_psn_mv} [{p.error or 'ok'}]")
     elif args.command == "compare":
-        cfgs = [_load(path, args.power_map) for path in args.config]
+        cfgs = [_load(path) for path in args.config]
         report = compare_configurations(cfgs, transient=not args.no_transient,
                                         dt=args.dt, t_end=args.t_end)
         txt = report.to_text()

@@ -202,8 +202,7 @@ class ChipOnVrm3D:
     )
     # Output capacitance of the regulator die itself; its ESR damps the
     # power-on surge at the die distribution node.
-    die_decap: DiscreteDecap | None = DiscreteDecap(capacitance_uf=2.0, esr_mohm=0.2,
-                                                    esl_nh=0.00001)
+    die_decap: DiscreteDecap = DiscreteDecap(capacitance_uf=2.0, esr_mohm=0.2, esl_nh=0.00001)
 
     variant = "chip_on_vrm_3d"
 
@@ -448,24 +447,18 @@ _JSON_SCALARS = {float: (int, float), int: int}
 
 
 def _decode(tp, val, path):
-    """``val`` checked against the field annotation ``tp``: a spec from an
-    object, a tuple from a list, ``None`` for an optional field and a
-    ``VrmPlacement`` by its ``variant`` tag (default ``"on_package"``)."""
-    if typing.get_origin(tp) in (typing.Union, types.UnionType):
-        specs = typing.get_args(tp)
-        if type(None) in specs:                  # Spec | None
-            if val is None:
-                return None
-            (tp,) = [t for t in specs if t is not type(None)]
-        else:                                    # VrmPlacement
-            if not isinstance(val, dict):
-                raise ValidationError([f"{path}: expected an object, got {val!r}"])
-            val = dict(val)
-            variant = val.pop("variant", "on_package")
-            tagged = [t for t in specs if t.variant == variant]
-            if not tagged:
-                raise ValidationError([f"{path}.variant: unknown variant {variant!r}"])
-            (tp,) = tagged
+    """``val`` checked against the field annotation ``tp``: a ``VrmPlacement``
+    by its ``variant`` tag (default ``"on_package"``), a tuple from a list, a
+    spec from an object and a scalar that ``float()`` can hold."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):   # VrmPlacement
+        if not isinstance(val, dict):
+            raise ValidationError([f"{path}: expected an object, got {val!r}"])
+        val = dict(val)
+        variant = val.pop("variant", "on_package")
+        tagged = [t for t in typing.get_args(tp) if t.variant == variant]
+        if not tagged:
+            raise ValidationError([f"{path}.variant: unknown variant {variant!r}"])
+        (tp,) = tagged
     if typing.get_origin(tp) is tuple:           # tuple[Spec, ...]
         if not isinstance(val, (list, tuple)):
             raise ValidationError([f"{path}: expected a list, got {val!r}"])
@@ -476,6 +469,10 @@ def _decode(tp, val, path):
     # bool is an int subclass in Python, but not in JSON
     if isinstance(val, bool) or not isinstance(val, _JSON_SCALARS[tp]):
         raise ValidationError([f"{path}: expected {tp.__name__}, got {val!r}"])
+    try:
+        float(val)  # the builder computes in floats
+    except OverflowError:
+        raise ValidationError([f"{path}: integer beyond the float range"]) from None
     return val
 
 

@@ -41,7 +41,11 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 
 def test_bad_choice_is_usage_error(capsys):
-    assert main(["tran", "--config", "x.json", "--power-map", "plaid"]) == 64
+    assert main(["default-config", "--power-map", "plaid"]) == 64
+    assert "invalid choice: 'plaid'" in capsys.readouterr().err
+    # a config file states its own power map; only default-config takes the flag
+    assert main(["dc", "--config", "x.json", "--power-map", "uniform"]) == 64
+    assert "unrecognized arguments: --power-map uniform" in capsys.readouterr().err
 
 
 def test_method_flag_is_gone(capsys):
@@ -109,17 +113,21 @@ def test_validate_malformed_json_is_validation_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["validate", "dc", "tran"])
 def test_non_utf8_config_is_validation_error(tmp_path, capsys, command):
-    """A config that is not UTF-8, and one nested deeper than the JSON
-    parser recurses, each fail in one validation error line."""
+    """A config that is not UTF-8, one nested deeper than the JSON parser
+    recurses, and one with an integer literal over the interpreter's digit
+    limit each fail in one validation error line."""
     bad = tmp_path / "bin.json"
     bad.write_bytes(b"\xff\xfe{}")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
+    long = tmp_path / "long.json"  # written as text: json.dumps cannot write it either
+    long.write_text('{"placement": {"gap_mm": 1' + "0" * 5000 + "}}")
     out = tmp_path / "out"
     out.mkdir()
     flags = [] if command == "validate" else ["--out-dir", str(out)]
     for path, message in ((bad, "config is not valid JSON: "),
-                          (deep, "config nests too deeply to parse\n")):
+                          (deep, "config nests too deeply to parse\n"),
+                          (long, "config is not valid JSON: ")):
         assert main([command, "--config", str(path), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"validation error: {message}")
@@ -219,19 +227,17 @@ def test_validate_malformed_config_is_validation_error(tmp_path, capsys, where, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("via", ["flag", "kind_key"])
-def test_builtin_power_map_with_zero_supply_is_validation_error(tmp_path, capsys, via):
+@pytest.mark.parametrize("power_map", [{"kind": "uniform"}], ids=["kind_key"])
+def test_builtin_power_map_with_zero_supply_is_validation_error(tmp_path, capsys, power_map):
     d = json.loads(config_to_json(pdnsim.benchmark_config("on_package_1")))
     d["chip"]["total_power_w"] = 0
     d["vrm"]["output_voltage_v"] = 0
-    flags = ["--power-map", "uniform"] if via == "flag" else []
-    if via == "kind_key":
-        d["power_map"] = {"kind": "uniform"}
+    d["power_map"] = power_map
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
     out = tmp_path / "out"
-    assert main(["validate", "--config", str(bad), *flags]) == 1
-    assert main(["dc", "--config", str(bad), "--out-dir", str(out), *flags]) == 1
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert main(["dc", "--config", str(bad), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("validation error: chip.total_power_w must be > 0 (got 0)") == 2
     assert "Traceback" not in err
@@ -318,11 +324,14 @@ def test_tran_outputs_and_manifest(small_cfg_file, tmp_path):
 
 def test_power_map_override_changes_result(small_cfg_file, tmp_path):
     base = small_cfg_file()
+    d = json.loads(Path(base).read_text())
+    d["power_map"] = {"kind": "uniform"}
+    uniform = tmp_path / "uniform.json"
+    uniform.write_text(json.dumps(d))
     out_h = tmp_path / "hot"
     out_u = tmp_path / "uni"
     assert main(["dc", "--config", base, "--out-dir", str(out_h)]) == 0
-    assert main(["dc", "--config", base, "--power-map", "uniform",
-                 "--out-dir", str(out_u)]) == 0
+    assert main(["dc", "--config", str(uniform), "--out-dir", str(out_u)]) == 0
     mh = json.loads((out_h / "manifest.json").read_text())["max_ir_drop_mv"]
     mu = json.loads((out_u / "manifest.json").read_text())["max_ir_drop_mv"]
     assert mh != mu
@@ -485,9 +494,8 @@ def test_calibrate_writes_report(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv,expected", [
     (["dc"], {}),
     (["tran", "--dt", "1e-10", "--t-end", "2e-8"], {"dt": 1e-10, "t_end": 2e-8}),
-    (["sweep", "--axis", "vrm_gap", "--values", "0.5,1", "--no-transient",
-      "--power-map", "uniform"],
-     {"axis": "vrm_gap", "values": "0.5,1", "no_transient": True, "power_map": "uniform"}),
+    (["sweep", "--axis", "vrm_gap", "--values", "0.5,1", "--no-transient"],
+     {"axis": "vrm_gap", "values": "0.5,1", "no_transient": True}),
     (["compare", "--no-transient"], {"no_transient": True}),
     (["netlist"], {}),
     (["calibrate", "--tile-count", "7"], {"tile_count": 7}),

@@ -350,6 +350,14 @@ MALFORMED = [
      "placement.through_package_via: expected an object, got None"),
     ((), "placement", {"variant": "backside", "through_package_via": {"height_um": 900.0}},
      "placement.through_package_via.resistivity_ohm_m: missing required field"),
+    (("placement",), "die_decap", None, "placement.die_decap: expected an object, got None"),
+    # a JSON integer is kept as written, but the builder computes in floats
+    pytest.param(("chip",), "total_power_w", 10**400,
+                 "chip.total_power_w: integer beyond the float range",
+                 id="total_power_w-10**400"),
+    pytest.param(("package",), "solder_bump_count", 10**400,
+                 "package.solder_bump_count: integer beyond the float range",
+                 id="solder_bump_count-10**400"),
 ]
 
 
@@ -467,7 +475,7 @@ def scenario_configs(draw):
         st.builds(OnPackageVrm, count=st.sampled_from([1, 2, 4]), gap_mm=_floats(0.1, 5.0),
                   pad_width_mm=_floats(1.0, 20.0)),
         st.builds(BacksideVrm, sites_per_side=st.integers(1, 10)),
-        st.builds(ChipOnVrm3D, die_decap=st.none() | _decaps)))
+        st.builds(ChipOnVrm3D, die_decap=_decaps)))
     decaps = DecapPolicy(onchip_density_nf_per_mm2=draw(_floats(0.0, 20.0)),
                          onchip_esr_ohm_mm2=draw(_floats(1e-3, 1.0)),
                          package_decaps=tuple(draw(st.lists(_package_decaps, max_size=3))),

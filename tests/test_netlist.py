@@ -234,20 +234,19 @@ def test_chip_without_onchip_decap_builds_and_solves(small_config):
 
 
 def test_empty_decap_families_build_and_solve(small_config):
-    """No package, board or die decap: the three families add no element
-    and the 3-D stack still builds, connects and solves."""
+    """No package or board decap: the two families add no element and the
+    3-D stack still builds, connects and solves."""
     base = small_config("chip_on_vrm_3d", tiles=8)
     bare = pdnsim.validate_config(dataclasses.replace(
-        base, decaps=dataclasses.replace(base.decaps, package_decaps=(), board_decaps=()),
-        placement=dataclasses.replace(base.placement, die_decap=None)))
+        base, decaps=dataclasses.replace(base.decaps, package_decaps=(), board_decaps=())))
     net = assemble_netlist(bare)
     net.check_connected()
-    n_decaps = len(base.decaps.package_decaps) + len(base.decaps.board_decaps) + 1
-    assert len(assemble_netlist(base).columns()[0]) - len(net.columns()[0]) == 3 * n_decaps == 81
+    n_decaps = len(base.decaps.package_decaps) + len(base.decaps.board_decaps)
+    assert len(assemble_netlist(base).columns()[0]) - len(net.columns()[0]) == 3 * n_decaps == 78
     res = pdnsim.evaluate(bare, t_end=10e-9)
     assert np.isfinite(res.ir_map.max_mv) and np.isfinite(res.psn.max_psn_mv)
     assert res.ir_map.max_mv == pytest.approx(8.92756, rel=1e-5)
-    assert res.psn.max_psn_mv == pytest.approx(62.2688, rel=1e-5)
+    assert res.psn.max_psn_mv == pytest.approx(57.4891, rel=1e-5)
 
 
 def test_chip_grid_load_currents_sum_to_total():
