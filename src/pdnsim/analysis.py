@@ -175,8 +175,8 @@ def _apply_axis(base: ScenarioConfig, axis, value) -> ScenarioConfig:
     if axis in ("vrm_count", "vrm_gap"):
         if not isinstance(base.placement, OnPackageVrm):
             raise RequestError(f"{axis} axis requires an on-package placement")
-        # a fractional count is kept as given, so validation rejects it
-        # instead of a truncated count being evaluated
+        # a fractional count stays a float, which validation rejects as not
+        # an int (placement.count: expected int, got 2.5), not truncated
         change = ({"count": int(value) if float(value).is_integer() else value}
                   if axis == "vrm_count" else {"gap_mm": float(value)})
         plc = dataclasses.replace(base.placement, **change)

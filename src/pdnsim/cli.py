@@ -19,7 +19,7 @@ from .analysis import (DEFAULT_DT_S, DEFAULT_T_END_S, SWEEP_AXES, compare_config
 from .builder import assemble_netlist
 from .calibrate import CAL_T_END_S, CAL_TILE_COUNT, grid_search
 from .config import (BENCHMARK_NAMES, POWER_MAP_KINDS, ScenarioConfig, TileCount,
-                     benchmark_config, config_from_dict, config_to_dict, config_to_json,
+                     benchmark_config, config_to_dict, config_to_json, load_config,
                      validate_config)
 from .errors import NetlistError, RequestError, SolverError, ValidationError
 from .heatmap import heatmap_svg
@@ -123,15 +123,9 @@ def _build_parser():
 
 def _load(path) -> ScenarioConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.loads(fh.read())
+        return validate_config(load_config(path))
     except OSError as exc:
         raise _IoFail(f"cannot read config: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer over the digit limit
-        raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
-    except RecursionError as exc:
-        raise ValidationError(["config nests too deeply to parse"]) from exc
-    return validate_config(config_from_dict(doc))
 
 
 def _write(path, text):

@@ -17,7 +17,6 @@ import functools
 import hashlib
 import json
 import math
-import types
 import typing
 from dataclasses import dataclass
 
@@ -302,11 +301,9 @@ def builtin_power_map(kind, chip, hotspot_ratio=HOTSPOT_DENSITY_RATIO,
     ``block_fraction`` of the chip edge in each direction, centered at the
     normalized ``block_centers``) at ``hotspot_ratio`` times the background.
     Both kinds are normalized so tile powers sum to ``chip.total_power_w``.
-    Raises ValidationError if a ``chip`` field is outside its bound.
+    Raises ValidationError if a ``chip`` field has the wrong type or bound.
     """
-    violations = list(_out_of_bounds(chip, "chip."))
-    if violations:
-        raise ValidationError(violations)
+    _check_fields(chip, "chip.")
     if kind not in POWER_MAP_KINDS:
         raise ValueError(f"unknown builtin power map kind: {kind!r}")
     nx, ny = chip.tile_count_x, chip.tile_count_y
@@ -343,48 +340,67 @@ def normalize_power_map(pm, chip):
 
 
 @functools.cache
-def _bounds(cls):
-    """(name, (text, test) or None) for each field of ``cls``."""
-    return tuple((name, getattr(tp, "__metadata__", None))
-                 for name, tp in typing.get_type_hints(cls, include_extras=True).items())
+def _fields(cls):
+    """``{name: (type, bound or None, classes its value may have)}`` for each
+    field of ``cls``, any ``Annotated`` bound split off the type."""
+    full = typing.get_type_hints(cls, include_extras=True)
+    return {name: (tp, getattr(full[name], "__metadata__", None),
+                   {float: (int, float), tuple: (tuple,)}.get(typing.get_origin(tp) or tp)
+                   or typing.get_args(tp) or (tp,))
+            for name, tp in typing.get_type_hints(cls).items()}
 
 
 def _out_of_bounds(spec, prefix):
-    """A violation, named ``prefix`` + path, for each number under ``spec``
-    outside its annotated bound; specs and tuple items are walked."""
-    for name, bound in _bounds(type(spec)):
+    """A violation, named ``prefix`` + path, for each value under ``spec``
+    that is not of its field's type, is an integer that float() cannot hold
+    or is outside its field's bound; specs and tuple items are walked."""
+    for name, (tp, bound, kinds) in _fields(type(spec)).items():
         val = getattr(spec, name)
-        if bound:
-            text, holds = bound
-            if not holds(val):
-                yield f"{prefix}{name} must be {text} (got {val})"
+        # bool is an int subclass in Python, but not a number here
+        if isinstance(val, bool) or not isinstance(val, kinds):
+            expected = "float" if tp is float else " | ".join(k.__name__ for k in kinds)
+            yield f"{prefix}{name}: expected {expected}, got {val!r}"
+        elif bound:
+            # the builder computes in floats; float() rounds these past its largest
+            if isinstance(val, int) and abs(val) >= 2**1024 - 2**970:
+                yield f"{prefix}{name}: integer beyond the float range"
+            elif not bound[1](val):
+                yield f"{prefix}{name} must be {bound[0]} (got {val})"
         elif isinstance(val, tuple):
-            for k, item in enumerate(val):
-                yield from _out_of_bounds(item, f"{prefix}{name}[{k}].")
+            (item, _) = typing.get_args(tp)
+            for k, x in enumerate(val):
+                yield from (_out_of_bounds(x, f"{prefix}{name}[{k}].") if isinstance(x, item)
+                            else [f"{prefix}{name}[{k}]: expected {item.__name__}, got {x!r}"])
         elif dataclasses.is_dataclass(val):
             yield from _out_of_bounds(val, f"{prefix}{name}.")
+
+
+def _check_fields(spec, prefix):
+    violations = list(_out_of_bounds(spec, prefix))
+    if violations:
+        raise ValidationError(violations)
 
 
 def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant and return a normalized, validated config.
 
-    Collects all violations before raising, field bounds first.  Only the
-    power map is rewritten: a missing map defaults to the hotspot map, and
-    a map whose tile powers miss ``chip.total_power_w`` by more than 1e-12
-    relative is rescaled to it; a map that carries it is kept as given.
+    Raises all field type and bound violations, then all cross-field ones.
+    Only the power map is rewritten: a missing map defaults to the hotspot
+    map, and a map whose tile powers miss ``chip.total_power_w`` by more
+    than 1e-12 relative is rescaled to it; one that carries it is kept.
     Idempotent: re-validating the result returns an equal config.
     """
-    v = list(_out_of_bounds(config, ""))
+    _check_fields(config, "")
+    v = []
     chip, pkg = config.chip, config.package
     if chip.onchip_wire.width_um >= chip.onchip_wire.pitch_um:
         v.append("chip.onchip_wire.width_um must be < pitch_um")
     if pkg.package_width_mm < chip.width_mm or pkg.package_height_mm < chip.height_mm:
         v.append("package must be at least as large as the chip footprint")
-    if pkg.grid_pitch_mm > 0:  # else its own bound fails
-        pitches = max(pkg.package_width_mm, pkg.package_height_mm) / pkg.grid_pitch_mm
-        if not pitches <= MAX_PACKAGE_PITCHES:  # inf for a subnormal pitch
-            v.append(f"package.package_width_mm and package_height_mm must each be at most "
-                     f"{MAX_PACKAGE_PITCHES} package.grid_pitch_mm (got {pitches} pitches)")
+    pitches = max(pkg.package_width_mm, pkg.package_height_mm) / pkg.grid_pitch_mm
+    if not pitches <= MAX_PACKAGE_PITCHES:  # inf for a subnormal pitch
+        v.append(f"package.package_width_mm and package_height_mm must each be at most "
+                 f"{MAX_PACKAGE_PITCHES} package.grid_pitch_mm (got {pitches} pitches)")
 
     pm = config.power_map
     if pm is not None:
@@ -441,58 +457,39 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return d
 
 
-# JSON types accepted for each scalar field type.  A JSON integer in a float
-# field is kept as given, so re-encoding a file gives the same bytes.
-_JSON_SCALARS = {float: (int, float), int: int}
-
-
 def _decode(tp, val, path):
-    """``val`` checked against the field annotation ``tp``: a ``VrmPlacement``
-    by its ``variant`` tag (default ``"on_package"``), a tuple from a list, a
-    spec from an object and a scalar that ``float()`` can hold."""
-    if typing.get_origin(tp) in (typing.Union, types.UnionType):   # VrmPlacement
-        if not isinstance(val, dict):
-            raise ValidationError([f"{path}: expected an object, got {val!r}"])
+    """``val`` decoded by the field type ``tp``: a tuple from a list, and a
+    spec (for a ``VrmPlacement``, the one its ``variant`` tag names, default
+    ``"on_package"``) from an object naming each required field and no
+    unknown one.  A number or anything else is kept as written."""
+    if typing.get_origin(tp) is tuple:           # tuple[Spec, ...]
+        if not isinstance(val, (list, tuple)):
+            raise ValidationError([f"{path}: expected a list, got {val!r}"])
+        (item, _) = typing.get_args(tp)
+        return tuple(_decode(item, x, f"{path}[{k}]") for k, x in enumerate(val))
+    if tp is not VrmPlacement and not dataclasses.is_dataclass(tp):
+        return val
+    if not isinstance(val, dict):
+        raise ValidationError([f"{path}: expected an object, got {val!r}"])
+    if tp is VrmPlacement:
         val = dict(val)
         variant = val.pop("variant", "on_package")
         tagged = [t for t in typing.get_args(tp) if t.variant == variant]
         if not tagged:
             raise ValidationError([f"{path}.variant: unknown variant {variant!r}"])
         (tp,) = tagged
-    if typing.get_origin(tp) is tuple:           # tuple[Spec, ...]
-        if not isinstance(val, (list, tuple)):
-            raise ValidationError([f"{path}: expected a list, got {val!r}"])
-        (item, _) = typing.get_args(tp)
-        return tuple(_decode(item, x, f"{path}[{k}]") for k, x in enumerate(val))
-    if dataclasses.is_dataclass(tp):
-        return _nested(tp, val, path)
-    # bool is an int subclass in Python, but not in JSON
-    if isinstance(val, bool) or not isinstance(val, _JSON_SCALARS[tp]):
-        raise ValidationError([f"{path}: expected {tp.__name__}, got {val!r}"])
-    try:
-        float(val)  # the builder computes in floats
-    except OverflowError:
-        raise ValidationError([f"{path}: integer beyond the float range"]) from None
-    return val
-
-
-def _nested(cls, data, path):
-    """A ``cls`` from the JSON object ``data``, each field decoded by its
-    annotation; unknown and missing fields are rejected."""
-    if not isinstance(data, dict):
-        raise ValidationError([f"{path}: expected an object, got {data!r}"])
     prefix = f"{path}." if path else ""
-    hints = typing.get_type_hints(cls)
+    fields = _fields(tp)
     kwargs = {}
-    for key, val in data.items():
-        if key not in hints:
-            raise ValidationError([f"{prefix}{key}: unknown field for {cls.__name__}"])
-        kwargs[key] = _decode(hints[key], val, prefix + key)
-    missing = [f.name for f in dataclasses.fields(cls)
+    for key, x in val.items():
+        if key not in fields:
+            raise ValidationError([f"{prefix}{key}: unknown field for {tp.__name__}"])
+        kwargs[key] = _decode(fields[key][0], x, prefix + key)
+    missing = [f.name for f in dataclasses.fields(tp)
                if f.name not in kwargs and f.default is dataclasses.MISSING]
     if missing:
         raise ValidationError([f"{prefix}{name}: missing required field" for name in missing])
-    return cls(**kwargs)
+    return tp(**kwargs)
 
 
 def _power_map(pmd, chip) -> PowerMap:
@@ -516,16 +513,18 @@ def _power_map(pmd, chip) -> PowerMap:
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    """Inverse of config_to_dict.  Checks the shape of ``d`` (known keys,
-    field types) but not the physics, save the chip bounds a builtin map
-    ``kind`` needs; call validate_config."""
+    """Inverse of config_to_dict.  Checks the structure of ``d``, and its
+    fields only if it holds a power map, which is built from the chip's
+    fields; call validate_config."""
     if not isinstance(d, dict):
         raise ValidationError([f"config: expected an object, got {d!r}"])
     specs = dict(d)
     pmd = specs.pop("power_map", None)
-    cfg = _nested(ScenarioConfig, specs, "")
-    pm = None if pmd is None else _power_map(pmd, cfg.chip)
-    return dataclasses.replace(cfg, power_map=pm)
+    cfg = _decode(ScenarioConfig, specs, "")
+    if pmd is not None:
+        _check_fields(cfg, "")  # the map is built from chip fields
+        cfg = dataclasses.replace(cfg, power_map=_power_map(pmd, cfg.chip))
+    return cfg
 
 
 def config_to_json(config: ScenarioConfig) -> str:
@@ -537,8 +536,15 @@ def config_from_json(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
+    """config_from_dict of the JSON file ``path``; raises ValidationError if it does not parse."""
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(fh.read())
+        try:
+            doc = json.loads(fh.read())
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer over the digit limit
+            raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
+        except RecursionError as exc:
+            raise ValidationError(["config nests too deeply to parse"]) from exc
+    return config_from_dict(doc)
 
 
 def config_hash(config: ScenarioConfig) -> str:

@@ -16,7 +16,7 @@ import pdnsim
 from pdnsim import (BacksideVrm, ChipOnVrm3D, ChipSpec, OnPackageVrm, PowerMap,
                     ScenarioConfig, ValidationError, benchmark_config,
                     builtin_power_map, config_from_json, config_hash,
-                    config_to_json, validate_config)
+                    config_to_json, load_config, validate_config)
 from pdnsim.builder import assemble_netlist
 from pdnsim.config import (BENCHMARK_NAMES, DecapPolicy, DiscreteDecap, PackageDecap,
                            VrmPlacement, normalize_power_map)
@@ -86,6 +86,63 @@ def test_decap_violations_name_their_list():
         "decaps.package_decaps[0].x must be in [0, 1] (got 2.0)",
         "decaps.board_decaps[1].capacitance_uf must be > 0 (got 0.0)",
     ]
+
+
+# (field path parts, a value of the wrong type, the one violation it gives,
+# up to the value's repr where that is long)
+PYTHON_BUILT = [
+    pytest.param(("placement", "die_decap"), None,
+                 "placement.die_decap: expected DiscreteDecap, got None", id="die_decap-None"),
+    pytest.param(("vrm", "output_voltage_v"), 10**400,
+                 "vrm.output_voltage_v: integer beyond the float range",
+                 id="output_voltage_v-10**400"),
+    pytest.param(("decaps", "board_decaps"),
+                 [DiscreteDecap(capacitance_uf=-1.0, esr_mohm=1.0, esl_nh=1.0)],
+                 "decaps.board_decaps: expected tuple, got [DiscreteDecap(capacitance_uf=-1.0",
+                 id="board_decaps-list"),
+    pytest.param(("chip", "tile_count_x"), 6.0, "chip.tile_count_x: expected int, got 6.0",
+                 id="tile_count_x-6.0"),
+    pytest.param(("chip", "width_mm"), "10", "chip.width_mm: expected float, got '10'",
+                 id="width_mm-str"),
+    pytest.param(("placement",), OnPackageVrm(count=4.0),
+                 "placement.count: expected int, got 4.0", id="count-4.0"),
+    pytest.param(("placement",), OnPackageVrm(gap_mm=True),
+                 "placement.gap_mm: expected float, got True", id="gap_mm-True"),
+    pytest.param(("power_map",), np.ones((6, 6)),
+                 "power_map: expected PowerMap | NoneType, got array(", id="power_map-ndarray"),
+    pytest.param(("placement",), "on_package",
+                 "placement: expected OnPackageVrm | BacksideVrm | ChipOnVrm3D, got 'on_package'",
+                 id="placement-str"),
+]
+
+
+@pytest.mark.parametrize("parts,value,message", PYTHON_BUILT)
+def test_python_built_config_of_the_wrong_type_is_rejected(small_config, parts, value,
+                                                          message):
+    """A config built in Python is type-checked like one loaded from a
+    file: each wrong-typed value is one violation naming its path, not an
+    exception from inside evaluate."""
+    cfg = _replace_at(small_config("chip_on_vrm_3d"), parts, value)
+    with pytest.raises(ValidationError) as exc:
+        validate_config(cfg)
+    (violation,) = exc.value.violations
+    assert violation.startswith(message)
+    if parts[0] == "chip":
+        with pytest.raises(ValidationError) as exc:
+            builtin_power_map("hotspot", cfg.chip)
+        assert exc.value.violations == [violation]
+
+
+def test_integers_are_rejected_exactly_where_float_cannot_hold_them():
+    big = 2**1024 - 2**970      # float() rounds it up to 2**1024 and raises
+    with pytest.raises(OverflowError):
+        float(big)
+    vrm = pdnsim.VrmSpec(output_voltage_v=big)
+    with pytest.raises(ValidationError) as exc:
+        validate_config(ScenarioConfig(vrm=vrm))
+    assert exc.value.violations == ["vrm.output_voltage_v: integer beyond the float range"]
+    vrm = pdnsim.VrmSpec(output_voltage_v=big - 1)
+    assert validate_config(ScenarioConfig(vrm=vrm)).vrm.output_voltage_v == big - 1
 
 
 def test_benchmark_names():
@@ -373,13 +430,33 @@ def _malformed(where, key, value):
 @pytest.mark.parametrize("where,key,value,message", MALFORMED)
 def test_malformed_config_shapes_rejected(where, key, value, message):
     with pytest.raises(ValidationError) as exc:
-        config_from_json(_malformed(where, key, value))
+        validate_config(config_from_json(_malformed(where, key, value)))
     assert exc.value.violations[0].startswith(message)
 
 
 def test_non_object_config_rejected():
     with pytest.raises(ValidationError, match=r"^config: expected an object, got \[\]$"):
         config_from_json("[]")
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"\xff\xfe{}", "config is not valid JSON: "),
+    (b"{not json", "config is not valid JSON: "),
+    (b'{"placement": {"gap_mm": 1' + b"0" * 5000 + b"}}", "config is not valid JSON: "),
+    (b"[" * 100_000 + b"]" * 100_000, "config nests too deeply to parse"),
+], ids=["not_utf8", "not_json", "over_digit_limit", "too_deep"])
+def test_load_config_rejects_a_file_that_does_not_parse(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ValidationError) as exc:
+        load_config(path)
+    (violation,) = exc.value.violations
+    assert violation.startswith(message)
+
+
+def test_load_config_lets_an_unreadable_file_raise_oserror(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_config(tmp_path / "missing.json")
 
 
 def _spec_defaults(spec, path):
@@ -534,16 +611,22 @@ def test_every_numeric_field_carries_a_bound():
 
 
 def _bounded_fields(spec, parts=()):
-    """(field path parts, bound text) for each bounded number in ``spec``."""
+    """(field path parts, bound text, number type) for each bounded number
+    in ``spec``."""
     for name, tp in typing.get_type_hints(type(spec), include_extras=True).items():
         val = getattr(spec, name)
         if typing.get_origin(tp) is typing.Annotated:
-            yield parts + (name,), tp.__metadata__[0]
+            yield parts + (name,), tp.__metadata__[0], tp.__origin__
         elif isinstance(val, tuple):
             for k, item in enumerate(val):
                 yield from _bounded_fields(item, parts + (name, k))
         elif dataclasses.is_dataclass(val):
             yield from _bounded_fields(val, parts + (name,))
+
+
+def _path(parts):
+    """The violation path of field path ``parts``: ``decaps.board_decaps[0].esl_nh``."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts)[1:]
 
 
 def _replace_at(obj, parts, value):
@@ -576,12 +659,43 @@ _OUT_OF_BOUNDS = {
 @given(st.data())
 def test_any_field_out_of_bounds_is_rejected(data):
     cfg, fields = _benchmark_fields(data.draw(st.sampled_from(BENCHMARK_NAMES)))
-    parts, bound = data.draw(st.sampled_from(fields))
+    parts, bound, number = data.draw(st.sampled_from(fields))
     value = data.draw(_OUT_OF_BOUNDS[bound] | st.sampled_from([math.nan, math.inf, -math.inf]))
-    path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts)[1:]
     with pytest.raises(ValidationError) as exc:
         validate_config(_replace_at(cfg, parts, value))
-    assert exc.value.violations[0].startswith(f"{path} must be {bound} (got ")
+    if number is int and isinstance(value, float):
+        assert exc.value.violations[0] == f"{_path(parts)}: expected int, got {value!r}"
+    else:
+        assert exc.value.violations[0].startswith(f"{_path(parts)} must be {bound} (got ")
+
+
+def _every_field(obj, parts=()):
+    """Path parts of each field and tuple item under ``obj``, walked."""
+    if isinstance(obj, tuple):
+        children = enumerate(obj)
+    elif dataclasses.is_dataclass(obj):
+        children = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    else:
+        return
+    for key, val in children:
+        yield parts + (key,)
+        yield from _every_field(val, parts + (key,))
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_any_field_of_the_wrong_type_is_rejected(name):
+    """None, a string or a bool in any field or tuple item of a benchmark
+    fails validation with that path first, and with no other exception."""
+    cfg = benchmark_config(name)
+    fields = list(_every_field(cfg))
+    assert len(fields) > 100
+    for parts in fields:
+        for value in (None, "1", True):
+            if parts == ("power_map",) and value is None:
+                continue                        # no map is a valid map
+            with pytest.raises(ValidationError) as exc:
+                validate_config(_replace_at(cfg, parts, value))
+            assert exc.value.violations[0].startswith(f"{_path(parts)}: expected "), parts
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +729,7 @@ def test_every_config_value_reaches_the_netlist(name):
     unread = []
     # every number in the file but the map's densities carries a bound
     # (test_every_numeric_field_carries_a_bound)
-    for parts, bound in _bounded_fields(config_from_json(json.dumps(base))):
+    for parts, bound, _ in _bounded_fields(config_from_json(json.dumps(base))):
         d = json.loads(json.dumps(base))
         target = d
         for part in parts[:-1]:
