@@ -257,11 +257,9 @@ class PowerMap:
     def __eq__(self, other):
         if not isinstance(other, PowerMap):
             return NotImplemented
-        return (
-            self.densities.shape == other.densities.shape
-            and np.array_equal(self.densities, other.densities)
-            and self.total_power_w == other.total_power_w
-        )
+        # array_equal is False for arrays of different shapes
+        return (np.array_equal(self.densities, other.densities)
+                and self.total_power_w == other.total_power_w)
 
     def __hash__(self):
         # + 0.0 turns -0.0 into 0.0, which __eq__ counts as equal
@@ -350,6 +348,13 @@ def _fields(cls):
             for name, tp in typing.get_type_hints(cls).items()}
 
 
+def _wrong_type(path, expected, val):
+    try:
+        return f"{path}: expected {expected}, got {val!r}"
+    except ValueError:  # val is or holds an int over the interpreter's digit limit
+        return f"{path}: expected {expected}, got {type(val).__name__} too long to print"
+
+
 def _out_of_bounds(spec, prefix):
     """A violation, named ``prefix`` + path, for each value under ``spec``
     that is not of its field's type, is an integer that float() cannot hold
@@ -359,7 +364,7 @@ def _out_of_bounds(spec, prefix):
         # bool is an int subclass in Python, but not a number here
         if isinstance(val, bool) or not isinstance(val, kinds):
             expected = "float" if tp is float else " | ".join(k.__name__ for k in kinds)
-            yield f"{prefix}{name}: expected {expected}, got {val!r}"
+            yield _wrong_type(f"{prefix}{name}", expected, val)
         elif bound:
             # the builder computes in floats; float() rounds these past its largest
             if isinstance(val, int) and abs(val) >= 2**1024 - 2**970:
@@ -370,14 +375,13 @@ def _out_of_bounds(spec, prefix):
             (item, _) = typing.get_args(tp)
             for k, x in enumerate(val):
                 yield from (_out_of_bounds(x, f"{prefix}{name}[{k}].") if isinstance(x, item)
-                            else [f"{prefix}{name}[{k}]: expected {item.__name__}, got {x!r}"])
+                            else [_wrong_type(f"{prefix}{name}[{k}]", item.__name__, x)])
         elif dataclasses.is_dataclass(val):
             yield from _out_of_bounds(val, f"{prefix}{name}.")
 
 
 def _check_fields(spec, prefix):
-    violations = list(_out_of_bounds(spec, prefix))
-    if violations:
+    if violations := list(_out_of_bounds(spec, prefix)):
         raise ValidationError(violations)
 
 
@@ -531,20 +535,20 @@ def config_to_json(config: ScenarioConfig) -> str:
     return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
 
 
-def config_from_json(text: str) -> ScenarioConfig:
-    return config_from_dict(json.loads(text))
+def config_from_json(text: str | bytes) -> ScenarioConfig:
+    """config_from_dict of JSON ``text`` (bytes as UTF-8); raises ValidationError if it does not parse."""
+    try:
+        doc = json.loads(text if isinstance(text, str) else text.decode())
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer over the digit limit
+        raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
+    except RecursionError as exc:
+        raise ValidationError(["config nests too deeply to parse"]) from exc
+    return config_from_dict(doc)
 
 
 def load_config(path) -> ScenarioConfig:
-    """config_from_dict of the JSON file ``path``; raises ValidationError if it does not parse."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.loads(fh.read())
-        except ValueError as exc:  # not UTF-8, not JSON, or an integer over the digit limit
-            raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
-        except RecursionError as exc:
-            raise ValidationError(["config nests too deeply to parse"]) from exc
-    return config_from_dict(doc)
+    with open(path, "rb") as fh:
+        return config_from_json(fh.read())
 
 
 def config_hash(config: ScenarioConfig) -> str:

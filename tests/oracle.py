@@ -17,7 +17,7 @@ import numpy as np
 
 from pdnsim.mna import Stimulus
 from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
-                            RESISTOR, VOLTAGE_SOURCE)
+                            RESISTOR, VOLTAGE_SOURCE, Netlist)
 
 
 def _descriptor(netlist):
@@ -119,6 +119,20 @@ def dense_transient(netlist, stimulus, dt, t_end, init="cold"):
         x = x_new
         v[step] = x[:n]
     return times, v
+
+
+def series_chain(*elems):
+    """1 V source - elem1 - elem2 - ... - ground, each ``(kind, value)``,
+    with probes n0, n1, ... at the nodes between elements."""
+    net = Netlist()
+    nodes = [*net.add_nodes(len(elems)).tolist(), GROUND]
+    net.add_elements(VOLTAGE_SOURCE, nodes[0], GROUND, 1.0, "vrm_src[0]")
+    stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
+    for k, (kind, val) in enumerate(elems):
+        net.add_elements(kind, nodes[k], nodes[k + 1], val, f"{stems[kind]}[{k},0]")
+        if k < len(elems) - 1:
+            net.probes[f"n{k}"] = nodes[k + 1]
+    return net
 
 
 def rc_step_voltage(t, v_step, r, c):

@@ -24,7 +24,7 @@ import pytest
 import pdnsim
 from conftest import ACCEPT_DT_S, ACCEPT_T_END_S
 from oracle import (dense_dc, held_stimulus, random_dc_netlist, rc_step_voltage,
-                    rl_mid_voltage, rlc_cap_voltage)
+                    rl_mid_voltage, rlc_cap_voltage, series_chain)
 from pdnsim import (Netlist, builtin_power_map, config_from_json, config_to_json,
                     dc_solve, transient_solve, validate_config)
 from pdnsim.analysis import run_sweep
@@ -56,24 +56,12 @@ def test_dc_oracle_equivalence_on_random_netlists():
 #    pre-step state, so comparison starts at sample 1)
 
 
-def _chain(*elems):
-    net = Netlist()
-    nodes = [*net.add_nodes(len(elems)).tolist(), GROUND]
-    net.add_elements(VOLTAGE_SOURCE, nodes[0], GROUND, 1.0, "vrm_src[0]")
-    stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
-    for k, (kind, val) in enumerate(elems):
-        net.add_elements(kind, nodes[k], nodes[k + 1], val, f"{stems[kind]}[{k},0]")
-        if k < len(elems) - 1:
-            net.probes[f"n{k}"] = nodes[k + 1]
-    return net
-
-
 def test_transient_closed_form_oracles():
     t0 = time.perf_counter()
 
     r, c = 100.0, 1e-9
     tau = r * c
-    net = _chain((RESISTOR, r), (CAPACITOR, c))
+    net = series_chain((RESISTOR, r), (CAPACITOR, c))
     wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
                          probes=["n0"])
     err = np.max(np.abs(wf.series["n0"][1:]
@@ -89,7 +77,7 @@ def test_transient_closed_form_oracles():
 
     r, l = 10.0, 1e-6
     tau = l / r
-    net = _chain((RESISTOR, r), (INDUCTOR, l))
+    net = series_chain((RESISTOR, r), (INDUCTOR, l))
     wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
                          probes=["n0"])
     err = np.max(np.abs(wf.series["n0"][1:]
@@ -99,7 +87,7 @@ def test_transient_closed_form_oracles():
     r, l, c = 1.0, 1e-6, 1e-6
     wd = np.sqrt(1.0 / (l * c) - (r / (2 * l)) ** 2)
     period = 2 * np.pi / wd
-    net = _chain((RESISTOR, r), (INDUCTOR, l), (CAPACITOR, c))
+    net = series_chain((RESISTOR, r), (INDUCTOR, l), (CAPACITOR, c))
     wf = transient_solve(net, held_stimulus(1.0, period / 1000), period / 1000, 5 * period,
                          probes=["n1"])
     err = np.max(np.abs(wf.series["n1"][1:]

@@ -158,10 +158,13 @@ def test_validate_huge_tile_grid_is_validation_error(tmp_path, capsys, power_map
         d["power_map"] = power_map
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(d))
+    out = tmp_path / "out"
     assert main(["validate", "--config", str(bad)]) == 1
+    assert main(["dc", "--config", str(bad), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [f"validation error: chip.tile_count_{ax} must be in [2, 200] "
-                                f"(got 10000000)" for ax in "xy"]
+                                f"(got 10000000)" for ax in "xy"] * 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name,section,key,value,message", [
@@ -208,6 +211,12 @@ def test_validate_huge_package_grid_is_validation_error(tmp_path, capsys, name, 
     (("chip",), "supply_voltage_v", 0.8, "chip.supply_voltage_v: unknown field for ChipSpec"),
     (("package",), "through_package_via", None,
      "package.through_package_via: unknown field for PackageSpec"),
+    # checked before the density grid beside it is built into a PowerMap
+    (("chip",), "total_power_w", "abc", "chip.total_power_w: expected float, got 'abc'"),
+    ((), "placement", {"variant": "on_package", "count": 4.0},
+     "placement.count: expected int, got 4.0"),
+    pytest.param(("package",), "solder_bump_count", 10**400,
+                 "package.solder_bump_count: integer beyond the float range", id="big_count"),
 ])
 def test_validate_malformed_config_is_validation_error(tmp_path, capsys, where, key,
                                                        value, message):

@@ -113,6 +113,16 @@ PYTHON_BUILT = [
     pytest.param(("placement",), "on_package",
                  "placement: expected OnPackageVrm | BacksideVrm | ChipOnVrm3D, got 'on_package'",
                  id="placement-str"),
+    # ints over the interpreter's 4300-digit limit, which repr() cannot print
+    pytest.param(("vrm", "output_voltage_v"), [10**5000],
+                 "vrm.output_voltage_v: expected float, got list too long to print",
+                 id="output_voltage_v-list-10**5000"),
+    pytest.param(("placement",), 10**5000,
+                 "placement: expected OnPackageVrm | BacksideVrm | ChipOnVrm3D, "
+                 "got int too long to print", id="placement-10**5000"),
+    pytest.param(("decaps", "board_decaps"), (10**5000,),
+                 "decaps.board_decaps[0]: expected DiscreteDecap, got int too long to print",
+                 id="board_decaps-item-10**5000"),
 ]
 
 
@@ -450,6 +460,19 @@ def test_load_config_rejects_a_file_that_does_not_parse(tmp_path, content, messa
     path.write_bytes(content)
     with pytest.raises(ValidationError) as exc:
         load_config(path)
+    (violation,) = exc.value.violations
+    assert violation.startswith(message)
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"\xff\xfe{}", "config is not valid JSON: "),
+    ("{not json", "config is not valid JSON: "),
+    ('{"placement": {"gap_mm": 1' + "0" * 5000 + "}}", "config is not valid JSON: "),
+    ("[" * 100_000 + "]" * 100_000, "config nests too deeply to parse"),
+], ids=["not_utf8", "not_json", "over_digit_limit", "too_deep"])
+def test_config_from_json_rejects_text_that_does_not_parse(text, message):
+    with pytest.raises(ValidationError) as exc:
+        config_from_json(text)
     (violation,) = exc.value.violations
     assert violation.startswith(message)
 

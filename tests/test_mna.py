@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracle import (dense_dc, dense_transient, held_stimulus, kcl_audit, random_dc_netlist,
                     random_transient_netlist, rc_step_voltage, rl_mid_voltage,
-                    rlc_cap_voltage, z_transform_check)
+                    rlc_cap_voltage, series_chain, z_transform_check)
 from pdnsim import Netlist, SolverError, Stimulus, dc_solve, evaluate, transient_solve
 from pdnsim.analysis import _apply_axis
 from pdnsim.builder import assemble_netlist
@@ -19,45 +19,32 @@ from pdnsim.netlist import (CAPACITOR, CURRENT_SOURCE, GROUND, INDUCTOR,
                             RESISTOR, VOLTAGE_SOURCE)
 
 
-def _series_rlc(*elems, v=1.0):
-    """source - elem1 - elem2 - ... - ground chain with probes n0, n1, ..."""
-    net = Netlist()
-    nodes = [*net.add_nodes(len(elems)).tolist(), GROUND]
-    net.add_elements(VOLTAGE_SOURCE, nodes[0], GROUND, v, "vrm_src[0]")
-    stems = {RESISTOR: "chip_h", INDUCTOR: "pkg_lh", CAPACITOR: "chip_decap_c"}
-    for k, (kind, val) in enumerate(elems):
-        net.add_elements(kind, nodes[k], nodes[k + 1], val, f"{stems[kind]}[{k},0]")
-        if k < len(elems) - 1:
-            net.probes[f"n{k}"] = nodes[k + 1]
-    return net
-
-
 # ---------------------------------------------------------------------------
 # DC
 
 
 def test_dc_voltage_divider():
-    net = _series_rlc((RESISTOR, 3.0), (RESISTOR, 1.0))
+    net = series_chain((RESISTOR, 3.0), (RESISTOR, 1.0))
     dc = dc_solve(net)
     assert dc.voltages[net.probes["n0"]] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_dc_inductor_is_short():
-    net = _series_rlc((RESISTOR, 2.0), (INDUCTOR, 1e-9), (RESISTOR, 2.0))
+    net = series_chain((RESISTOR, 2.0), (INDUCTOR, 1e-9), (RESISTOR, 2.0))
     dc = dc_solve(net)
     assert dc.voltages[net.probes["n0"]] == pytest.approx(0.5, rel=1e-12)
     assert dc.voltages[net.probes["n1"]] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_dc_capacitor_is_open():
-    net = _series_rlc((RESISTOR, 1.0), (CAPACITOR, 1e-9))
+    net = series_chain((RESISTOR, 1.0), (CAPACITOR, 1e-9))
     dc = dc_solve(net)
     # no DC path through the cap: no current, no drop across R
     assert dc.voltages[net.probes["n0"]] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_dc_branch_currents_and_residual():
-    net = _series_rlc((RESISTOR, 4.0,))
+    net = series_chain((RESISTOR, 4.0,))
     dc = dc_solve(net)
     # source branch carries -0.25 A (current flows out of the + terminal)
     assert dc.source_currents[0] == pytest.approx(-0.25, rel=1e-12)
@@ -136,7 +123,7 @@ def test_dc_non_finite_solution_raises():
 
 
 def test_stamp_mna_argument_checks():
-    net = _series_rlc((RESISTOR, 1.0))
+    net = series_chain((RESISTOR, 1.0))
     with pytest.raises(ValueError, match="unknown mode"):
         stamp_mna(net, mode="ac")
     # the dt rule of transient_solve: an infinite step would open every
@@ -202,7 +189,7 @@ def test_stimulus_rejects_bad_arguments():
 def test_transient_rc_matches_closed_form():
     r, c = 100.0, 1e-9
     tau = r * c
-    net = _series_rlc((RESISTOR, r), (CAPACITOR, c))
+    net = series_chain((RESISTOR, r), (CAPACITOR, c))
     wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
                          probes=["n0"])
     ref = rc_step_voltage(wf.time_s, 1.0, r, c)
@@ -213,8 +200,8 @@ def test_parallel_capacitors_act_as_their_sum():
     """Capacitors that share a node give repeated rows in the
     companion-current update; none of them may be dropped."""
     r, c = 100.0, 1e-9
-    whole = _series_rlc((RESISTOR, r), (CAPACITOR, c))
-    split = _series_rlc((RESISTOR, r), (CAPACITOR, c / 4))
+    whole = series_chain((RESISTOR, r), (CAPACITOR, c))
+    split = series_chain((RESISTOR, r), (CAPACITOR, c / 4))
     split.add_elements(CAPACITOR, split.probes["n0"], GROUND, c / 4, "chip_decap_c", [1, 2, 3], 0)
     dt = r * c / 1000
     got, ref = (transient_solve(net, held_stimulus(1.0, dt), dt, 5 * r * c,
@@ -226,7 +213,7 @@ def test_parallel_capacitors_act_as_their_sum():
 def test_transient_rl_matches_closed_form():
     r, l = 10.0, 1e-6
     tau = l / r
-    net = _series_rlc((RESISTOR, r), (INDUCTOR, l))
+    net = series_chain((RESISTOR, r), (INDUCTOR, l))
     wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
                          probes=["n0"])
     ref = rl_mid_voltage(wf.time_s, 1.0, r, l)
@@ -237,7 +224,7 @@ def test_transient_rlc_underdamped_matches_closed_form():
     r, l, c = 1.0, 1e-6, 1e-6
     wd = np.sqrt(1.0 / (l * c) - (r / (2 * l)) ** 2)
     period = 2 * np.pi / wd
-    net = _series_rlc((RESISTOR, r), (INDUCTOR, l), (CAPACITOR, c))
+    net = series_chain((RESISTOR, r), (INDUCTOR, l), (CAPACITOR, c))
     wf = transient_solve(net, held_stimulus(1.0, period / 1000), period / 1000, 5 * period,
                          probes=["n1"])
     ref = rlc_cap_voltage(wf.time_s, 1.0, r, l, c)
@@ -323,7 +310,7 @@ def test_transient_raises_on_a_non_finite_step(dt, t):
 
 
 def test_transient_settles_to_dc():
-    net = _series_rlc((RESISTOR, 2.0), (INDUCTOR, 1e-9), (RESISTOR, 2.0))
+    net = series_chain((RESISTOR, 2.0), (INDUCTOR, 1e-9), (RESISTOR, 2.0))
     dc = dc_solve(net)
     wf = transient_solve(net, Stimulus(rise_time_s=1e-10, load_delay_s=0.0,
                                        load_rise_s=1e-12),
@@ -334,14 +321,14 @@ def test_transient_settles_to_dc():
 
 def test_warm_start_holds_operating_point_without_load():
     """With no current sources, the warm start is already the steady state."""
-    net = _series_rlc((RESISTOR, 2.0), (CAPACITOR, 1e-9))
+    net = series_chain((RESISTOR, 2.0), (CAPACITOR, 1e-9))
     wf = transient_solve(net, Stimulus(), 1e-11, 1e-8,
                          probes=["n0"], init="warm")
     assert np.max(np.abs(wf.series["n0"] - 1.0)) < 1e-9
 
 
 def test_warm_start_responds_only_to_the_load_step():
-    net = _series_rlc((RESISTOR, 2.0), (CAPACITOR, 1e-9))
+    net = series_chain((RESISTOR, 2.0), (CAPACITOR, 1e-9))
     node = net.probes["n0"]
     net.add_elements(CURRENT_SOURCE, node, GROUND, 0.1, "load[0,0]")
     stim = Stimulus(load_delay_s=2e-9, load_rise_s=0.1e-9)
@@ -360,10 +347,10 @@ def test_warm_start_rejects_a_netlist_it_would_not_hold():
     cannot be built: ``Netlist.add_elements`` rejects it.)"""
     # a divider with a decap on its midpoint and no load settles at 0.5 V,
     # so a start at 1 V would simulate a transient nothing drove
-    divider = _series_rlc((RESISTOR, 2.0), (RESISTOR, 2.0))
+    divider = series_chain((RESISTOR, 2.0), (RESISTOR, 2.0))
     divider.add_elements(CAPACITOR, divider.probes["n0"], GROUND, 1e-9, "chip_decap_c[0,0]")
     for net, why in ((divider, r"chip_h\[1,0\]"),
-                     (_series_rlc((RESISTOR, 2.0), (INDUCTOR, 1e-9)), r"pkg_lh\[1,0\]")):
+                     (series_chain((RESISTOR, 2.0), (INDUCTOR, 1e-9)), r"pkg_lh\[1,0\]")):
         for stim, init, v in ((Stimulus(), "warm", r"1\.0"),
                               (Stimulus(v_start=0.5), "cold", r"0\.5")):
             with pytest.raises(ValueError, match=rf"^a start with every node at {v} V is not "
@@ -379,7 +366,7 @@ def test_benchmark_netlists_admit_a_warm_start(name):
 
 
 def test_transient_argument_checks():
-    net = _series_rlc((RESISTOR, 1.0))
+    net = series_chain((RESISTOR, 1.0))
     stim = held_stimulus(1.0, 1e-9)
     with pytest.raises(ValueError, match="dt must be"):
         transient_solve(net, stim, 0.0, 1e-9)
@@ -410,7 +397,7 @@ def test_transient_argument_checks():
 
 
 def test_waveform_csv_format_and_determinism():
-    net = _series_rlc((RESISTOR, 100.0), (CAPACITOR, 1e-9))
+    net = series_chain((RESISTOR, 100.0), (CAPACITOR, 1e-9))
     wf = transient_solve(net, held_stimulus(1.0, 1e-8), 1e-8, 1e-7, probes=["n0"])
     csv1 = waveform_to_csv(wf)
     lines = csv1.splitlines()
