@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .analysis import DEFAULT_DT_S, compare_configurations
+from .analysis import DEFAULT_DT_S, evaluate
 from .config import benchmark_config
 
 # transient anchors (mV / fraction)
@@ -21,8 +21,7 @@ ANCHOR_BACKSIDE_PSN_MV = 82.64
 ANCHOR_3D_PSN_MV = 58.8
 ANCHOR_4V1_IMPROVEMENT = 0.2445
 
-# reduced resolution of the search: chip tiles per side and window (the
-# step is the default one)
+# the search's reduced resolution: chip tiles per side, and window
 CAL_TILE_COUNT = 30
 CAL_T_END_S = 150e-9
 
@@ -51,16 +50,14 @@ def anchor_errors(knobs, tile_count=CAL_TILE_COUNT, dt=DEFAULT_DT_S, t_end=CAL_T
     Runs at reduced resolution so a grid search stays desk-scale; the
     winner should be re-checked at full resolution.
     """
-    cfgs = []
+    # the tile counts are knobs too, set before the searched ones
+    knobs = {"chip_tile_count_x": tile_count, "chip_tile_count_y": tile_count, **knobs}
+    metrics = {}
     for name in ("on_package_1", "on_package_4", "backside", "chip_on_vrm_3d"):
-        cfg = benchmark_config(name)
-        chip = dataclasses.replace(cfg.chip, tile_count_x=tile_count,
-                                   tile_count_y=tile_count)
-        cfgs.append(_with_knobs(dataclasses.replace(cfg, chip=chip, power_map=None), knobs))
-    # rows are labelled by benchmark name; the 4-vs-1 improvement is row 1's
-    rows = compare_configurations(cfgs, dt=dt, t_end=t_end).rows
-    metrics = {r.label: r.max_psn_mv for r in rows}
-    imp = rows[1].psn_improvement
+        cfg = dataclasses.replace(benchmark_config(name), power_map=None)
+        metrics[name] = evaluate(_with_knobs(cfg, knobs), dt=dt, t_end=t_end).psn.max_psn_mv
+    psn_1 = metrics["on_package_1"]
+    imp = (psn_1 - metrics["on_package_4"]) / psn_1
     return {
         "backside_psn": metrics["backside"] / ANCHOR_BACKSIDE_PSN_MV - 1.0,
         "psn_3d": metrics["chip_on_vrm_3d"] / ANCHOR_3D_PSN_MV - 1.0,
@@ -68,21 +65,15 @@ def anchor_errors(knobs, tile_count=CAL_TILE_COUNT, dt=DEFAULT_DT_S, t_end=CAL_T
     }, metrics
 
 
-def grid_search(grid=None, tile_count=CAL_TILE_COUNT, dt=DEFAULT_DT_S, t_end=CAL_T_END_S,
-                log=None):
-    """Exhaustive search over the knob grid; returns (best knobs, history)."""
-    grid = dict(DEFAULT_GRID if grid is None else grid)
-    names = list(grid)
-    best = None
+def grid_search(tile_count=CAL_TILE_COUNT, dt=DEFAULT_DT_S, t_end=CAL_T_END_S, log=None):
+    """Exhaustive search over ``DEFAULT_GRID``; returns (best knobs, history).
+    The first combination with the least score wins."""
     history = []
-    for combo in itertools.product(*(grid[n] for n in names)):
-        knobs = dict(zip(names, combo))
+    for combo in itertools.product(*DEFAULT_GRID.values()):
+        knobs = dict(zip(DEFAULT_GRID, combo))
         errs, metrics = anchor_errors(knobs, tile_count=tile_count, dt=dt, t_end=t_end)
         score = sum(e * e for e in errs.values())
-        history.append({"knobs": knobs, "errors": errs, "metrics": metrics,
-                        "score": score})
+        history.append({"knobs": knobs, "errors": errs, "metrics": metrics, "score": score})
         if log is not None:
             log(f"score={score:.4f} knobs={knobs} metrics={metrics}")
-        if best is None or score < best["score"]:
-            best = history[-1]
-    return best, history
+    return min(history, key=lambda h: h["score"]), history

@@ -112,8 +112,8 @@ def _build_parser():
                                           "parasitic knobs against the "
                                           "transient anchors")
     sp.add_argument("--tile-count", type=tile_count, default=CAL_TILE_COUNT)
-    sp.add_argument("--dt", type=float, default=DEFAULT_DT_S)
-    sp.add_argument("--t-end", type=float, default=CAL_T_END_S)
+    tran_flags(sp)
+    sp.set_defaults(t_end=CAL_T_END_S)
 
     # every command that writes files writes them into --out-dir
     for name in ("netlist", "dc", "tran", "sweep", "compare", "calibrate"):

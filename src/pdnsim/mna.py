@@ -273,6 +273,15 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     v0 = stimulus.voltage(0.0)
     if v0 != 0.0:
         _check_warm_start(netlist, v0)
+    for name in probes:
+        if name not in netlist.probes:
+            raise KeyError(f"unknown probe {name!r}")
+    n_probes = len(probes)
+    tiles = np.asarray(netlist.meta.get("chip_tile_nodes", ()), dtype=np.int64)
+    # the probe rows, then the chip tile rows: one gather from x per step
+    rows = np.array([*(netlist.probes[p] for p in probes), *tiles.ravel()],
+                    dtype=np.int64) - 1
+
     sys_ = MnaSystem(netlist, mode="transient", dt=dt)
     off = np.flatnonzero(sys_.vsrc_vals != stimulus.v_end)
     if len(off):
@@ -283,15 +292,6 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
     lu = sys_.factorize()
 
     times = dt * np.arange(n_steps + 1)
-
-    for name in probes:
-        if name not in netlist.probes:
-            raise KeyError(f"unknown probe {name!r}")
-    n_probes = len(probes)
-    tiles = np.asarray(netlist.meta.get("chip_tile_nodes", ()), dtype=np.int64)
-    # the probe rows, then the chip tile rows: one gather from x per step
-    rows = np.array([*(netlist.probes[p] for p in probes), *tiles.ravel()],
-                    dtype=np.int64) - 1
 
     # x carries one trailing entry that stands for ground: row -1 reads 0.0,
     # so the step loop needs no ground masks

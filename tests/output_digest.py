@@ -7,7 +7,7 @@ after.  The grid is the five benchmarks x {hotspot, uniform} power maps x
 Each evaluation adds its DC node voltages, source currents and KCL
 residual, the per-tile transient minima and final values, the PSN metrics,
 ``ir_map.csv``, ``waveform.csv`` and the netlist text.  It takes about
-10 s on one core.
+15 s on one core.
 
 Pytest does not collect this file.  Run it against a source tree with
 

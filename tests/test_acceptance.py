@@ -29,6 +29,8 @@ from pdnsim import (Netlist, builtin_power_map, config_from_json, config_to_json
                     dc_solve, transient_solve, validate_config)
 from pdnsim.analysis import run_sweep
 from pdnsim.builder import build_chip_grid
+from pdnsim.calibrate import (ANCHOR_3D_PSN_MV, ANCHOR_4V1_IMPROVEMENT,
+                              ANCHOR_BACKSIDE_PSN_MV)
 from pdnsim.cli import main
 from pdnsim.config import BENCHMARK_NAMES
 from pdnsim.netlist import (CAPACITOR, GROUND, INDUCTOR, RESISTOR,
@@ -148,13 +150,13 @@ def test_calibrated_magnitude_targets(bench_results):
     assert abs(imp_3d_vs_b - 0.159) < 0.10
 
     imp_4_vs_1 = 1.0 - psn["on_package_4"] / psn["on_package_1"]
-    assert abs(imp_4_vs_1 - 0.2445) < 0.10
+    assert abs(imp_4_vs_1 - ANCHOR_4V1_IMPROVEMENT) < 0.10
 
     imp_b_vs_4 = 1.0 - psn["backside"] / psn["on_package_4"]
     assert abs(imp_b_vs_4 - 0.1065) < 0.08
 
-    assert psn["backside"] == pytest.approx(82.64, rel=0.25)
-    assert psn["chip_on_vrm_3d"] == pytest.approx(58.8, rel=0.25)
+    assert psn["backside"] == pytest.approx(ANCHOR_BACKSIDE_PSN_MV, rel=0.25)
+    assert psn["chip_on_vrm_3d"] == pytest.approx(ANCHOR_3D_PSN_MV, rel=0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,22 @@ def test_grid_search_visits_every_combination(monkeypatch):
         return {"x": err}, {}
 
     monkeypatch.setattr(cal, "anchor_errors", fake_anchor_errors)
-    grid = {"a": (1.0, 2.0), "b": (3.0, 4.0)}
-    best, history = grid_search(grid=grid)
-    assert len(history) == 4
+    monkeypatch.setattr(cal, "DEFAULT_GRID", {"a": (1.0, 2.0), "b": (3.0, 4.0)})
+    best, history = grid_search()
+    assert calls == [{"a": 1.0, "b": 3.0}, {"a": 1.0, "b": 4.0},
+                     {"a": 2.0, "b": 3.0}, {"a": 2.0, "b": 4.0}]
+    assert [h["knobs"] for h in history] == calls
     assert best["knobs"] == {"a": 1.0, "b": 3.0}
+
+
+def test_grid_search_keeps_the_first_of_tied_minima(monkeypatch):
+    import pdnsim.calibrate as cal
+
+    monkeypatch.setattr(cal, "anchor_errors", lambda knobs, **kw: ({"x": knobs["a"] - 1.5}, {}))
+    monkeypatch.setattr(cal, "DEFAULT_GRID", {"a": (3.0, 2.0, 1.0)})
+    best, history = grid_search()
+    assert [h["score"] for h in history] == [2.25, 0.25, 0.25]
+    assert best is history[1]
 
 
 def test_anchor_errors_follow_from_four_evaluations(small_config):

@@ -55,6 +55,18 @@ def test_chip_larger_than_package_rejected():
         validate_config(ScenarioConfig(chip=chip))
 
 
+def test_wire_as_wide_as_its_pitch_rejected():
+    def with_width(width_um):
+        wire = dataclasses.replace(ChipSpec().onchip_wire, width_um=width_um)
+        return ScenarioConfig(chip=dataclasses.replace(ChipSpec(), onchip_wire=wire))
+
+    pitch = ChipSpec().onchip_wire.pitch_um
+    with pytest.raises(ValidationError) as exc:
+        validate_config(with_width(pitch))
+    assert exc.value.violations == ["chip.onchip_wire.width_um must be < pitch_um"]
+    validate_config(with_width(float(np.nextafter(pitch, 0.0))))
+
+
 def test_on_package_count_must_be_1_2_or_4():
     with pytest.raises(ValidationError, match="count"):
         validate_config(ScenarioConfig(placement=OnPackageVrm(count=3)))
@@ -123,6 +135,9 @@ PYTHON_BUILT = [
     pytest.param(("decaps", "board_decaps"), (10**5000,),
                  "decaps.board_decaps[0]: expected DiscreteDecap, got int too long to print",
                  id="board_decaps-item-10**5000"),
+    pytest.param(("placement",), PowerMap(np.ones((6, 6)), 4.0),
+                 "placement: expected OnPackageVrm | BacksideVrm | ChipOnVrm3D, "
+                 "got PowerMap(shape=(6, 6), total_power_w=4.0)", id="placement-PowerMap"),
 ]
 
 
@@ -545,6 +560,7 @@ def test_configs_are_hashable_consistently_with_eq():
     zero = PowerMap(np.zeros((2, 2)), 0.0)
     neg_zero = PowerMap(-np.zeros((2, 2)), 0.0)
     assert zero == neg_zero and hash(zero) == hash(neg_zero)
+    assert zero != 1
 
 
 # ---------------------------------------------------------------------------

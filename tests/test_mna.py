@@ -396,6 +396,18 @@ def test_transient_argument_checks():
         transient_solve(net, stim, 1e-12, 1e-9, probes=["nope"])
 
 
+def test_unknown_probe_is_rejected_before_the_matrix_is_built(monkeypatch):
+    import pdnsim.mna as mna
+
+    def no_stamp(*args, **kwargs):
+        raise AssertionError("stamped the transient matrix")
+
+    monkeypatch.setattr(mna, "MnaSystem", no_stamp)
+    net = series_chain((RESISTOR, 1.0), (RESISTOR, 1.0))
+    with pytest.raises(KeyError, match="unknown probe 'nope'"):
+        transient_solve(net, held_stimulus(1.0, 1e-9), 1e-12, 1e-9, probes=["n0", "nope"])
+
+
 def test_waveform_csv_format_and_determinism():
     net = series_chain((RESISTOR, 100.0), (CAPACITOR, 1e-9))
     wf = transient_solve(net, held_stimulus(1.0, 1e-8), 1e-8, 1e-7, probes=["n0"])
