@@ -327,8 +327,8 @@ def transient_solve(netlist: Netlist, stimulus: Stimulus, dt, t_end,
         vmax = float(np.max(np.abs(x[: sys_.n_nodes])))
         if not np.isfinite(vmax):
             raise SolverError(
-                f"transient diverged at t={t:.3e}s (|v|max={vmax:.3e}); "
-                f"dt={dt:.3e} — reduce dt")
+                f"transient diverged at t={t:.3e}s (|v|max={vmax:.3e}): "
+                "a node voltage is not finite")
 
         cap_ieq = cap_w * x[cap_a] - cap_ieq
         ind_e = -(x[ind_a] - x[ind_b]) - ind_z * x[ind_rows]

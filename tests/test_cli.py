@@ -11,6 +11,7 @@ import pdnsim
 from pdnsim import (PdnError, RequestError, SolverError, compare_configurations,
                     config_from_json, config_to_json, run_sweep, validate_config)
 from pdnsim.cli import main
+from pdnsim.config import BENCHMARK_NAMES
 
 
 @pytest.fixture()
@@ -374,14 +375,18 @@ def test_sweep_dc_only(small_cfg_file, tmp_path, capsys):
 
 
 def test_compare(small_cfg_file, tmp_path, capsys):
-    a = small_cfg_file("on_package_1", "a.json")
-    b = small_cfg_file("on_package_4", "b.json")
-    out = tmp_path / "cmp"
-    assert main(["compare", "--config", a, "--config", b,
-                 "--no-transient", "--out-dir", str(out)]) == 0
-    csv = (out / "compare.csv").read_text()
-    assert "on_package_1" in csv and "on_package_4" in csv
-    assert "IR drop" in (out / "compare.txt").read_text()
+    # two placements, then the five of the README's placement table
+    for names in (("on_package_1", "on_package_4"), BENCHMARK_NAMES):
+        configs = [arg for name in names
+                   for arg in ("--config", small_cfg_file(name, f"{name}.json"))]
+        out = tmp_path / f"cmp{len(names)}"
+        assert main(["compare", *configs, "--no-transient", "--out-dir", str(out)]) == 0
+        header, *rows = [line.split(",") for line in
+                         (out / "compare.csv").read_text().splitlines()]
+        assert header[:3] == ["label", "max_ir_drop_mv", "max_psn_mv"]
+        assert [row[0] for row in rows] == list(names)
+        assert all(float(row[1]) > 0.0 and row[2] == "" for row in rows)
+        assert "IR drop" in (out / "compare.txt").read_text()
 
 
 @pytest.mark.parametrize("name,args", [
