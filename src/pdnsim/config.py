@@ -522,12 +522,10 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     fields; call validate_config."""
     if not isinstance(d, dict):
         raise ValidationError([f"config: expected an object, got {d!r}"])
-    specs = dict(d)
-    pmd = specs.pop("power_map", None)
-    cfg = _decode(ScenarioConfig, specs, "")
-    if pmd is not None:
+    cfg = _decode(ScenarioConfig, {k: v for k, v in d.items() if k != "power_map"}, "")
+    if "power_map" in d:
         _check_fields(cfg, "")  # the map is built from chip fields
-        cfg = dataclasses.replace(cfg, power_map=_power_map(pmd, cfg.chip))
+        cfg = dataclasses.replace(cfg, power_map=_power_map(d["power_map"], cfg.chip))
     return cfg
 
 
@@ -535,10 +533,21 @@ def config_to_json(config: ScenarioConfig) -> str:
     return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, rejecting a repeated key rather than keeping its last value."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ValidationError([f"config repeats the key {key!r}"])
+        obj[key] = val
+    return obj
+
+
 def config_from_json(text: str | bytes) -> ScenarioConfig:
     """config_from_dict of JSON ``text`` (bytes as UTF-8); raises ValidationError if it does not parse."""
     try:
-        doc = json.loads(text if isinstance(text, str) else text.decode())
+        doc = json.loads(text if isinstance(text, str) else text.decode(),
+                         object_pairs_hook=_unique_keys)
     except ValueError as exc:  # not UTF-8, not JSON, or an integer over the digit limit
         raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
     except RecursionError as exc:

@@ -1,13 +1,15 @@
-"""End-to-end acceptance checks.
+"""The paper's claims, end to end.
 
-Two tiers of evidence:
-
-* hard oracle checks — dense-solver parity, closed-form step responses,
-  linearity, grid convergence, determinism — with tight tolerances;
-* calibrated trend targets for the five VRM-placement benchmarks, with
-  tolerances wide enough to absorb the parasitics (regulator, board,
-  package loop inductance) that have no published values and were fixed
-  by the calibration grid search.
+Each test checks one result of the study: the transient settles to the
+DC IR drop; the five placements keep their IR and PSN order, on the
+default 3:1 hotspot map, within the runtime bound; the calibrated
+magnitudes fall in their windows; the decap and VRM-gap sweeps keep their
+trends; the warm load step keeps the placement order; and the tile grid
+converges and aggregates the on-chip wires faithfully.  The magnitude
+windows are wide enough to absorb the parasitics (regulator, board,
+package loop inductance) that have no published values and were fixed by
+the calibration grid search.  The solver oracles, linearity and byte
+determinism are checked once, in the unit modules that own them.
 
 The five full-resolution benchmark evaluations are computed once per
 session (see conftest.bench_results) and shared across the benchmark
@@ -15,92 +17,22 @@ criteria.
 """
 
 import dataclasses
-import json
-import time
 
-import numpy as np
 import pytest
 
 import pdnsim
-from conftest import ACCEPT_DT_S, ACCEPT_T_END_S
-from oracle import (dense_dc, held_stimulus, random_dc_netlist, rc_step_voltage,
-                    rl_mid_voltage, rlc_cap_voltage, series_chain)
-from pdnsim import (Netlist, builtin_power_map, config_from_json, config_to_json,
-                    dc_solve, transient_solve, validate_config)
+from conftest import ACCEPT_DT_S
+from pdnsim import Netlist, builtin_power_map, dc_solve, validate_config
 from pdnsim.analysis import run_sweep
 from pdnsim.builder import build_chip_grid
 from pdnsim.calibrate import (ANCHOR_3D_PSN_MV, ANCHOR_4V1_IMPROVEMENT,
                               ANCHOR_BACKSIDE_PSN_MV)
-from pdnsim.cli import main
 from pdnsim.config import BENCHMARK_NAMES
-from pdnsim.netlist import (CAPACITOR, GROUND, INDUCTOR, RESISTOR,
-                            VOLTAGE_SOURCE)
+from pdnsim.netlist import GROUND, RESISTOR, VOLTAGE_SOURCE
 
 
 # ---------------------------------------------------------------------------
-# 1. DC oracle equivalence
-
-
-def test_dc_oracle_equivalence_on_random_netlists():
-    rng = np.random.default_rng(20240817)
-    t0 = time.perf_counter()
-    for _ in range(24):
-        net = random_dc_netlist(rng, max_nodes=10)
-        ref = dense_dc(net)
-        got = dc_solve(net).voltages
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        assert float(np.max(np.abs(got - ref))) / scale < 1e-9
-    assert time.perf_counter() - t0 < 1.0
-
-
-# ---------------------------------------------------------------------------
-# 2. transient closed-form oracles (dt = tau/1000; the t=0 sample is the
-#    pre-step state, so comparison starts at sample 1)
-
-
-def test_transient_closed_form_oracles():
-    t0 = time.perf_counter()
-
-    r, c = 100.0, 1e-9
-    tau = r * c
-    net = series_chain((RESISTOR, r), (CAPACITOR, c))
-    wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
-                         probes=["n0"])
-    err = np.max(np.abs(wf.series["n0"][1:]
-                        - rc_step_voltage(wf.time_s[1:], 1.0, r, c)))
-    assert err < 5e-3
-    # held from 0.5 V to 1 V: the run starts at rest at 0.5 V and sees a
-    # 0.5 V step
-    stim = dataclasses.replace(held_stimulus(1.0, tau / 1000), v_start=0.5)
-    wf = transient_solve(net, stim, tau / 1000, 5 * tau, probes=["n0"])
-    err = np.max(np.abs(wf.series["n0"][1:]
-                        - (0.5 + rc_step_voltage(wf.time_s[1:], 0.5, r, c))))
-    assert err < 5e-3
-
-    r, l = 10.0, 1e-6
-    tau = l / r
-    net = series_chain((RESISTOR, r), (INDUCTOR, l))
-    wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
-                         probes=["n0"])
-    err = np.max(np.abs(wf.series["n0"][1:]
-                        - rl_mid_voltage(wf.time_s[1:], 1.0, r, l)))
-    assert err < 5e-3
-
-    r, l, c = 1.0, 1e-6, 1e-6
-    wd = np.sqrt(1.0 / (l * c) - (r / (2 * l)) ** 2)
-    period = 2 * np.pi / wd
-    net = series_chain((RESISTOR, r), (INDUCTOR, l), (CAPACITOR, c))
-    wf = transient_solve(net, held_stimulus(1.0, period / 1000), period / 1000, 5 * period,
-                         probes=["n1"])
-    err = np.max(np.abs(wf.series["n1"][1:]
-                        - rlc_cap_voltage(wf.time_s[1:], 1.0, r, l, c)))
-    assert err < 1e-2
-
-    assert time.perf_counter() - t0 < 5.0
-
-
-# ---------------------------------------------------------------------------
-# 3. settling consistency: the transient relaxes to the DC operating point
+# 1. settling consistency: the transient relaxes to the DC operating point
 
 
 def test_transient_settles_to_dc_ir_drop(bench_results):
@@ -112,7 +44,7 @@ def test_transient_settles_to_dc_ir_drop(bench_results):
 
 
 # ---------------------------------------------------------------------------
-# 4. configuration ordering and runtime
+# 2. configuration ordering and runtime
 
 
 def test_placement_ordering_and_runtime(bench_results):
@@ -135,7 +67,7 @@ def test_default_power_map_is_hotspot():
 
 
 # ---------------------------------------------------------------------------
-# 5. calibrated magnitude targets
+# 3. calibrated magnitude targets
 
 
 def test_calibrated_magnitude_targets(bench_results):
@@ -160,7 +92,7 @@ def test_calibrated_magnitude_targets(bench_results):
 
 
 # ---------------------------------------------------------------------------
-# 6. on-chip decap sweep (3-D stack, uniform map, load-step experiment)
+# 4. on-chip decap sweep (3-D stack, uniform map, load-step experiment)
 
 
 def test_decap_density_sweep_trend():
@@ -175,7 +107,7 @@ def test_decap_density_sweep_trend():
 
 
 # ---------------------------------------------------------------------------
-# 7. VRM gap sweep
+# 5. VRM gap sweep
 
 
 @pytest.mark.parametrize("count", [1, 2, 4])
@@ -188,7 +120,7 @@ def test_vrm_gap_sweep_trend(count):
 
 
 # ---------------------------------------------------------------------------
-# 7b. the paper's claims on the warm load step, at 20x20 tiles.  These assert
+# 6. the paper's claims on the warm load step, at 20x20 tiles.  These assert
 # order, not values: the values move with the uncalibrated parasitics.
 
 WARM_12NS = {"dt": ACCEPT_DT_S, "t_end": 12e-9, "init": "warm"}
@@ -222,21 +154,7 @@ def test_warm_psn_rises_with_vrm_gap(count):
 
 
 # ---------------------------------------------------------------------------
-# 8. linearity
-
-
-@pytest.mark.parametrize("scale", [0.5, 2.0])
-def test_power_scaling_linearity(scale):
-    base = pdnsim.benchmark_config("on_package_4")
-    ref = pdnsim.evaluate(base, transient=False).ir_map.max_mv
-    chip = dataclasses.replace(base.chip, total_power_w=base.chip.total_power_w * scale)
-    scaled = validate_config(dataclasses.replace(base, chip=chip, power_map=None))
-    got = pdnsim.evaluate(scaled, transient=False).ir_map.max_mv
-    assert abs(got / (ref * scale) - 1.0) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# 9. grid convergence and aggregation fidelity
+# 7. grid convergence and aggregation fidelity
 
 
 def test_grid_convergence_3d(bench_results):
@@ -275,30 +193,3 @@ def test_aggregation_fidelity_against_full_physical_grid():
     coarse = _edge_fed_max_drop(10)
     full = _edge_fed_max_drop(66)
     assert abs(coarse - full) / full < 0.10
-
-
-# ---------------------------------------------------------------------------
-# 10. determinism
-
-
-def test_cli_outputs_are_byte_deterministic(tmp_path):
-    cfg_path = tmp_path / "scenario.json"
-    cfg_path.write_text(config_to_json(pdnsim.benchmark_config("on_package_4")))
-    runs = []
-    for tag in ("r1", "r2"):
-        out = tmp_path / tag
-        assert main(["dc", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
-        assert main(["tran", "--config", str(cfg_path), "--out-dir", str(out),
-                     "--dt", "1e-10", "--t-end", "2e-8"]) == 0
-        runs.append(((out / "ir_map.csv").read_bytes(),
-                     (out / "waveform.csv").read_bytes()))
-    assert runs[0] == runs[1]
-
-
-def test_default_config_round_trips_exactly(capsys):
-    assert main(["default-config", "--benchmark", "backside"]) == 0
-    text = capsys.readouterr().out
-    cfg = validate_config(config_from_json(text))
-    assert config_to_json(cfg) == text
-    doc = json.loads(text)
-    assert doc["placement"]["variant"] == "backside"

@@ -440,6 +440,9 @@ MALFORMED = [
     pytest.param(("package",), "solder_bump_count", 10**400,
                  "package.solder_bump_count: integer beyond the float range",
                  id="solder_bump_count-10**400"),
+    # an explicit null is not a missing map, which would take the hotspot default
+    pytest.param((), "power_map", None, "power_map: expected an object, got None",
+                 id="power_map-null"),
 ]
 
 
@@ -484,7 +487,13 @@ def test_load_config_rejects_a_file_that_does_not_parse(tmp_path, content, messa
     ("{not json", "config is not valid JSON: "),
     ('{"placement": {"gap_mm": 1' + "0" * 5000 + "}}", "config is not valid JSON: "),
     ("[" * 100_000 + "]" * 100_000, "config nests too deeply to parse"),
-], ids=["not_utf8", "not_json", "over_digit_limit", "too_deep"])
+    ('{"chip": {"total_power_w": 50.0, "total_power_w": 100.0}, '
+     '"placement": {"variant": "backside", "variant": "on_package"}}',
+     "config repeats the key 'total_power_w'"),
+    ('{"placement": {"variant": "backside"}, "placement": {"variant": "on_package"}}',
+     "config repeats the key 'placement'"),
+], ids=["not_utf8", "not_json", "over_digit_limit", "too_deep", "repeated_nested_key",
+        "repeated_key"])
 def test_config_from_json_rejects_text_that_does_not_parse(text, message):
     with pytest.raises(ValidationError) as exc:
         config_from_json(text)

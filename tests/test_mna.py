@@ -1,6 +1,7 @@
 """MNA solver: DC oracle parity, closed-form transients, solver properties."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -76,8 +77,10 @@ def _assert_matches_dense_oracle(net):
 
 def test_dc_matches_dense_oracle_on_random_netlists():
     rng = np.random.default_rng(1234)
+    t0 = time.perf_counter()
     for _ in range(25):
         _assert_matches_dense_oracle(random_dc_netlist(rng))
+    assert time.perf_counter() - t0 < 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,13 +190,17 @@ def test_stimulus_rejects_bad_arguments():
 
 
 def test_transient_rc_matches_closed_form():
+    """A step to 1 V from rest at 0 V, and from rest at 0.5 V."""
+    t0 = time.perf_counter()
     r, c = 100.0, 1e-9
     tau = r * c
     net = series_chain((RESISTOR, r), (CAPACITOR, c))
-    wf = transient_solve(net, held_stimulus(1.0, tau / 1000), tau / 1000, 5 * tau,
-                         probes=["n0"])
-    ref = rc_step_voltage(wf.time_s, 1.0, r, c)
-    assert np.max(np.abs(wf.series["n0"][1:] - ref[1:])) < 5e-3
+    for v_start in (0.0, 0.5):
+        stim = dataclasses.replace(held_stimulus(1.0, tau / 1000), v_start=v_start)
+        wf = transient_solve(net, stim, tau / 1000, 5 * tau, probes=["n0"])
+        ref = v_start + rc_step_voltage(wf.time_s, 1.0 - v_start, r, c)
+        assert np.max(np.abs(wf.series["n0"][1:] - ref[1:])) < 5e-3
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_parallel_capacitors_act_as_their_sum():
@@ -211,6 +218,7 @@ def test_parallel_capacitors_act_as_their_sum():
 
 
 def test_transient_rl_matches_closed_form():
+    t0 = time.perf_counter()
     r, l = 10.0, 1e-6
     tau = l / r
     net = series_chain((RESISTOR, r), (INDUCTOR, l))
@@ -218,9 +226,11 @@ def test_transient_rl_matches_closed_form():
                          probes=["n0"])
     ref = rl_mid_voltage(wf.time_s, 1.0, r, l)
     assert np.max(np.abs(wf.series["n0"][1:] - ref[1:])) < 5e-3
+    assert time.perf_counter() - t0 < 1.5
 
 
 def test_transient_rlc_underdamped_matches_closed_form():
+    t0 = time.perf_counter()
     r, l, c = 1.0, 1e-6, 1e-6
     wd = np.sqrt(1.0 / (l * c) - (r / (2 * l)) ** 2)
     period = 2 * np.pi / wd
@@ -229,6 +239,7 @@ def test_transient_rlc_underdamped_matches_closed_form():
                          probes=["n1"])
     ref = rlc_cap_voltage(wf.time_s, 1.0, r, l, c)
     assert np.max(np.abs(wf.series["n1"][1:] - ref[1:])) < 1e-2
+    assert time.perf_counter() - t0 < 1.5
 
 
 def _assert_transient_matches_dense_oracle(net, stimulus, dt, t_end, init):
